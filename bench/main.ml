@@ -365,12 +365,15 @@ let native_precision ~(sizes : int list) (et : Etype.t) : Json.t =
               ("reason", Json.String m);
             ]
       | Native_check.Ready np ->
-          (* differential gate before any timing: remainder-heavy shapes
-             through native vs simulated-blocked vs reference BLAS *)
+          (* differential gate before any timing: the simulated gate's
+             shapes and blocking, native vs simulated vs reference BLAS *)
           let diffs =
             List.map
               (fun (m, n, k) ->
-                (match Native_blocked.check np ~m ~n ~k () with
+                (match
+                   Native_blocked.check ~blocking:full_check_blocking np ~m
+                     ~n ~k ()
+                 with
                 | Ok () -> ()
                 | Error e ->
                     Fmt.pr "NATIVE DIFFERENTIAL FAIL (%s %s): %s@." gemm_name
@@ -381,7 +384,7 @@ let native_precision ~(sizes : int list) (et : Etype.t) : Json.t =
                     ("m", Json.Int m); ("n", Json.Int n); ("k", Json.Int k);
                     ("ok", Json.Bool true);
                   ])
-              [ (37, 29, 23); (8, 6, 6); (1, 1, 1) ]
+              full_check_shapes
           in
           let points =
             List.map

@@ -1,12 +1,14 @@
 (* Reference Level-3 BLAS.
 
-   [dgemm_naive] is the semantics oracle.  [dgemm_blocked] implements
-   Goto's block-partitioned algorithm (the one the paper's GEMM kernel
-   plugs into): loops over Kc x Nc panels of B and Mc x Kc blocks of A,
-   packs both into contiguous buffers in exactly the layouts the
-   generated micro-kernel expects (A[l*Mc + i], B[j*Kc + l]), and calls
-   a micro-kernel callback on each packed pair — by default the
-   reference micro-kernel, in tests the simulated generated assembly.
+   [dgemm_naive] is the semantics oracle.  [nest] is Goto's
+   block-partitioned algorithm (the one the paper's GEMM kernel plugs
+   into): loops over Kc x Nc panels of B and Mc x Kc blocks of A, with
+   packing, scaling and the micro-kernel delegated to an [executor].
+   One nest, three executors: [dgemm_blocked] here (reference packing
+   into the layouts the generated micro-kernel expects, A[l*Mc + i] and
+   B[j*Kc + l], and a micro-kernel callback — by default the reference
+   one, in tests the simulated generated assembly), [Blocked.gemm] on
+   the simulator and [Native_blocked.gemm_runner] as machine code.
 
    The remaining routines (SYMM, SYRK, SYR2K, TRMM, TRSM) follow the
    standard cast-onto-GEMM decompositions of Goto & van de Geijn,
@@ -97,49 +99,79 @@ type blocking = {
 
 let default_blocking = { bk_mc = 128; bk_kc = 256; bk_nc = 512 }
 
-(* C := alpha * A * B + beta * C by the Goto algorithm. *)
+(* --- the macro-kernel loop nest ----------------------------------------- *)
+
+type executor = {
+  scale_c : float -> unit;
+  pack_b : l0:int -> j0:int -> kc:int -> nc:int -> unit;
+  scale_b : float -> kc:int -> nc:int -> unit;
+  pack_a : i0:int -> l0:int -> mc:int -> kc:int -> unit;
+  micro : i0:int -> j0:int -> mc:int -> kc:int -> nc:int -> unit;
+}
+
+(* Validation happens when the operands are applied, so a caller can
+   build its executor knowing the problem is well formed. *)
+let nest ~who ~blocking ~alpha ~beta (a : t) (b : t) (c : t) :
+    executor -> unit =
+  let m = a.rows and k = a.cols and n = b.cols in
+  if b.rows <> k || c.rows <> m || c.cols <> n then
+    invalid_arg (who ^ ": shape mismatch");
+  let { bk_mc; bk_kc; bk_nc } = blocking in
+  if bk_mc < 1 || bk_kc < 1 || bk_nc < 1 then
+    invalid_arg (who ^ ": blocking dimensions must be positive");
+  fun ex ->
+    if beta <> 1. then ex.scale_c beta;
+    if alpha <> 0. then begin
+      let j0 = ref 0 in
+      while !j0 < n do
+        let nc = min bk_nc (n - !j0) in
+        let l0 = ref 0 in
+        while !l0 < k do
+          let kc = min bk_kc (k - !l0) in
+          ex.pack_b ~l0:!l0 ~j0:!j0 ~kc ~nc;
+          if alpha <> 1. then ex.scale_b alpha ~kc ~nc;
+          let i0 = ref 0 in
+          while !i0 < m do
+            let mc = min bk_mc (m - !i0) in
+            ex.pack_a ~i0:!i0 ~l0:!l0 ~mc ~kc;
+            ex.micro ~i0:!i0 ~j0:!j0 ~mc ~kc ~nc;
+            i0 := !i0 + mc
+          done;
+          l0 := !l0 + kc
+        done;
+        j0 := !j0 + nc
+      done
+    end
+
+let scale alpha (m : t) =
+  for j = 0 to m.cols - 1 do
+    for i = 0 to m.rows - 1 do
+      set m i j (alpha *. get m i j)
+    done
+  done
+
+(* C := alpha * A * B + beta * C: the nest over the reference executor. *)
 let dgemm_blocked ?(blocking = default_blocking)
     ?(kernel : micro_kernel = micro_kernel_ref) ~alpha ~beta (a : t) (b : t)
     (c : t) =
-  let m = a.rows and k = a.cols and n = b.cols in
-  if b.rows <> k || c.rows <> m || c.cols <> n then
-    invalid_arg "dgemm: shape mismatch";
-  (* beta and alpha handling: scale C once, fold alpha into packed A *)
-  if beta <> 1. then
-    for j = 0 to n - 1 do
-      for i = 0 to m - 1 do
-        set c i j (beta *. get c i j)
-      done
-    done;
-  if alpha = 0. then ()
-  else begin
-    let { bk_mc; bk_kc; bk_nc } = blocking in
-    let pa = Array.make (bk_mc * bk_kc) 0. in
-    let pb = Array.make (bk_kc * bk_nc) 0. in
-    let j0 = ref 0 in
-    while !j0 < n do
-      let nc = min bk_nc (n - !j0) in
-      let l0 = ref 0 in
-      while !l0 < k do
-        let kc = min bk_kc (k - !l0) in
-        pack_b b ~l0:!l0 ~j0:!j0 ~kc ~nc pb;
-        if alpha <> 1. then
+  let run = nest ~who:"dgemm" ~blocking ~alpha ~beta a b c in
+  let pa = Array.make (blocking.bk_mc * blocking.bk_kc) 0. in
+  let pb = Array.make (blocking.bk_kc * blocking.bk_nc) 0. in
+  run
+    {
+      scale_c = (fun beta -> scale beta c);
+      pack_b = (fun ~l0 ~j0 ~kc ~nc -> pack_b b ~l0 ~j0 ~kc ~nc pb);
+      scale_b =
+        (fun alpha ~kc ~nc ->
           for idx = 0 to (kc * nc) - 1 do
             pb.(idx) <- alpha *. pb.(idx)
-          done;
-        let i0 = ref 0 in
-        while !i0 < m do
-          let mc = min bk_mc (m - !i0) in
-          pack_a a ~i0:!i0 ~l0:!l0 ~mc ~kc pa;
+          done);
+      pack_a = (fun ~i0 ~l0 ~mc ~kc -> pack_a a ~i0 ~l0 ~mc ~kc pa);
+      micro =
+        (fun ~i0 ~j0 ~mc ~kc ~nc ->
           kernel ~mc ~kc ~nc ~pa ~pb ~c_data:c.data
-            ~c_off:((!j0 * c.ld) + !i0) ~ldc:c.ld;
-          i0 := !i0 + mc
-        done;
-        l0 := !l0 + kc
-      done;
-      j0 := !j0 + nc
-    done
-  end
+            ~c_off:((j0 * c.ld) + i0) ~ldc:c.ld);
+    }
 
 let dgemm = dgemm_blocked
 
@@ -230,12 +262,7 @@ let dtrmm ?blocking ?kernel ~alpha (l : t) (b : t) =
     end;
     i0 := !i0 - nb
   done;
-  if alpha <> 1. then
-    for j = 0 to rhs - 1 do
-      for i = 0 to n - 1 do
-        set b i j (alpha *. get b i j)
-      done
-    done
+  if alpha <> 1. then scale alpha b
 
 (* --- TRSM: B := alpha * L^-1 * B with L lower-triangular --------------- *)
 (* The paper's two-step decomposition: B1 := L11^-1 B1 (small solve,
@@ -243,12 +270,7 @@ let dtrmm ?blocking ?kernel ~alpha (l : t) (b : t) =
    B2 := B2 - L21 * B1 (GEMM). *)
 let dtrsm ?blocking ?kernel ~alpha (l : t) (b : t) =
   let n = l.rows and rhs = b.cols in
-  if alpha <> 1. then
-    for j = 0 to rhs - 1 do
-      for i = 0 to n - 1 do
-        set b i j (alpha *. get b i j)
-      done
-    done;
+  if alpha <> 1. then scale alpha b;
   let nb = trmm_block in
   let i0 = ref 0 in
   while !i0 < n do

@@ -1,11 +1,13 @@
 (** Reference Level-3 BLAS.
 
-    [dgemm_naive] is the semantics oracle.  [dgemm_blocked] implements
-    Goto's block-partitioned algorithm — the one the paper's GEMM
-    kernel plugs into — packing A and B into the exact layouts the
-    generated micro-kernel expects and invoking a micro-kernel callback
-    per packed pair (by default the reference micro-kernel; in tests,
-    the simulated generated assembly).
+    [dgemm_naive] is the semantics oracle.  {!nest} is Goto's
+    block-partitioned algorithm — the one the paper's GEMM kernel
+    plugs into — written once over an {!executor}.  One nest, three
+    executors: {!dgemm_blocked} packs A and B into the exact layouts
+    the generated micro-kernel expects and invokes a micro-kernel
+    callback per packed pair (by default the reference micro-kernel;
+    in tests, the simulated generated assembly); the simulated and
+    native blocked drivers supply generated packing and micro-kernels.
 
     SYMM, SYRK, SYR2K, TRMM and TRSM follow the standard cast-onto-GEMM
     decompositions of Goto & van de Geijn; TRSM's small triangular
@@ -61,7 +63,28 @@ type blocking = {
 
 val default_blocking : blocking
 
-(** C := alpha*A*B + beta*C by the Goto algorithm. *)
+(** The five steps of one macro-kernel pass, keyed by block
+    coordinates: C := beta*C; pack the kc x nc panel of B at (l0, j0);
+    packed B := alpha * packed B; pack the mc x kc block of A at
+    (i0, l0); the C tile at (i0, j0) += packed A * packed B.  An
+    executor owns its operands, packing buffers and element rounding. *)
+type executor = {
+  scale_c : float -> unit;
+  pack_b : l0:int -> j0:int -> kc:int -> nc:int -> unit;
+  scale_b : float -> kc:int -> nc:int -> unit;
+  pack_a : i0:int -> l0:int -> mc:int -> kc:int -> unit;
+  micro : i0:int -> j0:int -> mc:int -> kc:int -> nc:int -> unit;
+}
+
+(** [nest ~who ~blocking ~alpha ~beta a b c] validates the shapes and
+    the blocking, raising [Invalid_argument] prefixed by [who], and
+    returns the jc/pc/ic loop nest for C := alpha*A*B + beta*C.  Each
+    application to an executor runs one full pass. *)
+val nest :
+  who:string -> blocking:blocking -> alpha:float -> beta:float ->
+  Matrix.t -> Matrix.t -> Matrix.t -> executor -> unit
+
+(** C := alpha*A*B + beta*C: {!nest} over the reference executor. *)
 val dgemm_blocked :
   ?blocking:blocking ->
   ?kernel:micro_kernel ->

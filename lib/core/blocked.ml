@@ -4,13 +4,13 @@
    executed on the functional simulator.  This is the full generated
    GEMM the paper deploys inside OpenBLAS: the framework produces the
    Mc x Kc x Nc inner kernel and the packing routines; this module is
-   only the loop nest and buffer management around them.
+   only the executor and buffer management around them.
 
-   The loop structure mirrors [Level3.dgemm_blocked] exactly (same
-   block order, same beta-then-alpha handling), so a differential run
-   against that reference with the same simulated micro-kernel is
-   bit-exact: the macro-kernel layer adds no floating-point
-   reassociation of its own. *)
+   One nest, three executors: the loop nest is [Level3.nest], shared
+   with the reference [Level3.dgemm_blocked] and the native driver, so
+   a differential run against the reference executor with the same
+   simulated micro-kernel is bit-exact: the macro-kernel layer adds no
+   floating-point reassociation of its own. *)
 
 module Exec = Augem_sim.Exec_sim
 module Mat = Augem_blas.Matrix
@@ -67,11 +67,31 @@ type stats = {
   st_insns : int;  (* instructions interpreted across all three kernels *)
 }
 
-let zero_stats =
-  { st_micro_calls = 0; st_pack_a_calls = 0; st_pack_b_calls = 0; st_insns = 0 }
-
 (* Default per-call instruction budget, matching the harness's. *)
 let default_fuel = 20_000_000
+
+(* The blocking a run uses — [?blocking] if given, else the plan's tuned
+   triple — in the loop nest's terms. *)
+let nest_blocking ?blocking (p : plan) : L3.blocking =
+  let bl = Option.value blocking ~default:p.pl_blocking in
+  { L3.bk_mc = bl.Mem_model.bl_mc; bk_kc = bl.bl_kc; bk_nc = bl.bl_nc }
+
+(* Each simulated kernel sees its block as a flat slice of a
+   column-major operand, starting at the block's first element. *)
+let view (data : float array) ~ld ~off ~rows ~cols =
+  Array.sub data off (((cols - 1) * ld) + rows)
+
+(* The plan's micro-kernel on the simulator as a [Level3.micro_kernel]:
+   the C tile goes through a [view] and is copied back.  [count] sees
+   every call's result. *)
+let sim_micro ~fuel ~count (p : plan) : L3.micro_kernel =
+ fun ~mc ~kc ~nc ~pa ~pb ~c_data ~c_off ~ldc ->
+  let tile = view c_data ~ld:ldc ~off:c_off ~rows:mc ~cols:nc in
+  count
+    (Exec.call ~et:p.pl_et ~fuel p.pl_micro
+       Exec.[ Aint mc; Aint kc; Aint nc; Aint ldc; Abuf pa; Abuf pb;
+              Abuf tile ]);
+  Array.blit tile 0 c_data c_off (Array.length tile)
 
 (* C := alpha * A * B + beta * C with the plan's generated kernels,
    executed on the functional simulator.  [?blocking] overrides the
@@ -83,84 +103,60 @@ let gemm ?(fuel = default_fuel) ?blocking ?(alpha = 1.0) ?(beta = 1.0)
     (p : plan) (a : Mat.t) (b : Mat.t) (c : Mat.t) : stats =
   let et = p.pl_et in
   let alpha = Et.round et alpha and beta = Et.round et beta in
-  let m = a.Mat.rows and k = a.Mat.cols and n = b.Mat.cols in
-  if b.Mat.rows <> k || c.Mat.rows <> m || c.Mat.cols <> n then
-    invalid_arg "Blocked.gemm: shape mismatch";
-  let bl = match blocking with Some b -> b | None -> p.pl_blocking in
-  let bl_mc = bl.Mem_model.bl_mc
-  and bl_kc = bl.Mem_model.bl_kc
-  and bl_nc = bl.Mem_model.bl_nc in
-  if bl_mc < 1 || bl_kc < 1 || bl_nc < 1 then
-    invalid_arg "Blocked.gemm: blocking dimensions must be positive";
-  if beta <> 1. then
-    for j = 0 to n - 1 do
-      for i = 0 to m - 1 do
-        Mat.set c i j (Et.round et (beta *. Mat.get c i j))
-      done
-    done;
-  let stats = ref zero_stats in
-  if alpha = 0. then !stats
-  else begin
-    let pabuf = Array.make (max 1 (bl_mc * bl_kc)) 0. in
-    let pbbuf = Array.make (max 1 (bl_kc * bl_nc)) 0. in
-    let count insns f =
-      stats := { !stats with st_insns = !stats.st_insns + insns };
-      f !stats
-    in
-    let j0 = ref 0 in
-    while !j0 < n do
-      let nc = min bl_nc (n - !j0) in
-      let l0 = ref 0 in
-      while !l0 < k do
-        let kc = min bl_kc (k - !l0) in
-        (* pack B: the Kc x Nc panel at (l0, j0), viewed as a flat
-           slice of column-major B starting at its first element *)
-        let b_off = (!j0 * b.Mat.ld) + !l0 in
-        let b_len = ((nc - 1) * b.Mat.ld) + kc in
-        let b_view = Array.sub b.Mat.data b_off b_len in
-        let r =
-          Exec.call ~et ~fuel p.pl_pack_b
-            Exec.[ Aint kc; Aint nc; Aint b.Mat.ld; Abuf b_view; Abuf pbbuf ]
-        in
-        count r.Exec.r_executed (fun s ->
-            stats := { s with st_pack_b_calls = s.st_pack_b_calls + 1 });
-        if alpha <> 1. then
+  let blocking = nest_blocking ?blocking p in
+  let run = L3.nest ~who:"Blocked.gemm" ~blocking ~alpha ~beta a b c in
+  let pabuf = Array.make (blocking.L3.bk_mc * blocking.L3.bk_kc) 0. in
+  let pbbuf = Array.make (blocking.L3.bk_kc * blocking.L3.bk_nc) 0. in
+  let micro_calls = ref 0 and pack_a_calls = ref 0 and pack_b_calls = ref 0 in
+  let insns = ref 0 in
+  let count calls (r : Exec.result) =
+    incr calls;
+    insns := !insns + r.Exec.r_executed
+  in
+  let micro = sim_micro ~fuel ~count:(count micro_calls) p in
+  run
+    {
+      L3.scale_c =
+        (fun beta ->
+          for j = 0 to c.Mat.cols - 1 do
+            for i = 0 to c.Mat.rows - 1 do
+              Mat.set c i j (Et.round et (beta *. Mat.get c i j))
+            done
+          done);
+      pack_b =
+        (fun ~l0 ~j0 ~kc ~nc ->
+          let ld = b.Mat.ld in
+          let panel =
+            view b.Mat.data ~ld ~off:((j0 * ld) + l0) ~rows:kc ~cols:nc
+          in
+          count pack_b_calls
+            (Exec.call ~et ~fuel p.pl_pack_b
+               Exec.[ Aint kc; Aint nc; Aint ld; Abuf panel; Abuf pbbuf ]));
+      scale_b =
+        (fun alpha ~kc ~nc ->
           for idx = 0 to (kc * nc) - 1 do
             pbbuf.(idx) <- Et.round et (alpha *. pbbuf.(idx))
-          done;
-        let i0 = ref 0 in
-        while !i0 < m do
-          let mc = min bl_mc (m - !i0) in
-          (* pack A: the Mc x Kc block at (i0, l0) *)
-          let a_off = (!l0 * a.Mat.ld) + !i0 in
-          let a_len = ((kc - 1) * a.Mat.ld) + mc in
-          let a_view = Array.sub a.Mat.data a_off a_len in
-          let r =
-            Exec.call ~et ~fuel p.pl_pack_a
-              Exec.[ Aint mc; Aint kc; Aint a.Mat.ld; Abuf a_view; Abuf pabuf ]
+          done);
+      pack_a =
+        (fun ~i0 ~l0 ~mc ~kc ->
+          let ld = a.Mat.ld in
+          let block =
+            view a.Mat.data ~ld ~off:((l0 * ld) + i0) ~rows:mc ~cols:kc
           in
-          count r.Exec.r_executed (fun s ->
-              stats := { s with st_pack_a_calls = s.st_pack_a_calls + 1 });
-          (* micro-kernel on the packed pair, C tile in place *)
-          let c_off = (!j0 * c.Mat.ld) + !i0 in
-          let c_len = ((nc - 1) * c.Mat.ld) + mc in
-          let c_view = Array.sub c.Mat.data c_off c_len in
-          let r =
-            Exec.call ~et ~fuel p.pl_micro
-              Exec.[ Aint mc; Aint kc; Aint nc; Aint c.Mat.ld; Abuf pabuf;
-                     Abuf pbbuf; Abuf c_view ]
-          in
-          count r.Exec.r_executed (fun s ->
-              stats := { s with st_micro_calls = s.st_micro_calls + 1 });
-          Array.blit c_view 0 c.Mat.data c_off c_len;
-          i0 := !i0 + mc
-        done;
-        l0 := !l0 + kc
-      done;
-      j0 := !j0 + nc
-    done;
-    !stats
-  end
+          count pack_a_calls
+            (Exec.call ~et ~fuel p.pl_pack_a
+               Exec.[ Aint mc; Aint kc; Aint ld; Abuf block; Abuf pabuf ]));
+      micro =
+        (fun ~i0 ~j0 ~mc ~kc ~nc ->
+          micro ~mc ~kc ~nc ~pa:pabuf ~pb:pbbuf ~c_data:c.Mat.data
+            ~c_off:((j0 * c.Mat.ld) + i0) ~ldc:c.Mat.ld);
+    };
+  {
+    st_micro_calls = !micro_calls;
+    st_pack_a_calls = !pack_a_calls;
+    st_pack_b_calls = !pack_b_calls;
+    st_insns = !insns;
+  }
 
 (* Predicted MFLOPS of the plan's blocked driver / unblocked baseline
    on an arbitrary problem size (the cycle model, not simulation). *)
@@ -171,12 +167,24 @@ let predict (p : plan) (w : Perf.workload) : Perf.estimate =
 let predict_streamed (p : plan) (w : Perf.workload) : Perf.estimate =
   Perf.predict_streamed ~et:p.pl_et p.pl_arch p.pl_micro ~nr:p.pl_nr w
 
+(* Seeded random A (m x k), B (k x n) and C0 (m x n), narrowed to [et]
+   so reference and generated kernels start from identical representable
+   values. *)
+let operands ~et ~seed ~m ~n ~k : Mat.t * Mat.t * Mat.t =
+  let nar (mat : Mat.t) =
+    Array.iteri (fun i x -> mat.Mat.data.(i) <- Et.round et x) mat.Mat.data;
+    mat
+  in
+  ( nar (Mat.random ~seed m k),
+    nar (Mat.random ~seed:(seed + 1) k n),
+    nar (Mat.random ~seed:(seed + 2) m n) )
+
 (* Differential check on one problem shape: the generated blocked
    driver against (1) [dgemm_naive] within [tol], and (2) the reference
-   macro-kernel loop nest ([dgemm_blocked], reference packing) driving
-   the *same* simulated micro-kernel, which must agree bit-exactly —
-   same block schedule, same packed layouts, same FP operation order,
-   so any deviation is a packing or loop-nest bug, not rounding.
+   executor ([dgemm_blocked], reference packing) driving the *same*
+   simulated micro-kernel, which must agree bit-exactly — one nest, so
+   the same block schedule and FP operation order; any deviation is a
+   packing bug, not rounding.
 
    The naive reference accumulates in f64 regardless of the plan's
    precision, so the default tolerance is relative and scales with
@@ -187,15 +195,7 @@ let check ?fuel ?blocking ?tol ?(seed = 42) (p : plan) ~m ~n ~k () :
     (stats, string) result =
   let et = p.pl_et in
   let tol = match tol with Some t -> t | None -> Et.tol ~k et in
-  (* narrow the random inputs to the plan's precision so reference and
-     generated kernels start from identical representable values *)
-  let nar (mat : Mat.t) =
-    Array.iteri (fun i x -> mat.Mat.data.(i) <- Et.round et x) mat.Mat.data;
-    mat
-  in
-  let a = nar (Mat.random ~seed m k) in
-  let b = nar (Mat.random ~seed:(seed + 1) k n) in
-  let c0 = nar (Mat.random ~seed:(seed + 2) m n) in
+  let a, b, c0 = operands ~et ~seed ~m ~n ~k in
   let c_naive = Mat.copy c0 in
   let c_gen = Mat.copy c0 in
   let c_hybrid = Mat.copy c0 in
@@ -203,24 +203,11 @@ let check ?fuel ?blocking ?tol ?(seed = 42) (p : plan) ~m ~n ~k () :
   match gemm ?fuel ?blocking p a b c_gen with
   | exception Exec.Sim_error msg -> Error ("simulator fault: " ^ msg)
   | stats ->
-      let bl = match blocking with Some b -> b | None -> p.pl_blocking in
-      let sim_micro ~mc ~kc ~nc ~pa ~pb ~c_data ~c_off ~ldc =
-        let len = ((nc - 1) * ldc) + mc in
-        let view = Array.sub c_data c_off len in
-        ignore
-          (Exec.call ~et ?fuel p.pl_micro
-             Exec.[ Aint mc; Aint kc; Aint nc; Aint ldc; Abuf pa; Abuf pb;
-                    Abuf view ]);
-        Array.blit view 0 c_data c_off len
-      in
-      L3.dgemm_blocked
-        ~blocking:
-          {
-            L3.bk_mc = bl.Mem_model.bl_mc;
-            bk_kc = bl.Mem_model.bl_kc;
-            bk_nc = bl.Mem_model.bl_nc;
-          }
-        ~kernel:sim_micro ~alpha:1.0 ~beta:1.0 a b c_hybrid;
+      let bl = Option.value blocking ~default:p.pl_blocking in
+      let fuel = Option.value fuel ~default:default_fuel in
+      L3.dgemm_blocked ~blocking:(nest_blocking ?blocking p)
+        ~kernel:(sim_micro ~fuel ~count:ignore p) ~alpha:1.0 ~beta:1.0 a b
+        c_hybrid;
       if not (Array.for_all2 Float.equal c_gen.Mat.data c_hybrid.Mat.data)
       then
         Error

@@ -4,9 +4,11 @@
     on the functional simulator.  The full generated GEMM the paper
     deploys inside OpenBLAS.
 
-    The loop structure mirrors {!Augem_blas.Level3.dgemm_blocked}
-    exactly, so a differential run against that reference with the same
-    simulated micro-kernel is bit-exact ({!check}). *)
+    One nest, three executors: the loop nest is
+    {!Augem_blas.Level3.nest}, shared with the reference
+    {!Augem_blas.Level3.dgemm_blocked}, so a differential run against
+    that reference with the same simulated micro-kernel is bit-exact
+    ({!check}). *)
 
 type plan = {
   pl_arch : Augem_machine.Arch.t;
@@ -43,7 +45,6 @@ type stats = {
   st_insns : int;  (** instructions interpreted across all three kernels *)
 }
 
-val zero_stats : stats
 val default_fuel : int
 
 (** [gemm p a b c] computes C := alpha * A * B + beta * C with the
@@ -63,6 +64,17 @@ val gemm :
   Augem_blas.Matrix.t ->
   Augem_blas.Matrix.t ->
   stats
+
+(** The blocking a run uses — [?blocking] if given, else the plan's
+    tuned triple — as {!Augem_blas.Level3.nest} takes it. *)
+val nest_blocking :
+  ?blocking:Augem_sim.Mem_model.blocking -> plan -> Augem_blas.Level3.blocking
+
+(** [operands ~et ~seed ~m ~n ~k] is seeded random A (m x k), B (k x n)
+    and C0 (m x n), every element narrowed to [et]. *)
+val operands :
+  et:Augem_machine.Etype.t -> seed:int -> m:int -> n:int -> k:int ->
+  Augem_blas.Matrix.t * Augem_blas.Matrix.t * Augem_blas.Matrix.t
 
 (** Cycle-model prediction of the plan's blocked driver on a workload. *)
 val predict : plan -> Augem_sim.Perf.workload -> Augem_sim.Perf.estimate

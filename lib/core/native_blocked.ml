@@ -8,11 +8,12 @@
    addressed by passing interior pointers — no per-call staging, so the
    wall clock measures the kernels, not the harness.
 
-   The loop nest mirrors [Blocked.gemm] exactly (same block schedule,
-   same beta-then-alpha handling, scaling rounded to the element type),
-   so at f64 the native result must agree bit-exactly with the
-   simulated one, and within [Etype.tol] at f32 where the simulator's
-   round-after-every-op semantics legitimately double-rounds. *)
+   One nest, three executors: [Level3.nest] drives this executor as it
+   drives [Blocked.gemm]'s (same block schedule, same beta-then-alpha
+   handling, scaling rounded to the element type), so at f64 the native
+   result must agree bit-exactly with the simulated one, and within
+   [Etype.tol] at f32 where the simulator's round-after-every-op
+   semantics legitimately double-rounds. *)
 
 module Exec = Augem_sim.Exec_sim
 module Mat = Augem_blas.Matrix
@@ -22,7 +23,6 @@ module Arch = Augem_machine.Arch
 module Et = Augem_machine.Etype
 module Kernels = Augem_ir.Kernels
 module Perf = Augem_sim.Perf
-module Mem_model = Augem_sim.Mem_model
 module Runtime = Augem_jit.Runtime
 module Abi = Augem_jit.Abi
 module Clock = Augem_jit.Clock
@@ -125,7 +125,7 @@ let load (p : Blocked.plan) : native_plan Native_check.gated =
       ("pack_b", p.Blocked.pl_pack_b);
     ]
 
-(* --- the loop nest ------------------------------------------------------ *)
+(* --- the native executor ------------------------------------------------ *)
 
 (* Stage C := alpha*A*B + beta*C over resident buffers and return
    [run] (one full blocked pass; repeatable, each pass re-applies beta
@@ -136,73 +136,58 @@ let gemm_runner ?blocking ?(alpha = 1.0) ?(beta = 1.0) (np : native_plan)
   let p = np.np_plan in
   let et = p.Blocked.pl_et in
   let alpha = Et.round et alpha and beta = Et.round et beta in
-  let m = a.Mat.rows and k = a.Mat.cols and n = b.Mat.cols in
-  if b.Mat.rows <> k || c.Mat.rows <> m || c.Mat.cols <> n then
-    invalid_arg "Native_blocked.gemm: shape mismatch";
-  let bl =
-    match blocking with Some b -> b | None -> p.Blocked.pl_blocking
-  in
-  let bl_mc = bl.Mem_model.bl_mc
-  and bl_kc = bl.Mem_model.bl_kc
-  and bl_nc = bl.Mem_model.bl_nc in
-  if bl_mc < 1 || bl_kc < 1 || bl_nc < 1 then
-    invalid_arg "Native_blocked.gemm: blocking dimensions must be positive";
+  let blocking = Blocked.nest_blocking ?blocking p in
+  let nest = L3.nest ~who:"Native_blocked.gemm" ~blocking ~alpha ~beta a b c in
   let ta = stage et a.Mat.data in
   let tb = stage et b.Mat.data in
   let tc = stage et c.Mat.data in
-  let tpa = tensor et (bl_mc * bl_kc) in
-  let tpb = tensor et (bl_kc * bl_nc) in
+  let tpa = tensor et (blocking.L3.bk_mc * blocking.L3.bk_kc) in
+  let tpb = tensor et (blocking.L3.bk_kc * blocking.L3.bk_nc) in
   let fp32 = et = Et.F32 in
   let invoke buf iargs =
     Runtime.Exec_buf.invoke buf ~iargs ~dargs:[||] ~fp32
   in
   let i64 = Int64.of_int in
-  let run () =
-    if beta <> 1. then
-      for j = 0 to n - 1 do
-        for i = 0 to m - 1 do
-          let idx = (j * c.Mat.ld) + i in
-          tc.t_set idx (beta *. tc.t_get idx)
-        done
-      done;
-    if alpha <> 0. then begin
-      let j0 = ref 0 in
-      while !j0 < n do
-        let nc = min bl_nc (n - !j0) in
-        let l0 = ref 0 in
-        while !l0 < k do
-          let kc = min bl_kc (k - !l0) in
-          let b_off = (!j0 * b.Mat.ld) + !l0 in
+  let ex =
+    {
+      L3.scale_c =
+        (fun beta ->
+          for j = 0 to c.Mat.cols - 1 do
+            for i = 0 to c.Mat.rows - 1 do
+              let idx = (j * c.Mat.ld) + i in
+              tc.t_set idx (beta *. tc.t_get idx)
+            done
+          done);
+      pack_b =
+        (fun ~l0 ~j0 ~kc ~nc ->
+          let b_off = (j0 * b.Mat.ld) + l0 in
           invoke np.np_pack_b
             [|
               i64 kc; i64 nc; i64 b.Mat.ld; tb.t_addr b_off; tpb.t_addr 0;
-            |];
-          if alpha <> 1. then
-            for idx = 0 to (kc * nc) - 1 do
-              tpb.t_set idx (alpha *. tpb.t_get idx)
-            done;
-          let i0 = ref 0 in
-          while !i0 < m do
-            let mc = min bl_mc (m - !i0) in
-            let a_off = (!l0 * a.Mat.ld) + !i0 in
-            invoke np.np_pack_a
-              [|
-                i64 mc; i64 kc; i64 a.Mat.ld; ta.t_addr a_off; tpa.t_addr 0;
-              |];
-            let c_off = (!j0 * c.Mat.ld) + !i0 in
-            invoke np.np_micro
-              [|
-                i64 mc; i64 kc; i64 nc; i64 c.Mat.ld; tpa.t_addr 0;
-                tpb.t_addr 0; tc.t_addr c_off;
-              |];
-            i0 := !i0 + mc
-          done;
-          l0 := !l0 + kc
-        done;
-        j0 := !j0 + nc
-      done
-    end
+            |]);
+      scale_b =
+        (fun alpha ~kc ~nc ->
+          for idx = 0 to (kc * nc) - 1 do
+            tpb.t_set idx (alpha *. tpb.t_get idx)
+          done);
+      pack_a =
+        (fun ~i0 ~l0 ~mc ~kc ->
+          let a_off = (l0 * a.Mat.ld) + i0 in
+          invoke np.np_pack_a
+            [|
+              i64 mc; i64 kc; i64 a.Mat.ld; ta.t_addr a_off; tpa.t_addr 0;
+            |]);
+      micro =
+        (fun ~i0 ~j0 ~mc ~kc ~nc ->
+          let c_off = (j0 * c.Mat.ld) + i0 in
+          invoke np.np_micro
+            [|
+              i64 mc; i64 kc; i64 nc; i64 c.Mat.ld; tpa.t_addr 0;
+              tpb.t_addr 0; tc.t_addr c_off;
+            |]);
+    }
   in
+  let run () = nest ex in
   let finish () = read_back tc c.Mat.data in
   (run, finish)
 
@@ -223,15 +208,7 @@ let check ?blocking ?(seed = 42) (np : native_plan) ~m ~n ~k () :
     (unit, string) result =
   let p = np.np_plan in
   let et = p.Blocked.pl_et in
-  let nar (mat : Mat.t) =
-    Array.iteri
-      (fun i x -> mat.Mat.data.(i) <- Et.round et x)
-      mat.Mat.data;
-    mat
-  in
-  let a = nar (Mat.random ~seed m k) in
-  let b = nar (Mat.random ~seed:(seed + 1) k n) in
-  let c0 = nar (Mat.random ~seed:(seed + 2) m n) in
+  let a, b, c0 = Blocked.operands ~et ~seed ~m ~n ~k in
   let c_native = Mat.copy c0 in
   let c_sim = Mat.copy c0 in
   let c_naive = Mat.copy c0 in
@@ -282,15 +259,7 @@ type bench = {
 let time_gemm ?(repeats = 5) ?(warmup = 1) ?blocking ?(seed = 42)
     (np : native_plan) ~m ~n ~k () : bench =
   let et = np.np_plan.Blocked.pl_et in
-  let nar (mat : Mat.t) =
-    Array.iteri
-      (fun i x -> mat.Mat.data.(i) <- Et.round et x)
-      mat.Mat.data;
-    mat
-  in
-  let a = nar (Mat.random ~seed m k) in
-  let b = nar (Mat.random ~seed:(seed + 1) k n) in
-  let c = nar (Mat.random ~seed:(seed + 2) m n) in
+  let a, b, c = Blocked.operands ~et ~seed ~m ~n ~k in
   let run, _finish = gemm_runner ?blocking np a b c in
   let t = Clock.measure ~warmup ~repeats run in
   let flops = 2.0 *. float_of_int m *. float_of_int n *. float_of_int k in

@@ -228,6 +228,19 @@ let test_alpha_beta_handling () =
   done;
   Alcotest.(check bool) "beta scaling" true !ok
 
+(* A zero block dimension used to make the nest spin forever
+   (nc = min 0 (n - j0) never advances); it must be rejected up front. *)
+let test_non_positive_blocking () =
+  let a = Mat.random ~seed:84 4 3 and b = Mat.random ~seed:85 3 2 in
+  List.iter
+    (fun blocking ->
+      Alcotest.check_raises "rejected"
+        (Invalid_argument "dgemm: blocking dimensions must be positive")
+        (fun () ->
+          L3.dgemm_blocked ~blocking ~alpha:1. ~beta:1. a b (Mat.create 4 2)))
+    [ { L3.bk_mc = 0; bk_kc = 6; bk_nc = 5 };
+      { L3.bk_mc = 8; bk_kc = 6; bk_nc = 0 } ]
+
 let suite =
   [
     Alcotest.test_case "idamax" `Quick test_idamax;
@@ -244,6 +257,8 @@ let suite =
     Alcotest.test_case "trsm inverts trmm" `Quick test_trsm_inverts_trmm;
     Alcotest.test_case "trsm across blocks" `Quick test_trsm_small_blocks_cross;
     Alcotest.test_case "alpha/beta handling" `Quick test_alpha_beta_handling;
+    Alcotest.test_case "non-positive blocking rejected" `Quick
+      test_non_positive_blocking;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_dot_commutes; prop_axpy_linear; prop_nrm2_dot;

@@ -133,6 +133,54 @@ let test_plan_shape () =
   Alcotest.(check bool) "blocked >= streamed on tuning workload" true
     (p.Blocked.pl_blocked_mflops >= p.Blocked.pl_streamed_mflops)
 
+(* --- natively executed (host-gated) -------------------------------------- *)
+
+module Et = A.Machine.Etype
+module NB = A.Native_blocked
+
+let plan_f32 = lazy (Blocked.plan ~et:Et.F32 ~jobs:1 arch)
+
+(* One native run under the tiny blocking, against the simulated driver
+   — bit-exact at f64, within [Et.tol] at f32 where the simulator
+   double-rounds — and against [dgemm_naive] within [Et.tol]. *)
+let native_case et p np (label, m, n, k) (alpha, beta) =
+  let a, b, c0 = Blocked.operands ~et ~seed:m ~m ~n ~k in
+  let c_nat = Mat.copy c0 and c_sim = Mat.copy c0 and c_ref = Mat.copy c0 in
+  NB.gemm ~blocking:tiny ~alpha ~beta np a b c_nat;
+  ignore (Blocked.gemm ~blocking:tiny ~alpha ~beta p a b c_sim);
+  L3.dgemm_naive ~alpha ~beta a b c_ref;
+  let tol = Et.tol ~k et in
+  List.iter
+    (fun (oracle, c, tol) ->
+      if not (Mat.approx_equal ~tol c c_nat) then
+        Alcotest.failf "%s %s alpha=%g beta=%g: native off %s by %.3g"
+          (Et.name et) label alpha beta oracle (Mat.max_abs_diff c c_nat))
+    [ ("simulator", c_sim, if et = Et.F64 then 0.0 else tol);
+      ("dgemm_naive", c_ref, tol) ]
+
+(* Multi-block trips and remainders natively: every difficult shape,
+   with (alpha, beta) covering both scaling passes and the alpha = 0
+   short-circuit, at both precisions. *)
+let test_native_differential () =
+  if not (A.Native_check.host_supported ()) then
+    print_endline "skipped: host CPU lacks SSE2+AVX"
+  else
+    List.iter
+      (fun (et, plan) ->
+        let p = Lazy.force plan in
+        match NB.load p with
+        | A.Native_check.Ready np ->
+            List.iter
+              (fun shape ->
+                List.iter (native_case et p np shape)
+                  [ (1.0, 1.0); (2.5, -0.5); (0.0, 2.0) ])
+              difficult_shapes;
+            NB.release np
+        | A.Native_check.Unsupported m ->
+            Printf.printf "%s: skipped (%s)\n" (Et.name et) m
+        | A.Native_check.Rejected m -> Alcotest.failf "%s: %s" (Et.name et) m)
+      [ (Et.F64, plan); (Et.F32, plan_f32) ]
+
 let suite =
   test_shapes
   @ [
@@ -142,4 +190,6 @@ let suite =
       Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
       Alcotest.test_case "shape mismatch" `Quick test_shape_mismatch;
       Alcotest.test_case "plan shape" `Quick test_plan_shape;
+      Alcotest.test_case "native differential, multi-block and alpha/beta"
+        `Slow test_native_differential;
     ]
