@@ -366,24 +366,29 @@ let native_precision ~(sizes : int list) (et : Etype.t) : Json.t =
             ]
       | Native_check.Ready np ->
           (* differential gate before any timing: the simulated gate's
-             shapes and blocking, native vs simulated vs reference BLAS *)
+             shapes and blocking, native vs simulated vs reference BLAS,
+             with both scaling steps bypassed and taken *)
           let diffs =
-            List.map
+            List.concat_map
               (fun (m, n, k) ->
-                (match
-                   Native_blocked.check ~blocking:full_check_blocking np ~m
-                     ~n ~k ()
-                 with
-                | Ok () -> ()
-                | Error e ->
-                    Fmt.pr "NATIVE DIFFERENTIAL FAIL (%s %s): %s@." gemm_name
-                      arch.Arch.name e;
-                    exit 1);
-                Json.Obj
-                  [
-                    ("m", Json.Int m); ("n", Json.Int n); ("k", Json.Int k);
-                    ("ok", Json.Bool true);
-                  ])
+                List.map
+                  (fun (alpha, beta) ->
+                    (match
+                       Native_blocked.check ~blocking:full_check_blocking
+                         ~alpha ~beta np ~m ~n ~k ()
+                     with
+                    | Ok () -> ()
+                    | Error e ->
+                        Fmt.pr "NATIVE DIFFERENTIAL FAIL (%s %s): %s@."
+                          gemm_name arch.Arch.name e;
+                        exit 1);
+                    Json.Obj
+                      [
+                        ("m", Json.Int m); ("n", Json.Int n); ("k", Json.Int k);
+                        ("alpha", Json.Float alpha); ("beta", Json.Float beta);
+                        ("ok", Json.Bool true);
+                      ])
+                  [ (1.0, 1.0); (2.5, -0.5) ])
               full_check_shapes
           in
           let points =

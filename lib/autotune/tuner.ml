@@ -507,9 +507,11 @@ let notify_cache_event ~arch ~kernel (ev : cache_event) : unit =
 
 (* Process-wide persistent-cache location: [set_cache_dir] (or the
    AUGEM_CACHE_DIR environment variable); None disables the disk
-   layer. *)
-let cache_dir_ref = ref (Sys.getenv_opt "AUGEM_CACHE_DIR")
-let set_cache_dir d = cache_dir_ref := d
+   layer, and so does an empty name ([AUGEM_CACHE_DIR=]), which names
+   no directory a store could create. *)
+let no_empty_dir = function Some "" -> None | d -> d
+let cache_dir_ref = ref (no_empty_dir (Sys.getenv_opt "AUGEM_CACHE_DIR"))
+let set_cache_dir d = cache_dir_ref := no_empty_dir d
 let cache_dir () = !cache_dir_ref
 
 (* In-memory memo table, keyed by (arch, kernel, space fingerprint) —

@@ -203,7 +203,8 @@ val notify_cache_event : arch:string -> kernel:string -> cache_event -> unit
 
 (** Set the process-wide persistent tuning-cache directory (also
     settable via the [AUGEM_CACHE_DIR] environment variable); [None]
-    disables the on-disk layer. *)
+    disables the on-disk layer, and so does the empty name
+    [Some ""]. *)
 val set_cache_dir : string option -> unit
 
 (** The current persistent-cache directory. *)

@@ -6,6 +6,11 @@
    Mc x Kc x Nc inner kernel and the packing routines; this module is
    only the executor and buffer management around them.
 
+   A plan holds four generated kernels: the micro-kernel, pack-A,
+   pack-B and SCAL.  Only the native executor scales with SCAL; this
+   simulated executor and the reference keep their OCaml scaling loops,
+   because they are the oracles the native result is checked against.
+
    One nest, three executors: the loop nest is [Level3.nest], shared
    with the reference [Level3.dgemm_blocked] and the native driver, so
    a differential run against the reference executor with the same
@@ -34,18 +39,20 @@ type plan = {
   pl_micro_config : Tuner.candidate;
   pl_pack_a : Insn.program;
   pl_pack_b : Insn.program;
+  pl_scal : Insn.program;  (* X := alpha * X, the native scaling steps *)
   pl_blocked_mflops : float; (* predicted, blocked driver, ref workload *)
   pl_streamed_mflops : float; (* predicted, unblocked baseline *)
 }
 
 (* Build the plan for an architecture: tune the micro-kernel jointly
    with its blocking triple (the cross-product sweep), then tune the
-   two packing kernels through the same staged-lowering pipeline
-   (validators, asmcheck lints and all). *)
+   two packing kernels and SCAL through the same staged-lowering
+   pipeline (validators, asmcheck lints and all). *)
 let plan ?(et = Et.F64) ?jobs ?workload (arch : Arch.t) : plan =
   let bb = Tuner.tune_blocked ~et ?jobs ?workload arch in
   let pa = Tuner.tuned ~et ?jobs arch Kernels.Pack_a in
   let pb = Tuner.tuned ~et ?jobs arch Kernels.Pack_b in
+  let sc = Tuner.tuned ~et ?jobs arch Kernels.Scal in
   {
     pl_arch = arch;
     pl_et = et;
@@ -56,6 +63,7 @@ let plan ?(et = Et.F64) ?jobs ?workload (arch : Arch.t) : plan =
     pl_micro_config = bb.Tuner.bb_candidate;
     pl_pack_a = pa.Tuner.best_program;
     pl_pack_b = pb.Tuner.best_program;
+    pl_scal = sc.Tuner.best_program;
     pl_blocked_mflops = bb.Tuner.bb_blocked_score;
     pl_streamed_mflops = bb.Tuner.bb_streamed_score;
   }

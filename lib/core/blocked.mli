@@ -4,6 +4,13 @@
     on the functional simulator.  The full generated GEMM the paper
     deploys inside OpenBLAS.
 
+    A {!plan} holds four generated kernels: the micro-kernel, the two
+    packing kernels and SCAL.  The native executor
+    ([Native_blocked.gemm_runner]) scales C by beta and the packed B
+    panel by alpha with SCAL; this simulated executor and the reference
+    keep their OCaml scaling loops, because they are the oracles the
+    native result is checked against.
+
     One nest, three executors: the loop nest is
     {!Augem_blas.Level3.nest}, shared with the reference
     {!Augem_blas.Level3.dgemm_blocked}, so a differential run against
@@ -21,6 +28,8 @@ type plan = {
   pl_micro_config : Augem_autotune.Tuner.candidate;
   pl_pack_a : Augem_machine.Insn.program;
   pl_pack_b : Augem_machine.Insn.program;
+  pl_scal : Augem_machine.Insn.program;
+      (** X := alpha * X; the native executor's beta and alpha scaling *)
   pl_blocked_mflops : float;
       (** predicted MFLOPS of the blocked driver on the tuning workload *)
   pl_streamed_mflops : float;
@@ -28,8 +37,9 @@ type plan = {
 }
 
 (** Tune the micro-kernel jointly with its blocking triple
-    ({!Augem_autotune.Tuner.tune_blocked}) and the two packing kernels,
-    all through the staged-lowering pipeline.  [?et] selects the scalar
+    ({!Augem_autotune.Tuner.tune_blocked}), then the two packing kernels
+    and SCAL ({!Augem_autotune.Tuner.tuned}, memoized per process), all
+    through the staged-lowering pipeline.  [?et] selects the scalar
     precision (default f64): an f32 plan generates SGEMM kernels,
     derives its blocking with 4-byte elements, and simulates with f32
     lane semantics. *)

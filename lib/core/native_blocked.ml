@@ -8,6 +8,14 @@
    addressed by passing interior pointers — no per-call staging, so the
    wall clock measures the kernels, not the harness.
 
+   Every step inside a block is one of the plan's four generated
+   kernels, called natively: pack-B, pack-A, the micro-kernel, and SCAL
+   for both scaling steps (C by beta, the packed B panel by alpha).
+   SCAL does one IEEE multiply per element, so it is bit-identical to
+   the OCaml [beta *. x] that the reference and simulated executors
+   keep as oracles (at f32, to [Etype.round (beta *. x)]: the product
+   of two f32 values is exact in double).
+
    One nest, three executors: [Level3.nest] drives this executor as it
    drives [Blocked.gemm]'s (same block schedule, same beta-then-alpha
    handling, scaling rounded to the element type), so at f64 the native
@@ -40,11 +48,22 @@ type tensor = {
   t_addr : int -> int64;  (* address of element [i] *)
 }
 
+(* [n] elements starting on a page boundary.  Where malloc puts a large
+   buffer depends on what the process allocated and freed before (glibc
+   moves its mmap threshold as buffers are freed), and the kernels'
+   speed depends on where their operands start within a page: aligning
+   keeps the wall clock independent of that history. *)
+let page_aligned kind n =
+  let page = 4096 and bytes = Bigarray.kind_size_in_bytes kind in
+  let ba = Bigarray.Array1.create kind Bigarray.c_layout (n + (page / bytes)) in
+  let off = Int64.(to_int (rem (Runtime.jit_ba_addr ba) (of_int page))) in
+  Bigarray.Array1.sub ba ((page - off) mod page / bytes) n
+
 let tensor (et : Et.t) (n : int) : tensor =
   let n' = max 1 n + Abi.pad_elements in
   match et with
   | Et.F64 ->
-      let ba = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n' in
+      let ba = page_aligned Bigarray.float64 n' in
       Bigarray.Array1.fill ba 0.0;
       let base = Runtime.jit_ba_addr ba in
       {
@@ -54,7 +73,7 @@ let tensor (et : Et.t) (n : int) : tensor =
         t_addr = (fun i -> Int64.add base (Int64.of_int (i * 8)));
       }
   | Et.F32 ->
-      let ba = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout n' in
+      let ba = page_aligned Bigarray.float32 n' in
       Bigarray.Array1.fill ba 0.0;
       let base = Runtime.jit_ba_addr ba in
       {
@@ -83,29 +102,33 @@ type native_plan = {
   np_micro : Runtime.Exec_buf.t;
   np_pack_a : Runtime.Exec_buf.t;
   np_pack_b : Runtime.Exec_buf.t;
+  np_scal : Runtime.Exec_buf.t;
 }
 
 let release (np : native_plan) =
   Runtime.Exec_buf.release np.np_micro;
   Runtime.Exec_buf.release np.np_pack_a;
-  Runtime.Exec_buf.release np.np_pack_b
+  Runtime.Exec_buf.release np.np_pack_b;
+  Runtime.Exec_buf.release np.np_scal
 
-(* Push all three of the plan's programs through the guarded gates
+(* Push all four of the plan's programs through the guarded gates
    (lints, host capability, encoder).  All-or-nothing: a plan whose
-   packing kernels cannot run natively is not a native plan. *)
+   packing or scaling kernels cannot run natively is not a native
+   plan. *)
 let load (p : Blocked.plan) : native_plan Native_check.gated =
   let avx = p.Blocked.pl_arch.Arch.simd = Arch.AVX in
   let et = p.Blocked.pl_et in
   let rec go acc = function
     | [] -> (
         match List.rev acc with
-        | [ micro; pa; pb ] ->
+        | [ micro; pa; pb; scal ] ->
             Native_check.Ready
               {
                 np_plan = p;
                 np_micro = micro;
                 np_pack_a = pa;
                 np_pack_b = pb;
+                np_scal = scal;
               }
         | _ -> assert false)
     | (label, prog) :: rest -> (
@@ -123,6 +146,7 @@ let load (p : Blocked.plan) : native_plan Native_check.gated =
       ("micro", p.Blocked.pl_micro);
       ("pack_a", p.Blocked.pl_pack_a);
       ("pack_b", p.Blocked.pl_pack_b);
+      ("scal", p.Blocked.pl_scal);
     ]
 
 (* --- the native executor ------------------------------------------------ *)
@@ -148,16 +172,24 @@ let gemm_runner ?blocking ?(alpha = 1.0) ?(beta = 1.0) (np : native_plan)
     Runtime.Exec_buf.invoke buf ~iargs ~dargs:[||] ~fp32
   in
   let i64 = Int64.of_int in
+  (* [len] elements of [t] from [off] on, times [factor] *)
+  let scal t ~off ~len factor =
+    Runtime.Exec_buf.invoke np.np_scal
+      ~iargs:[| i64 len; t.t_addr off |]
+      ~dargs:[| factor |] ~fp32
+  in
   let ex =
     {
       L3.scale_c =
         (fun beta ->
-          for j = 0 to c.Mat.cols - 1 do
-            for i = 0 to c.Mat.rows - 1 do
-              let idx = (j * c.Mat.ld) + i in
-              tc.t_set idx (beta *. tc.t_get idx)
-            done
-          done);
+          (* one call when the columns are contiguous; otherwise one per
+             column, so the padding rows between them are never touched *)
+          if c.Mat.ld = c.Mat.rows then
+            scal tc ~off:0 ~len:(c.Mat.rows * c.Mat.cols) beta
+          else
+            for j = 0 to c.Mat.cols - 1 do
+              scal tc ~off:(j * c.Mat.ld) ~len:c.Mat.rows beta
+            done);
       pack_b =
         (fun ~l0 ~j0 ~kc ~nc ->
           let b_off = (j0 * b.Mat.ld) + l0 in
@@ -165,11 +197,7 @@ let gemm_runner ?blocking ?(alpha = 1.0) ?(beta = 1.0) (np : native_plan)
             [|
               i64 kc; i64 nc; i64 b.Mat.ld; tb.t_addr b_off; tpb.t_addr 0;
             |]);
-      scale_b =
-        (fun alpha ~kc ~nc ->
-          for idx = 0 to (kc * nc) - 1 do
-            tpb.t_set idx (alpha *. tpb.t_get idx)
-          done);
+      scale_b = (fun alpha ~kc ~nc -> scal tpb ~off:0 ~len:(kc * nc) alpha);
       pack_a =
         (fun ~i0 ~l0 ~mc ~kc ->
           let a_off = (l0 * a.Mat.ld) + i0 in
@@ -200,22 +228,23 @@ let gemm ?blocking ?alpha ?beta (np : native_plan) (a : Mat.t) (b : Mat.t)
 
 (* --- differential check ------------------------------------------------- *)
 
-(* Native blocked GEMM against (1) the simulated blocked driver on the
-   same plan — bit-exact at f64, [Etype.tol]-scaled at f32 — and
-   (2) [dgemm_naive] within the usual reduction-scaled tolerance.  The
-   native result is never trusted without this. *)
-let check ?blocking ?(seed = 42) (np : native_plan) ~m ~n ~k () :
-    (unit, string) result =
+(* Native blocked C := alpha*A*B + beta*C against (1) the simulated
+   blocked driver on the same plan — bit-exact at f64,
+   [Etype.tol]-scaled at f32 — and (2) [dgemm_naive] within the usual
+   reduction-scaled tolerance.  The native result is never trusted
+   without this. *)
+let check ?blocking ?(seed = 42) ?(alpha = 1.0) ?(beta = 1.0)
+    (np : native_plan) ~m ~n ~k () : (unit, string) result =
   let p = np.np_plan in
   let et = p.Blocked.pl_et in
   let a, b, c0 = Blocked.operands ~et ~seed ~m ~n ~k in
   let c_native = Mat.copy c0 in
   let c_sim = Mat.copy c0 in
   let c_naive = Mat.copy c0 in
-  match gemm ?blocking np a b c_native with
+  match gemm ?blocking ~alpha ~beta np a b c_native with
   | exception Failure msg -> Error ("native: " ^ msg)
   | () -> (
-      match Blocked.gemm ?blocking p a b c_sim with
+      match Blocked.gemm ?blocking ~alpha ~beta p a b c_sim with
       | exception Exec.Sim_error msg -> Error ("simulator fault: " ^ msg)
       | _stats ->
           let agree_tol =
@@ -224,20 +253,20 @@ let check ?blocking ?(seed = 42) (np : native_plan) ~m ~n ~k () :
           if not (Mat.approx_equal ~tol:agree_tol c_native c_sim) then
             Error
               (Printf.sprintf
-                 "m=%d n=%d k=%d: native result diverges from simulator \
-                  (max |diff| = %.3g, tol %g)"
-                 m n k
+                 "m=%d n=%d k=%d alpha=%g beta=%g: native result diverges \
+                  from simulator (max |diff| = %.3g, tol %g)"
+                 m n k alpha beta
                  (Mat.max_abs_diff c_native c_sim)
                  agree_tol)
           else begin
-            L3.dgemm_naive ~alpha:1.0 ~beta:1.0 a b c_naive;
+            L3.dgemm_naive ~alpha ~beta a b c_naive;
             let tol = Et.tol ~k et in
             if not (Mat.approx_equal ~tol c_naive c_native) then
               Error
                 (Printf.sprintf
-                   "m=%d n=%d k=%d: native result off dgemm_naive by %.3g \
-                    (tol %.1g)"
-                   m n k
+                   "m=%d n=%d k=%d alpha=%g beta=%g: native result off \
+                    dgemm_naive by %.3g (tol %.1g)"
+                   m n k alpha beta
                    (Mat.max_abs_diff c_naive c_native)
                    tol)
             else Ok ()

@@ -261,12 +261,13 @@ let handle_tune (t : t) (id : Json.t) (tq : Proto.tune_request) :
 (* The safe-baseline plan: the degradation target when a blocked
    request's deadline expires or its worker dies.  No sweep — the
    baseline micro-kernel with the analytically-derived blocking and
-   baseline packing kernels, all generated inline. *)
+   baseline packing and SCAL kernels, all generated inline. *)
 let baseline_plan ~(et : Etype.t) ~(workload : Perf.workload) (arch : Arch.t)
     : A.Blocked.plan =
   let bb = Tuner.tune_blocked ~et ~workload ~space:[] arch in
   let pa = Tuner.tune ~et ~space:[] arch Kernels.Pack_a in
   let pb = Tuner.tune ~et ~space:[] arch Kernels.Pack_b in
+  let sc = Tuner.tune ~et ~space:[] arch Kernels.Scal in
   {
     A.Blocked.pl_arch = arch;
     pl_et = et;
@@ -277,6 +278,7 @@ let baseline_plan ~(et : Etype.t) ~(workload : Perf.workload) (arch : Arch.t)
     pl_micro_config = bb.Tuner.bb_candidate;
     pl_pack_a = pa.Tuner.best_program;
     pl_pack_b = pb.Tuner.best_program;
+    pl_scal = sc.Tuner.best_program;
     pl_blocked_mflops = bb.Tuner.bb_blocked_score;
     pl_streamed_mflops = bb.Tuner.bb_streamed_score;
   }

@@ -63,6 +63,16 @@ let test_cache_stable () =
   let r2 = Tuner.tuned Arch.piledriver Kernels.Axpy in
   Alcotest.(check bool) "same result object" true (r1 == r2)
 
+(* [AUGEM_CACHE_DIR=] names no directory: it means no disk tier, not a
+   store that fails on every sweep. *)
+let test_empty_cache_dir () =
+  let saved = Tuner.cache_dir () in
+  Fun.protect
+    ~finally:(fun () -> Tuner.set_cache_dir saved)
+    (fun () ->
+      Tuner.set_cache_dir (Some "");
+      Alcotest.(check (option string)) "no disk tier" None (Tuner.cache_dir ()))
+
 let test_explicit_workload () =
   let r =
     Tuner.tune ~workload:(A.Sim.Perf.W_gemm { m = 1024; n = 1024; k = 256 })
@@ -80,5 +90,7 @@ let suite =
     Alcotest.test_case "tuned gemm beats scalar baseline" `Quick
       test_tuner_beats_minimum;
     Alcotest.test_case "tuning cache" `Quick test_cache_stable;
+    Alcotest.test_case "empty cache dir is no disk tier" `Quick
+      test_empty_cache_dir;
     Alcotest.test_case "explicit workload" `Quick test_explicit_workload;
   ]

@@ -19,8 +19,8 @@ module Arch = A.Machine.Arch
 
 let arch = List.hd Arch.all
 
-(* One plan per test binary: the cross-product sweep plus two pack
-   tunes is ~a second; every case reuses it. *)
+(* One plan per test binary: the cross-product sweep plus the pack and
+   SCAL tunes is ~a second; every case reuses it. *)
 let plan = lazy (Blocked.plan ~jobs:1 arch)
 
 (* Tiny blocking: forces jc/pc/ic trips and remainder blocks on
@@ -137,14 +137,30 @@ let test_plan_shape () =
 
 module Et = A.Machine.Etype
 module NB = A.Native_blocked
+module Runtime = A.Jit.Runtime
 
 let plan_f32 = lazy (Blocked.plan ~et:Et.F32 ~jobs:1 arch)
 
+(* Operands like [Blocked.operands], but every leading dimension is the
+   row count + 3, and C's padding rows hold a sentinel. *)
+let padded_operands ~et ~seed ~m ~n ~k =
+  let mk seed rows cols =
+    let mat = Mat.random ~seed ~ld:(rows + 3) rows cols in
+    Array.iteri (fun i x -> mat.Mat.data.(i) <- Et.round et x) mat.Mat.data;
+    mat
+  in
+  let c = mk (seed + 2) m n in
+  Array.iteri
+    (fun idx _ -> if idx mod c.Mat.ld >= m then c.Mat.data.(idx) <- 7.0)
+    c.Mat.data;
+  (mk seed m k, mk (seed + 1) k n, c)
+
 (* One native run under the tiny blocking, against the simulated driver
    — bit-exact at f64, within [Et.tol] at f32 where the simulator
-   double-rounds — and against [dgemm_naive] within [Et.tol]. *)
-let native_case et p np (label, m, n, k) (alpha, beta) =
-  let a, b, c0 = Blocked.operands ~et ~seed:m ~m ~n ~k in
+   double-rounds — and against [dgemm_naive] within [Et.tol].  C's
+   padding rows, if any, must come back bit-unchanged. *)
+let native_case et p np label (a, b, c0) (alpha, beta) =
+  let k = a.Mat.cols in
   let c_nat = Mat.copy c0 and c_sim = Mat.copy c0 and c_ref = Mat.copy c0 in
   NB.gemm ~blocking:tiny ~alpha ~beta np a b c_nat;
   ignore (Blocked.gemm ~blocking:tiny ~alpha ~beta p a b c_sim);
@@ -156,11 +172,21 @@ let native_case et p np (label, m, n, k) (alpha, beta) =
         Alcotest.failf "%s %s alpha=%g beta=%g: native off %s by %.3g"
           (Et.name et) label alpha beta oracle (Mat.max_abs_diff c c_nat))
     [ ("simulator", c_sim, if et = Et.F64 then 0.0 else tol);
-      ("dgemm_naive", c_ref, tol) ]
+      ("dgemm_naive", c_ref, tol) ];
+  Array.iteri
+    (fun idx x ->
+      if idx mod c0.Mat.ld >= c0.Mat.rows
+         && Int64.bits_of_float x <> Int64.bits_of_float c0.Mat.data.(idx)
+      then
+        Alcotest.failf "%s %s alpha=%g beta=%g: native wrote padding of C"
+          (Et.name et) label alpha beta)
+    c_nat.Mat.data
 
 (* Multi-block trips and remainders natively: every difficult shape,
    with (alpha, beta) covering both scaling passes and the alpha = 0
-   short-circuit, at both precisions. *)
+   short-circuit, then with every leading dimension larger than its
+   row count, which scales C one column at a time; at both
+   precisions. *)
 let test_native_differential () =
   if not (A.Native_check.host_supported ()) then
     print_endline "skipped: host CPU lacks SSE2+AVX"
@@ -171,15 +197,99 @@ let test_native_differential () =
         match NB.load p with
         | A.Native_check.Ready np ->
             List.iter
-              (fun shape ->
-                List.iter (native_case et p np shape)
-                  [ (1.0, 1.0); (2.5, -0.5); (0.0, 2.0) ])
+              (fun (label, m, n, k) ->
+                List.iter
+                  (native_case et p np label
+                     (Blocked.operands ~et ~seed:m ~m ~n ~k))
+                  [ (1.0, 1.0); (2.5, -0.5); (0.0, 2.0) ];
+                native_case et p np (label ^ ", ld = rows + 3")
+                  (padded_operands ~et ~seed:m ~m ~n ~k)
+                  (2.5, -0.5))
               difficult_shapes;
             NB.release np
         | A.Native_check.Unsupported m ->
             Printf.printf "%s: skipped (%s)\n" (Et.name et) m
         | A.Native_check.Rejected m -> Alcotest.failf "%s: %s" (Et.name et) m)
       [ (Et.F64, plan); (Et.F32, plan_f32) ]
+
+(* The plan's generated SCAL against OCaml scaling, bit for bit:
+   [beta *. x] at f64 and [Et.round (beta *. x)] at f32, where the
+   product of two f32 values is exact in double.  The native executor's
+   scaling steps rely on this to stay bit-identical to the simulated
+   and reference executors'.  Lengths cover the unrolled vector body
+   and the scalar remainder; inputs mix signed zeros, subnormals of
+   both precisions and infinities into random values.  Where OCaml
+   gives NaN (0 * inf) the native result only has to be NaN.  Two
+   sentinels past the length must come back untouched. *)
+let specials =
+  [|
+    0.0; -0.0; infinity; neg_infinity; 4.9e-324; -2.2e-308; Float.min_float;
+    Int32.float_of_bits 1l; Int32.float_of_bits 0x807fffffl;
+    Int32.float_of_bits 0x00800000l; 3e38; -1e308;
+  |]
+
+let test_native_scal () =
+  if not (A.Native_check.host_supported ()) then
+    print_endline "skipped: host CPU lacks SSE2+AVX"
+  else
+    List.iter
+      (fun (et, plan) ->
+        let p = Lazy.force plan in
+        let avx = p.Blocked.pl_arch.Arch.simd = Arch.AVX in
+        match A.Native_check.load ~avx ~et p.Blocked.pl_scal with
+        | A.Native_check.Ready buf ->
+            List.iter
+              (fun n ->
+                let noise = Mat.random ~seed:n 1 n in
+                let x =
+                  Array.init (n + 2) (fun i ->
+                      if i >= n then 13.0
+                      else if i mod 3 = 0 then
+                        Et.round et specials.(i / 3 mod Array.length specials)
+                      else Et.round et noise.Mat.data.(i))
+                in
+                List.iter
+                  (fun beta ->
+                    let t = NB.stage et x in
+                    Runtime.Exec_buf.invoke buf
+                      ~iargs:[| Int64.of_int n; t.NB.t_addr 0 |]
+                      ~dargs:[| beta |] ~fp32:(et = Et.F32);
+                    Array.iteri
+                      (fun i xi ->
+                        let want =
+                          if i >= n then xi else Et.round et (beta *. xi)
+                        and got = t.NB.t_get i in
+                        let same =
+                          if Float.is_nan want then Float.is_nan got
+                          else
+                            Int64.bits_of_float got = Int64.bits_of_float want
+                        in
+                        if not same then
+                          Alcotest.failf
+                            "%s n=%d beta=%g x[%d]=%h: SCAL %h, OCaml %h"
+                            (Et.name et) n beta i xi got want)
+                      x)
+                  [ 0.0; -1.0; 0.5; 2.5; -0.75 ])
+              (List.init 38 Fun.id @ [ 64; 1001 ]);
+            Runtime.Exec_buf.release buf
+        | A.Native_check.Unsupported m ->
+            Printf.printf "%s: skipped (%s)\n" (Et.name et) m
+        | A.Native_check.Rejected m -> Alcotest.failf "%s: %s" (Et.name et) m)
+      [ (Et.F64, plan); (Et.F32, plan_f32) ]
+
+(* Resident operands start on a page boundary whatever the allocation
+   history, so the native executor's speed does not depend on it. *)
+let test_tensor_alignment () =
+  List.iter
+    (fun et ->
+      List.iter
+        (fun n ->
+          let t = NB.tensor et n in
+          if Int64.rem (t.NB.t_addr 0) 4096L <> 0L then
+            Alcotest.failf "%s tensor of %d elements at %Ld" (Et.name et) n
+              (t.NB.t_addr 0))
+        [ 0; 1; 1000; 300_000 ])
+    [ Et.F64; Et.F32 ]
 
 let suite =
   test_shapes
@@ -192,4 +302,8 @@ let suite =
       Alcotest.test_case "plan shape" `Quick test_plan_shape;
       Alcotest.test_case "native differential, multi-block and alpha/beta"
         `Slow test_native_differential;
+      Alcotest.test_case "native SCAL bit-identical to OCaml scaling" `Slow
+        test_native_scal;
+      Alcotest.test_case "resident tensors are page-aligned" `Quick
+        test_tensor_alignment;
     ]
