@@ -826,7 +826,9 @@ let serve_cmd =
     Arg.(
       value & opt int 64
       & info [ "lru" ] ~docv:"N"
-          ~doc:"In-memory cache tier capacity (entries).")
+          ~doc:
+            "In-memory cache tier capacity (entries), for tuned kernels \
+             and for blocked-GEMM plans each.")
   in
   let deadline_arg =
     Arg.(
@@ -977,9 +979,9 @@ let request_cmd =
       value & flag
       & info [ "blocked" ]
           ~doc:
-            "Request a full blocked-DGEMM plan (tuned micro-kernel, \
-             MC/KC/NC blocking and both packing kernels) instead of a \
-             single kernel.")
+            "Request a full blocked-GEMM plan (tuned micro-kernel, \
+             MC/KC/NC blocking, both packing kernels and SCAL) instead \
+             of a single kernel.")
   in
   let size_arg =
     Arg.(

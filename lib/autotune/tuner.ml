@@ -438,9 +438,11 @@ let tune ?(et = Etype.F64) ?(workload : Augem_sim.Perf.workload option)
 
 (* Bump whenever the sweep's semantics or the marshalled result layout
    change: old on-disk entries then stop being found (their content
-   address changes) instead of being misread.  5: blocked-GEMM search
-   dimensions and the E_strength_reduction diagnostic code (Diag is
-   part of the marshalled result). *)
+   address changes) instead of being misread.  It also guards the
+   marshalled [Blocked.plan] layout, which the service persists under
+   the same addresses.  5: blocked-GEMM search dimensions and the
+   E_strength_reduction diagnostic code (Diag is part of the
+   marshalled result). *)
 let tuner_version = "5"
 
 let candidate_fingerprint (c : candidate) : string =

@@ -161,8 +161,9 @@ val tune :
   Augem_ir.Kernels.name ->
   result
 
-(** Cache-key version of the sweep semantics and marshalled result
-    layout; part of every persistent-cache content address. *)
+(** Cache-key version of the sweep semantics and of the marshalled
+    layouts of {!result} and of the service's blocked-GEMM plans; part
+    of every persistent-cache content address. *)
 val tuner_version : string
 
 (** Digest of a candidate space (configurations, codegen options, and

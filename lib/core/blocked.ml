@@ -42,17 +42,18 @@ type plan = {
   pl_scal : Insn.program;  (* X := alpha * X, the native scaling steps *)
   pl_blocked_mflops : float; (* predicted, blocked driver, ref workload *)
   pl_streamed_mflops : float; (* predicted, unblocked baseline *)
+  pl_fell_back : bool;  (* some sweep behind the plan fell back *)
 }
 
-(* Build the plan for an architecture: tune the micro-kernel jointly
-   with its blocking triple (the cross-product sweep), then tune the
-   two packing kernels and SCAL through the same staged-lowering
-   pipeline (validators, asmcheck lints and all). *)
-let plan ?(et = Et.F64) ?jobs ?workload (arch : Arch.t) : plan =
-  let bb = Tuner.tune_blocked ~et ?jobs ?workload arch in
-  let pa = Tuner.tuned ~et ?jobs arch Kernels.Pack_a in
-  let pb = Tuner.tuned ~et ?jobs arch Kernels.Pack_b in
-  let sc = Tuner.tuned ~et ?jobs arch Kernels.Scal in
+(* The one place a plan record is built: from the blocked sweep and a
+   way to obtain the two packing kernels and SCAL.  The plan fell back
+   when the micro x blocking cross-product was fully discarded or any
+   of the other three sweeps fell back to its safe baseline. *)
+let assemble ~et (arch : Arch.t) (bb : Tuner.blocked_result)
+    (kernel : Kernels.name -> Tuner.result) : plan =
+  let pa = kernel Kernels.Pack_a in
+  let pb = kernel Kernels.Pack_b in
+  let sc = kernel Kernels.Scal in
   {
     pl_arch = arch;
     pl_et = et;
@@ -66,7 +67,27 @@ let plan ?(et = Et.F64) ?jobs ?workload (arch : Arch.t) : plan =
     pl_scal = sc.Tuner.best_program;
     pl_blocked_mflops = bb.Tuner.bb_blocked_score;
     pl_streamed_mflops = bb.Tuner.bb_streamed_score;
+    pl_fell_back =
+      bb.Tuner.bb_discarded = bb.Tuner.bb_micro_visited
+      || pa.Tuner.fell_back || pb.Tuner.fell_back || sc.Tuner.fell_back;
   }
+
+(* Build the plan for an architecture: tune the micro-kernel jointly
+   with its blocking triple (the cross-product sweep), then tune the
+   two packing kernels and SCAL through the same staged-lowering
+   pipeline (validators, asmcheck lints and all). *)
+let plan ?(et = Et.F64) ?jobs ?workload (arch : Arch.t) : plan =
+  assemble ~et arch
+    (Tuner.tune_blocked ~et ?jobs ?workload arch)
+    (Tuner.tuned ~et ?jobs arch)
+
+(* The safe-baseline plan, built without a sweep: the baseline
+   micro-kernel with the analytically-derived blocking, and baseline
+   packing and SCAL kernels.  Always [pl_fell_back]. *)
+let baseline_plan ?(et = Et.F64) ?workload (arch : Arch.t) : plan =
+  assemble ~et arch
+    (Tuner.tune_blocked ~et ?workload ~space:[] arch)
+    (Tuner.tune ~et ~space:[] arch)
 
 type stats = {
   st_micro_calls : int;
@@ -187,6 +208,25 @@ let operands ~et ~seed ~m ~n ~k : Mat.t * Mat.t * Mat.t =
     nar (Mat.random ~seed:(seed + 1) k n),
     nar (Mat.random ~seed:(seed + 2) m n) )
 
+(* The result comparison of both differential checks ([check] here and
+   [Native_blocked.check]): [a] against [b], bit-exact when [tol = 0.]
+   and otherwise within the relative [tol] of [Mat.approx_equal],
+   scaled by [a].  The error names the [problem] (shape, alpha, beta),
+   [what] diverged, the max |diff| and the tolerance. *)
+let agree ~problem ~what ~tol (a : Mat.t) (b : Mat.t) : (unit, string) result =
+  let ok =
+    if tol = 0.0 then Array.for_all2 Float.equal a.Mat.data b.Mat.data
+    else Mat.approx_equal ~tol a b
+  in
+  if ok then Ok ()
+  else
+    Error
+      (Printf.sprintf "%s: %s (max |diff| = %.3g, tol %.1g)" problem what
+         (Mat.max_abs_diff a b) tol)
+
+let problem ~m ~n ~k ~alpha ~beta =
+  Printf.sprintf "m=%d n=%d k=%d alpha=%g beta=%g" m n k alpha beta
+
 (* Differential check on one problem shape: the generated blocked
    driver against (1) [dgemm_naive] within [tol], and (2) the reference
    executor ([dgemm_blocked], reference packing) driving the *same*
@@ -216,22 +256,17 @@ let check ?fuel ?blocking ?tol ?(seed = 42) (p : plan) ~m ~n ~k () :
       L3.dgemm_blocked ~blocking:(nest_blocking ?blocking p)
         ~kernel:(sim_micro ~fuel ~count:ignore p) ~alpha:1.0 ~beta:1.0 a b
         c_hybrid;
-      if not (Array.for_all2 Float.equal c_gen.Mat.data c_hybrid.Mat.data)
-      then
-        Error
-          (Printf.sprintf
-             "m=%d n=%d k=%d %s: generated packing/loop nest diverges from \
-              reference macro-kernel (max |diff| = %.3g)"
-             m n k
-             (Mem_model.blocking_to_string bl)
-             (Mat.max_abs_diff c_gen c_hybrid))
-      else if not (Mat.approx_equal ~tol c_naive c_gen) then
-        Error
-          (Printf.sprintf
-             "m=%d n=%d k=%d %s: blocked result off dgemm_naive by %.3g \
-              (tol %.1g)"
-             m n k
-             (Mem_model.blocking_to_string bl)
-             (Mat.max_abs_diff c_naive c_gen)
-             tol)
-      else Ok stats
+      let problem =
+        problem ~m ~n ~k ~alpha:1.0 ~beta:1.0
+        ^ " " ^ Mem_model.blocking_to_string bl
+      in
+      let ( let* ) = Result.bind in
+      let* () =
+        agree ~problem ~tol:0.0 c_gen c_hybrid
+          ~what:
+            "generated packing/loop nest diverges from reference macro-kernel"
+      in
+      let* () =
+        agree ~problem ~what:"blocked result off dgemm_naive" ~tol c_naive c_gen
+      in
+      Ok stats

@@ -34,6 +34,10 @@ type plan = {
       (** predicted MFLOPS of the blocked driver on the tuning workload *)
   pl_streamed_mflops : float;
       (** predicted MFLOPS of the unblocked (streaming) baseline *)
+  pl_fell_back : bool;
+      (** the micro x blocking cross-product was fully discarded, or
+          the pack-A, pack-B or SCAL sweep fell back to its safe
+          baseline: a degraded plan, never cached by the service *)
 }
 
 (** Tune the micro-kernel jointly with its blocking triple
@@ -47,6 +51,14 @@ val plan :
   ?et:Augem_machine.Etype.t ->
   ?jobs:int -> ?workload:Augem_sim.Perf.workload -> Augem_machine.Arch.t ->
   plan
+
+(** The safe-baseline plan, generated without a sweep: the baseline
+    micro-kernel with the analytically-derived blocking, and baseline
+    packing and SCAL kernels.  Always [pl_fell_back]; the service
+    degrades to it. *)
+val baseline_plan :
+  ?et:Augem_machine.Etype.t ->
+  ?workload:Augem_sim.Perf.workload -> Augem_machine.Arch.t -> plan
 
 type stats = {
   st_micro_calls : int;
@@ -92,6 +104,18 @@ val predict : plan -> Augem_sim.Perf.workload -> Augem_sim.Perf.estimate
 (** Cycle-model prediction of the unblocked streaming baseline. *)
 val predict_streamed :
   plan -> Augem_sim.Perf.workload -> Augem_sim.Perf.estimate
+
+(** The result comparison shared by {!check} and
+    [Native_blocked.check]: [a] against [b], bit-exact when [tol = 0.]
+    and otherwise within the relative [tol] of
+    {!Augem_blas.Matrix.approx_equal} (scaled by [a]).  The error is
+    ["<problem>: <what> (max |diff| = ..., tol ...)"]. *)
+val agree :
+  problem:string -> what:string -> tol:float ->
+  Augem_blas.Matrix.t -> Augem_blas.Matrix.t -> (unit, string) result
+
+(** ["m=.. n=.. k=.. alpha=.. beta=.."], the [problem] of {!agree}. *)
+val problem : m:int -> n:int -> k:int -> alpha:float -> beta:float -> string
 
 (** Differential check on one shape: the generated blocked driver must
     match {!Augem_blas.Level3.dgemm_naive} within [tol] {i and} agree

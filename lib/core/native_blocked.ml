@@ -247,30 +247,16 @@ let check ?blocking ?(seed = 42) ?(alpha = 1.0) ?(beta = 1.0)
       match Blocked.gemm ?blocking ~alpha ~beta p a b c_sim with
       | exception Exec.Sim_error msg -> Error ("simulator fault: " ^ msg)
       | _stats ->
-          let agree_tol =
-            match et with Et.F64 -> 0.0 | Et.F32 -> Et.tol ~k et
-          in
-          if not (Mat.approx_equal ~tol:agree_tol c_native c_sim) then
-            Error
-              (Printf.sprintf
-                 "m=%d n=%d k=%d alpha=%g beta=%g: native result diverges \
-                  from simulator (max |diff| = %.3g, tol %g)"
-                 m n k alpha beta
-                 (Mat.max_abs_diff c_native c_sim)
-                 agree_tol)
-          else begin
-            L3.dgemm_naive ~alpha ~beta a b c_naive;
-            let tol = Et.tol ~k et in
-            if not (Mat.approx_equal ~tol c_naive c_native) then
-              Error
-                (Printf.sprintf
-                   "m=%d n=%d k=%d alpha=%g beta=%g: native result off \
-                    dgemm_naive by %.3g (tol %.1g)"
-                   m n k alpha beta
-                   (Mat.max_abs_diff c_naive c_native)
-                   tol)
-            else Ok ()
-          end)
+          let problem = Blocked.problem ~m ~n ~k ~alpha ~beta in
+          let tol = Et.tol ~k et in
+          let agree_tol = match et with Et.F64 -> 0.0 | Et.F32 -> tol in
+          Result.bind
+            (Blocked.agree ~problem ~tol:agree_tol c_native c_sim
+               ~what:"native result diverges from simulator")
+            (fun () ->
+              L3.dgemm_naive ~alpha ~beta a b c_naive;
+              Blocked.agree ~problem ~tol c_naive c_native
+                ~what:"native result off dgemm_naive"))
 
 (* --- wall-clock benchmark ----------------------------------------------- *)
 

@@ -83,7 +83,7 @@ type t = {
   tuning_ms : histogram;
 }
 
-let create ?(now = Unix.gettimeofday) () : t =
+let create ?(now = Augem.Jit.Clock.now_s) () : t =
   {
     m = Mutex.create ();
     now;

@@ -8,14 +8,16 @@
 
 type t
 
-(** [create ~now ()] — [now] (default [Unix.gettimeofday]) is sampled
-    once for the uptime epoch and again at every snapshot. *)
+(** [create ~now ()] — [now] (default: the monotonic
+    {!Augem.Jit.Clock.now_s}) is sampled once for the uptime epoch and
+    again at every snapshot. *)
 val create : ?now:(unit -> float) -> unit -> t
 
 (** {2 Counters} *)
 
 val incr_request : t -> string -> unit
-(** by op name ("tune", "stats", "ping", "shutdown", "bad") *)
+(** by op name ("tune", "blocked", "stats", "ping", "shutdown",
+    "bad") *)
 
 val incr_tier : t -> Proto.tier -> unit
 val incr_overload : t -> unit

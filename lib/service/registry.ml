@@ -4,9 +4,6 @@
 module A = Augem
 module Tuner = A.Tuner
 module Cache = A.Tuning_cache
-module Arch = A.Machine.Arch
-module Kernels = A.Ir.Kernels
-module Etype = A.Machine.Etype
 module Faultpoint = Augem_resilience.Faultpoint
 module Breaker = Augem_resilience.Breaker
 
@@ -14,39 +11,53 @@ let fp_lookup = "registry.lookup"
 let fp_compute = "registry.compute"
 let () = List.iter Faultpoint.register [ fp_lookup; fp_compute ]
 
-type computed = { c_result : Tuner.result; c_deadline_expired : bool }
+type key = { arch : string; name : string; desc : string; digest : string }
 
-type outcome = {
-  o_result : Tuner.result;
+(* the tuner's persistent-cache address, so the daemon, the tune CLI
+   and offline sweeps share one cache population *)
+let key ~arch ~name ~fingerprint : key =
+  let version = Tuner.tuner_version in
+  {
+    arch;
+    name;
+    desc = Cache.keydesc ~version ~arch ~kernel:name ~fingerprint;
+    digest = Cache.digest ~version ~arch ~kernel:name ~fingerprint;
+  }
+
+type 'v computed = { c_result : 'v; c_deadline_expired : bool }
+
+type 'v outcome = {
+  o_result : 'v;
   o_tier : Proto.tier;
   o_degraded : bool;
   o_deadline_expired : bool;
   o_tuning_ms : float;
 }
 
-type slot = { mutable value : Tuner.result; mutable tick : int }
+type 'v slot = { mutable value : 'v; mutable tick : int }
 
-type flight = {
+type 'v flight = {
   fm : Mutex.t;
   fc : Condition.t;
-  mutable f_state : (outcome, exn) Stdlib.result option;
+  mutable f_state : ('v outcome, exn) Stdlib.result option;
 }
 
-type t = {
+type 'v t = {
   m : Mutex.t;
   changed : Condition.t;  (* signalled when coalesced_total moves *)
-  lru : (string, slot) Hashtbl.t;
-  inflight : (string, flight) Hashtbl.t;
+  lru : (string, 'v slot) Hashtbl.t;
+  inflight : (string, 'v flight) Hashtbl.t;
   capacity : int;
   cache_dir : string option;
   on_event : Tuner.cache_observer;
   breaker : Breaker.t option;
+  fell_back : 'v -> bool;
   mutable tick : int;
   mutable coalesced : int;
 }
 
 let create ?(lru_capacity = 64) ?cache_dir ?breaker
-    ?(on_event = Tuner.notify_cache_event) () : t =
+    ?(on_event = Tuner.notify_cache_event) ~fell_back () : 'v t =
   {
     m = Mutex.create ();
     changed = Condition.create ();
@@ -56,44 +67,21 @@ let create ?(lru_capacity = 64) ?cache_dir ?breaker
     cache_dir;
     on_event;
     breaker;
+    fell_back;
     tick = 0;
     coalesced = 0;
   }
 
-let breaker (t : t) : Breaker.t option = t.breaker
-
-(* the precision rides in the kernel-name component of the content
-   address (s-prefixed for f32, bare for f64), so f64 addresses are
-   untouched by the precision axis *)
-let fp_of_et = function
-  | Etype.F32 -> Some A.Ir.Ast.Float
-  | Etype.F64 -> None
-
-let key_of ?(et = Etype.F64) ~(arch : Arch.t) ~(kernel : Kernels.name)
-    ~(space : Tuner.candidate list) () : string * string =
-  let fingerprint = Tuner.space_fingerprint space in
-  let kernel_s = Kernels.name_to_string ?fp:(fp_of_et et) kernel in
-  let keydesc =
-    Cache.keydesc ~version:Tuner.tuner_version ~arch:arch.Arch.name
-      ~kernel:kernel_s ~fingerprint
-  in
-  let digest =
-    Cache.digest ~version:Tuner.tuner_version ~arch:arch.Arch.name
-      ~kernel:kernel_s ~fingerprint
-  in
-  (keydesc, digest)
-
-let digest_of ?et ~arch ~kernel ~space () : string =
-  snd (key_of ?et ~arch ~kernel ~space ())
+let breaker (t : 'v t) : Breaker.t option = t.breaker
 
 (* caller holds t.m *)
-let lru_touch (t : t) (s : slot) : unit =
+let lru_touch (t : 'v t) (s : 'v slot) : unit =
   t.tick <- t.tick + 1;
   s.tick <- t.tick
 
 (* caller holds t.m.  Capacity is small (a server config knob), so a
    scan-for-minimum eviction beats the bookkeeping of a linked list. *)
-let lru_insert (t : t) (digest : string) (v : Tuner.result) : unit =
+let lru_insert (t : 'v t) (digest : string) (v : 'v) : unit =
   (match Hashtbl.find_opt t.lru digest with
   | Some s ->
       s.value <- v;
@@ -104,7 +92,7 @@ let lru_insert (t : t) (digest : string) (v : Tuner.result) : unit =
   if Hashtbl.length t.lru > t.capacity then begin
     let victim =
       Hashtbl.fold
-        (fun k (s : slot) acc ->
+        (fun k (s : 'v slot) acc ->
           match acc with
           | Some (_, best) when best <= s.tick -> acc
           | _ -> Some (k, s.tick))
@@ -115,27 +103,24 @@ let lru_insert (t : t) (digest : string) (v : Tuner.result) : unit =
     | None -> ()
   end
 
-let lru_size (t : t) : int =
+let lru_size (t : 'v t) : int =
   Mutex.protect t.m (fun () -> Hashtbl.length t.lru)
 
-let lru_capacity (t : t) : int = t.capacity
+let lru_capacity (t : 'v t) : int = t.capacity
 
-let coalesced_total (t : t) : int = Mutex.protect t.m (fun () -> t.coalesced)
+let coalesced_total (t : 'v t) : int = Mutex.protect t.m (fun () -> t.coalesced)
 
-let wait_coalesced (t : t) (n : int) : unit =
+let wait_coalesced (t : 'v t) (n : int) : unit =
   Mutex.lock t.m;
   while t.coalesced < n do
     Condition.wait t.changed t.m
   done;
   Mutex.unlock t.m
 
-let find_or_compute ?(et = Etype.F64) (t : t) ~(arch : Arch.t)
-    ~(kernel : Kernels.name) ~(space : Tuner.candidate list)
-    ~(compute : unit -> computed) : outcome =
-  let arch_s = arch.Arch.name in
-  let kernel_s = Kernels.name_to_string ?fp:(fp_of_et et) kernel in
-  let emit ev = t.on_event ~arch:arch_s ~kernel:kernel_s ev in
-  let keydesc, digest = key_of ~et ~arch ~kernel ~space () in
+let find_or_compute (t : 'v t) (key : key) ~(compute : unit -> 'v computed) :
+    'v outcome =
+  let emit ev = t.on_event ~arch:key.arch ~kernel:key.name ev in
+  let digest = key.digest in
   Faultpoint.hit fp_lookup;
   Mutex.lock t.m;
   match Hashtbl.find_opt t.lru digest with
@@ -177,7 +162,7 @@ let find_or_compute ?(et = Etype.F64) (t : t) ~(arch : Arch.t)
               match Breaker.admit b digest with
               | Breaker.Reject ->
                   Mutex.unlock t.m;
-                  raise (Breaker.Open_circuit keydesc)
+                  raise (Breaker.Open_circuit key.desc)
               | Breaker.Allow | Breaker.Probe -> ())
           | None -> ());
           let fl =
@@ -185,7 +170,7 @@ let find_or_compute ?(et = Etype.F64) (t : t) ~(arch : Arch.t)
           in
           Hashtbl.replace t.inflight digest fl;
           Mutex.unlock t.m;
-          let finish (r : (outcome, exn) Stdlib.result) : outcome =
+          let finish (r : ('v outcome, exn) Stdlib.result) : 'v outcome =
             Mutex.lock t.m;
             Hashtbl.remove t.inflight digest;
             (match r with
@@ -209,15 +194,14 @@ let find_or_compute ?(et = Etype.F64) (t : t) ~(arch : Arch.t)
             match r with Ok o -> o | Error e -> raise e
           in
           let disk =
-            match t.cache_dir with
-            | Some dir ->
-                Some
-                  (Cache.load ~dir ~arch:arch_s ~kernel:kernel_s ~keydesc
-                     ~digest)
-            | None -> None
+            Option.map
+              (fun dir ->
+                Cache.load ~dir ~arch:key.arch ~kernel:key.name
+                  ~keydesc:key.desc ~digest)
+              t.cache_dir
           in
           (match disk with
-          | Some (Cache.Hit (r : Tuner.result)) when not r.Tuner.fell_back ->
+          | Some (Cache.Hit r) when not (t.fell_back r) ->
               emit Tuner.Ev_disk_hit;
               finish
                 (Ok
@@ -235,39 +219,35 @@ let find_or_compute ?(et = Etype.F64) (t : t) ~(arch : Arch.t)
                   emit Tuner.Ev_disk_miss
               | Some (Cache.Corrupt d) -> emit (Tuner.Ev_disk_corrupt d)
               | None -> ());
-              let t0 = Unix.gettimeofday () in
+              let t0 = A.Jit.Clock.now_s () in
               match Faultpoint.wrap fp_compute compute with
               | exception e -> finish (Error e)
               | { c_result; c_deadline_expired } ->
-                  let tuning_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+                  let tuning_ms = (A.Jit.Clock.now_s () -. t0) *. 1000. in
                   if not c_deadline_expired then emit Tuner.Ev_swept;
-                  let degraded =
-                    c_deadline_expired || c_result.Tuner.fell_back
-                  in
-                  (if (not degraded) && t.cache_dir <> None then
-                     match t.cache_dir with
-                     | Some dir -> (
-                         match
-                           Cache.store ~dir ~arch:arch_s ~kernel:kernel_s
-                             ~keydesc ~digest c_result
-                         with
-                         | None -> emit Tuner.Ev_store
-                         | Some d -> emit (Tuner.Ev_store_error d)
-                         | exception e ->
-                             (* a store crash (injected or real) must
-                                not fail a request whose sweep
-                                succeeded: account it and serve *)
-                             emit
-                               (Tuner.Ev_store_error
-                                  (A.Verify.Diag.make
-                                     ~code:A.Verify.Diag.E_cache_corrupt
-                                     ~stage:A.Verify.Diag.S_cache
-                                     ~kernel:kernel_s ~arch:arch_s ~config:"-"
-                                     ~detail:
-                                       ("store crashed: "
-                                      ^ Printexc.to_string e)
-                                     ())))
-                     | None -> ());
+                  let degraded = c_deadline_expired || t.fell_back c_result in
+                  (match t.cache_dir with
+                  | Some dir when not degraded -> (
+                      match
+                        Cache.store ~dir ~arch:key.arch ~kernel:key.name
+                          ~keydesc:key.desc ~digest c_result
+                      with
+                      | None -> emit Tuner.Ev_store
+                      | Some d -> emit (Tuner.Ev_store_error d)
+                      | exception e ->
+                          (* a store crash (injected or real) must not
+                             fail a request whose sweep succeeded:
+                             account it and serve *)
+                          emit
+                            (Tuner.Ev_store_error
+                               (A.Verify.Diag.make
+                                  ~code:A.Verify.Diag.E_cache_corrupt
+                                  ~stage:A.Verify.Diag.S_cache
+                                  ~kernel:key.name ~arch:key.arch ~config:"-"
+                                  ~detail:
+                                    ("store crashed: " ^ Printexc.to_string e)
+                                  ())))
+                  | _ -> ());
                   finish
                     (Ok
                        {

@@ -1,12 +1,18 @@
-(** Two-tier kernel-result cache with single-flight deduplication —
-    the serving counterpart of {!Augem.Tuner.tuned}.
+(** Two-tier cache of generated artifacts with single-flight
+    deduplication — the serving counterpart of {!Augem.Tuner.tuned}.
+
+    Polymorphic in the value it caches: the server keeps one instance
+    for tuned kernels ({!Augem.Tuner.result}) and one for blocked-GEMM
+    plans ({!Augem.Blocked.plan}), sharing the LRU bound, cache dir,
+    breaker and event sink.
 
     Tier 1 is a {i bounded} in-memory LRU (a server must not grow
     without bound across millions of distinct requests); tier 2 is the
     persistent on-disk store of {!Augem.Tuning_cache}.  Both tiers key
-    on the same content address as the tuner — (tuner version, arch,
-    kernel, search-space fingerprint) — so the daemon, the [tune] CLI
-    and offline sweeps all share one cache population.
+    on a {!key}: the content address the caller builds from (tuner
+    version, arch, name, fingerprint).  A kernel's key is the tuner's
+    own, so the daemon, the [tune] CLI and offline sweeps all share one
+    cache population.
 
     Single-flight: N concurrent requests for the same key trigger
     exactly one compute; the other N-1 attach to the in-flight sweep
@@ -14,9 +20,10 @@
     flight fails (e.g. overload at admission), every attached waiter
     fails with the same exception.
 
-    Degraded results (baseline fallback, deadline expiry) are {i
-    never} inserted into either tier — a degraded answer must not
-    poison later requests — mirroring the tuner's fell-back rule.
+    Degraded values (deadline expiry, or a value the [fell_back]
+    predicate recognises) are {i never} inserted into either tier — a
+    degraded answer must not poison later requests — mirroring the
+    tuner's fell-back rule.
 
     Every tier decision is reported through the shared
     {!Augem.Tuner.cache_observer} accounting path.
@@ -31,51 +38,52 @@
     serves the safe baseline immediately), while waiters may still
     coalesce onto a live half-open probe flight. *)
 
-type t
+type 'v t
 
-(** [create ~lru_capacity ~cache_dir ~breaker ~on_event ()].
+(** A content address. *)
+type key
+
+(** [key ~arch ~name ~fingerprint] addresses [name] (a kernel name such
+    as ["sgemm"], or a plan name such as ["blocked-dgemm"]: the
+    precision rides in the name) on [arch] under the current
+    {!Augem.Tuner.tuner_version}.  [arch] and [name] also label the
+    cache events and diagnostics. *)
+val key : arch:string -> name:string -> fingerprint:string -> key
+
+(** [create ~lru_capacity ~cache_dir ~breaker ~on_event ~fell_back ()].
     [cache_dir = None] disables the disk tier.  [breaker = None]
     disables circuit breaking.  [on_event] defaults to
-    {!Augem.Tuner.notify_cache_event} (the process-wide observer). *)
+    {!Augem.Tuner.notify_cache_event} (the process-wide observer).
+    [fell_back v] is true when [v] is a safe-baseline fallback: it is
+    served degraded and never stored. *)
 val create :
   ?lru_capacity:int ->
   ?cache_dir:string ->
   ?breaker:Augem_resilience.Breaker.t ->
   ?on_event:Augem.Tuner.cache_observer ->
+  fell_back:('v -> bool) ->
   unit ->
-  t
+  'v t
 
 (** The breaker passed at creation, for stats snapshots. *)
-val breaker : t -> Augem_resilience.Breaker.t option
+val breaker : 'v t -> Augem_resilience.Breaker.t option
 
 (** What a compute (the scheduler round-trip) produced. *)
-type computed = {
-  c_result : Augem.Tuner.result;
+type 'v computed = {
+  c_result : 'v;
   c_deadline_expired : bool;
       (** the baseline was generated because the deadline expired *)
 }
 
-type outcome = {
-  o_result : Augem.Tuner.result;
+type 'v outcome = {
+  o_result : 'v;
   o_tier : Proto.tier;
   o_degraded : bool;
-      (** deadline expiry or a fully-discarded space: the safe
-          baseline is being served *)
+      (** deadline expiry or a fell-back value: the safe baseline is
+          being served *)
   o_deadline_expired : bool;
   o_tuning_ms : float;  (** wall clock of the compute; 0 on cache hits *)
 }
-
-(** The content address a (arch, kernel, space, precision) tuple caches
-    under — identical to the tuner's persistent-cache digest.  [?et]
-    (default f64) selects the precision component: f32 addresses under
-    the s-prefixed kernel name, f64 under the bare one. *)
-val digest_of :
-  ?et:Augem.Machine.Etype.t ->
-  arch:Augem.Machine.Arch.t ->
-  kernel:Augem.Ir.Kernels.name ->
-  space:Augem.Tuner.candidate list ->
-  unit ->
-  string
 
 (** Look the key up (L1, then the in-flight table, then L2), running
     [compute] on a miss.  Re-raises [compute]'s exception — to this
@@ -83,23 +91,17 @@ val digest_of :
     {!Augem_resilience.Breaker.Open_circuit} without computing when the
     key's circuit is open. *)
 val find_or_compute :
-  ?et:Augem.Machine.Etype.t ->
-  t ->
-  arch:Augem.Machine.Arch.t ->
-  kernel:Augem.Ir.Kernels.name ->
-  space:Augem.Tuner.candidate list ->
-  compute:(unit -> computed) ->
-  outcome
+  'v t -> key -> compute:(unit -> 'v computed) -> 'v outcome
 
 (** Entries currently in the in-memory tier. *)
-val lru_size : t -> int
+val lru_size : 'v t -> int
 
-val lru_capacity : t -> int
+val lru_capacity : 'v t -> int
 
 (** Requests that attached to another request's flight, ever. *)
-val coalesced_total : t -> int
+val coalesced_total : 'v t -> int
 
 (** Block until {!coalesced_total} reaches [n] — lets tests release a
     gated compute only after every waiter has attached, making
     coalescing assertions deterministic without sleeps. *)
-val wait_coalesced : t -> int -> unit
+val wait_coalesced : 'v t -> int -> unit

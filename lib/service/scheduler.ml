@@ -23,7 +23,7 @@ type t = {
 }
 
 let create ?(workers = 1) ?(capacity = 8) ?(restart_budget = 8)
-    ?(now = Unix.gettimeofday) () : t =
+    ?(now = Augem.Jit.Clock.now_s) () : t =
   {
     pool = Taskq.create ~workers ~capacity ~restart_budget ();
     clock = now;

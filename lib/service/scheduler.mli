@@ -25,8 +25,8 @@
 type t
 
 (** [create ~workers ~capacity ~restart_budget ~now ()] spawns the
-    supervised worker domains.  [now] defaults to
-    [Unix.gettimeofday]. *)
+    supervised worker domains.  [now] defaults to the monotonic
+    {!Augem.Jit.Clock.now_s}. *)
 val create :
   ?workers:int ->
   ?capacity:int ->

@@ -51,22 +51,16 @@ type t = {
   cfg : config;
   now : unit -> float;
   metrics : Metrics.t;
-  registry : Registry.t;
+  registry : Tuner.result Registry.t;
+  plans : A.Blocked.plan Registry.t;
   sched : Scheduler.t;
   mutable stop : bool;
   mutable listen_fd : Unix.file_descr option;
   clients : (Unix.file_descr, unit) Hashtbl.t;
   cm : Mutex.t;  (* stop / listen_fd / clients *)
-  (* blocked-DGEMM plans by (arch, precision, m, n, k): a plan bundles
-     three tuned kernels plus a blocking sweep, so it gets its own memo
-     rather than riding the per-kernel registry.  Degraded plans are
-     never stored (same contract as the tuner's fallback-no-cache
-     rule). *)
-  bplans : (string * string * int * int * int, A.Blocked.plan * float) Hashtbl.t;
-  bm : Mutex.t;  (* bplans *)
 }
 
-let create ?(now = Unix.gettimeofday) ?(config = default_config) () : t =
+let create ?(now = A.Jit.Clock.now_s) ?(config = default_config) () : t =
   let metrics = Metrics.create ~now () in
   (* the cache dir may hold debris of a previous instance killed
      mid-store: quarantine it before the first lookup can see it *)
@@ -90,14 +84,15 @@ let create ?(now = Unix.gettimeofday) ?(config = default_config) () : t =
            ~now ())
     else None
   in
-  let registry =
+  (* kernels and plans: one bound, cache dir, breaker and event sink *)
+  let registry fell_back =
     Registry.create ~lru_capacity:config.cfg_lru
       ?cache_dir:config.cfg_cache_dir ?breaker
       ~on_event:(fun ~arch ~kernel ev ->
         Metrics.record_cache_event metrics ev;
         (* keep feeding the process-wide accounting path (CLI, logs) *)
         Tuner.notify_cache_event ~arch ~kernel ev)
-      ()
+      ~fell_back ()
   in
   let sched =
     Scheduler.create ~workers:config.cfg_workers ~capacity:config.cfg_queue
@@ -107,18 +102,18 @@ let create ?(now = Unix.gettimeofday) ?(config = default_config) () : t =
     cfg = config;
     now;
     metrics;
-    registry;
+    registry = registry (fun r -> r.Tuner.fell_back);
+    plans = registry (fun p -> p.A.Blocked.pl_fell_back);
     sched;
     stop = false;
     listen_fd = None;
     clients = Hashtbl.create 8;
     cm = Mutex.create ();
-    bplans = Hashtbl.create 4;
-    bm = Mutex.create ();
   }
 
 let metrics t = t.metrics
 let registry t = t.registry
+let plans t = t.plans
 let scheduler t = t.sched
 let config t = t.cfg
 let stopping t = Mutex.protect t.cm (fun () -> t.stop)
@@ -134,30 +129,26 @@ let drain (t : t) : unit = Scheduler.shutdown t.sched
 
 (* --- request handling ---------------------------------------------------- *)
 
-let handle_tune (t : t) (id : Json.t) (tq : Proto.tune_request) :
+(* The one request path of [tune] and [blocked]: registry tiers and
+   single-flight in front of the bounded scheduler.  Every degradation
+   (deadline expiry, a lost worker, an open circuit) is served as
+   [baseline ()], which needs no sweep and so runs inline.  The ops
+   differ only in [sweep], [baseline] and [reply]. *)
+let handle_cached (t : t) (id : Json.t) (reg : 'v Registry.t)
+    (key : Registry.key) ~(deadline_ms : float option) ~(sweep : unit -> 'v)
+    ~(baseline : unit -> 'v)
+    ~(reply : breaker_open:bool -> 'v Registry.outcome -> Proto.reply) :
     Proto.response =
   let t0 = t.now () in
-  let arch = tq.Proto.tq_arch in
-  let kernel = tq.Proto.tq_kernel in
-  let et = tq.Proto.tq_et in
-  let fp = match et with Etype.F32 -> Some A.Ir.Ast.Float | Etype.F64 -> None in
-  let space =
-    match tq.Proto.tq_space with
-    | Some s -> s
-    | None -> Tuner.space_for kernel
-  in
   let deadline_ms =
-    match tq.Proto.tq_deadline_ms with
-    | Some _ as d -> d
-    | None -> t.cfg.cfg_deadline_ms
+    match deadline_ms with Some _ as d -> d | None -> t.cfg.cfg_deadline_ms
   in
   let deadline = Option.map (fun ms -> t0 +. (ms /. 1000.)) deadline_ms in
   (* did THIS request's job die with its worker?  (A coalesced waiter
      handed a lost leader's baseline sees it as an ordinary fallback.) *)
   let lost = ref false in
-  let compute () : Registry.computed =
-    let job () = Tuner.tune ~et ~jobs:t.cfg.cfg_tune_jobs ~space arch kernel in
-    match Scheduler.submit t.sched ?deadline job with
+  let compute () : 'v Registry.computed =
+    match Scheduler.submit t.sched ?deadline sweep with
     | None ->
         raise
           (Proto.Overload
@@ -167,37 +158,91 @@ let handle_tune (t : t) (id : Json.t) (tq : Proto.tune_request) :
         match Scheduler.await fut with
         | Scheduler.Done r ->
             { Registry.c_result = r; c_deadline_expired = false }
-        | Scheduler.Expired ->
-            (* the deadline passed while the job was queued: degrade to
-               the safe baseline via the tuner's fallback path (an
-               empty space falls back by construction) *)
-            let r = Tuner.tune ~et ~space:[] arch kernel in
-            { Registry.c_result = r; c_deadline_expired = true }
-        | Scheduler.Lost ->
-            (* the worker running the sweep died: the supervisor is
-               respawning it, and this request degrades to the safe
-               baseline instead of failing or hanging *)
-            lost := true;
-            let r = Tuner.tune ~et ~space:[] arch kernel in
-            { Registry.c_result = r; c_deadline_expired = false }
-        | Scheduler.Failed e -> raise e)
+        | Scheduler.Failed e -> raise e
+        | (Scheduler.Expired | Scheduler.Lost) as why ->
+            (* the deadline passed while the job was queued, or the
+               worker running the sweep died (the supervisor respawns
+               it): degrade to the safe baseline instead of failing or
+               hanging *)
+            lost := why = Scheduler.Lost;
+            {
+              Registry.c_result = baseline ();
+              c_deadline_expired = why = Scheduler.Expired;
+            })
   in
   let respond (rs_result : (Proto.reply, Proto.error) Stdlib.result) =
     Metrics.observe_request_ms t.metrics ((t.now () -. t0) *. 1000.);
     { Proto.rs_id = id; rs_result }
   in
-  let kernel_reply ?(breaker_open = false) (o : Registry.outcome) : Proto.reply
-      =
-    let r = o.Registry.o_result in
-    let assembly =
-      Att.program_to_string ~et ~avx:(arch.Arch.simd = Arch.AVX)
-        r.Tuner.best_program
+  let internal e =
+    Metrics.incr_errors t.metrics;
+    let e_detail =
+      match e with
+      | Tuner.No_viable_configuration detail -> detail
+      | e -> Printexc.to_string e
     in
+    respond (Error { Proto.e_code = Proto.e_internal; e_detail })
+  in
+  match Registry.find_or_compute reg key ~compute with
+  | exception Proto.Overload detail ->
+      Metrics.incr_overload t.metrics;
+      respond (Error { Proto.e_code = Proto.e_overload; e_detail = detail })
+  | exception Breaker.Open_circuit _ -> (
+      (* the key's circuit is open: serve the safe baseline immediately
+         (annotated, degraded) rather than queueing another doomed
+         sweep *)
+      Metrics.incr_degraded_breaker t.metrics;
+      match baseline () with
+      | exception e -> internal e
+      | r ->
+          respond
+            (Ok
+               (reply ~breaker_open:true
+                  {
+                    Registry.o_result = r;
+                    o_tier = Proto.T_tuned;
+                    o_degraded = true;
+                    o_deadline_expired = false;
+                    o_tuning_ms = 0.;
+                  })))
+  | exception e -> internal e
+  | o ->
+      Metrics.incr_tier t.metrics o.Registry.o_tier;
+      if o.Registry.o_deadline_expired then
+        Metrics.incr_degraded_deadline t.metrics
+      else if !lost then Metrics.incr_degraded_lost t.metrics
+      else if o.Registry.o_degraded then
+        Metrics.incr_degraded_fell_back t.metrics;
+      if o.Registry.o_tier = Proto.T_tuned then
+        Metrics.observe_tuning_ms t.metrics o.Registry.o_tuning_ms;
+      respond (Ok (reply ~breaker_open:false o))
+
+let handle_tune (t : t) (id : Json.t) (tq : Proto.tune_request) :
+    Proto.response =
+  let arch = tq.Proto.tq_arch in
+  let kernel = tq.Proto.tq_kernel in
+  let et = tq.Proto.tq_et in
+  let fp = match et with Etype.F32 -> Some A.Ir.Ast.Float | Etype.F64 -> None in
+  let name = Kernels.name_to_string ?fp kernel in
+  let space =
+    match tq.Proto.tq_space with
+    | Some s -> s
+    | None -> Tuner.space_for kernel
+  in
+  (* the tuner's own content address: f32 under the s-prefixed name *)
+  let key =
+    Registry.key ~arch:arch.Arch.name ~name
+      ~fingerprint:(Tuner.space_fingerprint space)
+  in
+  let reply ~breaker_open (o : Tuner.result Registry.outcome) : Proto.reply =
+    let r = o.Registry.o_result in
     Proto.R_kernel
       {
-        rk_kernel = Kernels.name_to_string ?fp kernel;
+        rk_kernel = name;
         rk_arch = arch.Arch.name;
-        rk_assembly = assembly;
+        rk_assembly =
+          Att.program_to_string ~et ~avx:(arch.Arch.simd = Arch.AVX)
+            r.Tuner.best_program;
         rk_provenance =
           {
             Proto.pv_tier = o.Registry.o_tier;
@@ -215,93 +260,34 @@ let handle_tune (t : t) (id : Json.t) (tq : Proto.tune_request) :
         rk_degraded = o.Registry.o_degraded;
       }
   in
-  match
-    Registry.find_or_compute t.registry ~et ~arch ~kernel ~space ~compute
-  with
-  | exception Proto.Overload detail ->
-      Metrics.incr_overload t.metrics;
-      respond (Error { Proto.e_code = Proto.e_overload; e_detail = detail })
-  | exception Breaker.Open_circuit _ ->
-      (* the key's circuit is open: serve the safe baseline immediately
-         (annotated, degraded) rather than queueing another doomed
-         sweep.  The baseline needs no sweep, so it runs inline. *)
-      Metrics.incr_degraded_breaker t.metrics;
-      let r = Tuner.tune ~et ~space:[] arch kernel in
-      respond
-        (Ok
-           (kernel_reply ~breaker_open:true
-              {
-                Registry.o_result = r;
-                o_tier = Proto.T_tuned;
-                o_degraded = true;
-                o_deadline_expired = false;
-                o_tuning_ms = 0.;
-              }))
-  | exception Tuner.No_viable_configuration detail ->
-      Metrics.incr_errors t.metrics;
-      respond (Error { Proto.e_code = Proto.e_internal; e_detail = detail })
-  | exception e ->
-      Metrics.incr_errors t.metrics;
-      respond
-        (Error
-           { Proto.e_code = Proto.e_internal; e_detail = Printexc.to_string e })
-  | o ->
-      Metrics.incr_tier t.metrics o.Registry.o_tier;
-      if o.Registry.o_deadline_expired then
-        Metrics.incr_degraded_deadline t.metrics
-      else if !lost then Metrics.incr_degraded_lost t.metrics
-      else if o.Registry.o_degraded then
-        Metrics.incr_degraded_fell_back t.metrics;
-      if o.Registry.o_tier = Proto.T_tuned then
-        Metrics.observe_tuning_ms t.metrics o.Registry.o_tuning_ms;
-      respond (Ok (kernel_reply o))
+  handle_cached t id t.registry key ~deadline_ms:tq.Proto.tq_deadline_ms
+    ~sweep:(fun () ->
+      Tuner.tune ~et ~jobs:t.cfg.cfg_tune_jobs ~space arch kernel)
+    ~baseline:(fun () -> Tuner.tune ~et ~space:[] arch kernel)
+    ~reply
 
-(* --- blocked-DGEMM planning ---------------------------------------------- *)
-
-(* The safe-baseline plan: the degradation target when a blocked
-   request's deadline expires or its worker dies.  No sweep — the
-   baseline micro-kernel with the analytically-derived blocking and
-   baseline packing and SCAL kernels, all generated inline. *)
-let baseline_plan ~(et : Etype.t) ~(workload : Perf.workload) (arch : Arch.t)
-    : A.Blocked.plan =
-  let bb = Tuner.tune_blocked ~et ~workload ~space:[] arch in
-  let pa = Tuner.tune ~et ~space:[] arch Kernels.Pack_a in
-  let pb = Tuner.tune ~et ~space:[] arch Kernels.Pack_b in
-  let sc = Tuner.tune ~et ~space:[] arch Kernels.Scal in
-  {
-    A.Blocked.pl_arch = arch;
-    pl_et = et;
-    pl_blocking = bb.Tuner.bb_blocking;
-    pl_mr = bb.Tuner.bb_mr;
-    pl_nr = bb.Tuner.bb_nr;
-    pl_micro = bb.Tuner.bb_program;
-    pl_micro_config = bb.Tuner.bb_candidate;
-    pl_pack_a = pa.Tuner.best_program;
-    pl_pack_b = pb.Tuner.best_program;
-    pl_scal = sc.Tuner.best_program;
-    pl_blocked_mflops = bb.Tuner.bb_blocked_score;
-    pl_streamed_mflops = bb.Tuner.bb_streamed_score;
-  }
+(* A plan is addressed by its precision-prefixed name ("blocked-dgemm",
+   "blocked-sgemm"), the shape its blocking is tuned for, and the
+   spaces of its four sweeps (micro-kernel, pack-A, pack-B, SCAL). *)
+let plan_key ~(et : Etype.t) (arch : Arch.t) ~m ~n ~k : Registry.key =
+  let spaces =
+    List.concat_map Tuner.space_for Kernels.[ Gemm; Pack_a; Pack_b; Scal ]
+  in
+  Registry.key ~arch:arch.Arch.name
+    ~name:("blocked-" ^ Etype.blas_prefix et ^ "gemm")
+    ~fingerprint:
+      (Printf.sprintf "m=%d,n=%d,k=%d,%s" m n k
+         (Tuner.space_fingerprint spaces))
 
 let handle_blocked (t : t) (id : Json.t) (bq : Proto.blocked_request) :
     Proto.response =
-  let t0 = t.now () in
   let arch = bq.Proto.bq_arch in
   let et = bq.Proto.bq_et in
   let m = bq.Proto.bq_m and n = bq.Proto.bq_n and k = bq.Proto.bq_k in
-  let key = (arch.Arch.name, Etype.name et, m, n, k) in
   let workload = Perf.W_gemm { m; n; k } in
-  let deadline_ms =
-    match bq.Proto.bq_deadline_ms with
-    | Some _ as d -> d
-    | None -> t.cfg.cfg_deadline_ms
-  in
-  let deadline = Option.map (fun ms -> t0 +. (ms /. 1000.)) deadline_ms in
-  let respond (rs_result : (Proto.reply, Proto.error) Stdlib.result) =
-    Metrics.observe_request_ms t.metrics ((t.now () -. t0) *. 1000.);
-    { Proto.rs_id = id; rs_result }
-  in
-  let reply ~tier ~degraded ~tuning_ms (p : A.Blocked.plan) : Proto.reply =
+  let reply ~breaker_open:_ (o : A.Blocked.plan Registry.outcome) :
+      Proto.reply =
+    let p = o.Registry.o_result in
     let avx = arch.Arch.simd = Arch.AVX in
     let bl = p.A.Blocked.pl_blocking in
     Proto.R_blocked
@@ -325,79 +311,31 @@ let handle_blocked (t : t) (id : Json.t) (bq : Proto.blocked_request) :
           (A.Blocked.predict p workload).Perf.e_mflops;
         rb_streamed_mflops =
           (A.Blocked.predict_streamed p workload).Perf.e_mflops;
-        rb_tier = tier;
-        rb_degraded = degraded;
-        rb_tuning_ms = tuning_ms;
+        rb_tier = o.Registry.o_tier;
+        rb_degraded = o.Registry.o_degraded;
+        rb_tuning_ms = o.Registry.o_tuning_ms;
       }
   in
-  match Mutex.protect t.bm (fun () -> Hashtbl.find_opt t.bplans key) with
-  | Some (p, _) ->
-      Metrics.incr_tier t.metrics Proto.T_memory;
-      respond (Ok (reply ~tier:Proto.T_memory ~degraded:false ~tuning_ms:0. p))
-  | None -> (
-      (* no single-flight here: concurrent identical blocked requests
-         each run their own sweep (the plan memo only dedupes across
-         time).  Plans are requested rarely enough that coalescing
-         machinery isn't worth its states. *)
-      let job () =
-        A.Blocked.plan ~et ~jobs:t.cfg.cfg_tune_jobs ~workload arch
-      in
-      match Scheduler.submit t.sched ?deadline job with
-      | None ->
-          Metrics.incr_overload t.metrics;
-          respond
-            (Error
-               {
-                 Proto.e_code = Proto.e_overload;
-                 e_detail =
-                   Printf.sprintf "queue at capacity (%d)"
-                     (Scheduler.capacity t.sched);
-               })
-      | Some fut -> (
-          let degrade counter =
-            counter t.metrics;
-            Metrics.incr_tier t.metrics Proto.T_tuned;
-            match baseline_plan ~et ~workload arch with
-            | p ->
-                respond
-                  (Ok (reply ~tier:Proto.T_tuned ~degraded:true ~tuning_ms:0. p))
-            | exception Tuner.No_viable_configuration detail ->
-                Metrics.incr_errors t.metrics;
-                respond
-                  (Error { Proto.e_code = Proto.e_internal; e_detail = detail })
-          in
-          match Scheduler.await fut with
-          | Scheduler.Done p ->
-              let tuning_ms = (t.now () -. t0) *. 1000. in
-              Mutex.protect t.bm (fun () ->
-                  Hashtbl.replace t.bplans key (p, tuning_ms));
-              Metrics.incr_tier t.metrics Proto.T_tuned;
-              Metrics.observe_tuning_ms t.metrics tuning_ms;
-              respond
-                (Ok (reply ~tier:Proto.T_tuned ~degraded:false ~tuning_ms p))
-          | Scheduler.Expired -> degrade Metrics.incr_degraded_deadline
-          | Scheduler.Lost -> degrade Metrics.incr_degraded_lost
-          | Scheduler.Failed (Tuner.No_viable_configuration detail) ->
-              Metrics.incr_errors t.metrics;
-              respond
-                (Error { Proto.e_code = Proto.e_internal; e_detail = detail })
-          | Scheduler.Failed e ->
-              Metrics.incr_errors t.metrics;
-              respond
-                (Error
-                   {
-                     Proto.e_code = Proto.e_internal;
-                     e_detail = Printexc.to_string e;
-                   })))
+  handle_cached t id t.plans (plan_key ~et arch ~m ~n ~k)
+    ~deadline_ms:bq.Proto.bq_deadline_ms
+    ~sweep:(fun () ->
+      A.Blocked.plan ~et ~jobs:t.cfg.cfg_tune_jobs ~workload arch)
+    ~baseline:(fun () -> A.Blocked.baseline_plan ~et ~workload arch)
+    ~reply
+
+let op_name : Proto.op -> string = function
+  | Proto.Op_ping -> "ping"
+  | Proto.Op_stats -> "stats"
+  | Proto.Op_shutdown -> "shutdown"
+  | Proto.Op_tune _ -> "tune"
+  | Proto.Op_blocked _ -> "blocked"
 
 let handle_request (t : t) (rq : Proto.request) : Proto.response =
-  let id = rq.Proto.rq_id in
+  let answer rs_result = { Proto.rs_id = rq.Proto.rq_id; rs_result } in
+  Metrics.incr_request t.metrics (op_name rq.Proto.rq_op);
   match rq.Proto.rq_op with
-  | Proto.Op_ping ->
-      Metrics.incr_request t.metrics "ping";
-      { Proto.rs_id = id; rs_result = Ok Proto.R_pong }
+  | Proto.Op_ping -> answer (Ok Proto.R_pong)
   | Proto.Op_stats ->
-      Metrics.incr_request t.metrics "stats";
       (* refresh the resilience gauges from their owning components so
          the snapshot can't drift from the real counters *)
       Metrics.set_workers t.metrics
@@ -427,38 +365,20 @@ let handle_request (t : t) (rq : Proto.request) : Proto.response =
         | Json.Obj fields -> Json.Obj (fields @ [ native ])
         | j -> j
       in
-      { Proto.rs_id = id; rs_result = Ok (Proto.R_stats stats) }
+      answer (Ok (Proto.R_stats stats))
   | Proto.Op_shutdown ->
-      Metrics.incr_request t.metrics "shutdown";
       (* also unblocks a parked accept loop, like SIGINT/SIGTERM *)
       request_stop t;
-      { Proto.rs_id = id; rs_result = Ok Proto.R_shutting_down }
-  | Proto.Op_tune tq ->
-      Metrics.incr_request t.metrics "tune";
-      if stopping t then
-        {
-          Proto.rs_id = id;
-          rs_result =
-            Error
-              {
-                Proto.e_code = Proto.e_shutting_down;
-                e_detail = "server is shutting down";
-              };
-        }
-      else handle_tune t id tq
-  | Proto.Op_blocked bq ->
-      Metrics.incr_request t.metrics "blocked";
-      if stopping t then
-        {
-          Proto.rs_id = id;
-          rs_result =
-            Error
-              {
-                Proto.e_code = Proto.e_shutting_down;
-                e_detail = "server is shutting down";
-              };
-        }
-      else handle_blocked t id bq
+      answer (Ok Proto.R_shutting_down)
+  | (Proto.Op_tune _ | Proto.Op_blocked _) when stopping t ->
+      answer
+        (Error
+           {
+             Proto.e_code = Proto.e_shutting_down;
+             e_detail = "server is shutting down";
+           })
+  | Proto.Op_tune tq -> handle_tune t rq.Proto.rq_id tq
+  | Proto.Op_blocked bq -> handle_blocked t rq.Proto.rq_id bq
 
 let handle_line (t : t) (line : string) : string =
   match Proto.parse_request line with

@@ -2,13 +2,16 @@
     {!Scheduler} and {!Metrics} into a long-lived compile-and-serve
     daemon with two transports.
 
-    Request flow for [tune]: admission counter → registry L1 →
-    single-flight attach → registry L2 (disk) → bounded scheduler queue
-    ([E_overload] when full) → tuning sweep on a worker domain →
-    store + L1 insert → response.  A deadline that expires while the
-    job is queued degrades the request to the safe-baseline kernel
-    (the tuner's PR-1 fallback path) with [degraded: true] instead of
-    failing it.
+    Request flow for [tune] and [blocked] (one path; the ops differ
+    only in the sweep, the baseline and the reply): admission counter
+    → registry L1 → single-flight attach → registry L2 (disk) →
+    bounded scheduler queue ([E_overload] when full) → sweep on a
+    worker domain → store + L1 insert → response.  Kernels and
+    blocked-GEMM plans live in two {!Registry} instances that share
+    [cfg_lru], [cfg_cache_dir], the breaker and the metrics sink.  A
+    deadline that expires while the job is queued degrades the request
+    to the safe baseline (kernel or plan) with [degraded: true]
+    instead of failing it.
 
     Transports: [serve_stdio] (one request per stdin line, one response
     per stdout line, EOF = clean shutdown — what the [@serve-smoke]
@@ -21,15 +24,17 @@
     dir ({!Augem.Tuning_cache.recover}); worker domains that die are
     respawned under [cfg_restart_budget] and their lost jobs degrade to
     the safe baseline ([degraded.lost]); a key whose sweeps keep
-    failing trips a per-key circuit breaker and is served the baseline
-    with [provenance.breaker_open = true] until a cooldown probe
-    succeeds.  The [stats] snapshot carries the supervision, breaker
+    failing trips a per-key circuit breaker and is served the degraded
+    baseline (a kernel reply with [provenance.breaker_open = true])
+    until a cooldown probe succeeds.  The [stats] snapshot carries the supervision, breaker
     and recovery gauges under ["resilience"]. *)
 
 type config = {
   cfg_workers : int;  (** tuning-worker domains *)
   cfg_queue : int;  (** admission-queue capacity *)
-  cfg_lru : int;  (** in-memory tier capacity (entries) *)
+  cfg_lru : int;
+      (** in-memory tier capacity (entries), for kernels and for plans
+          each *)
   cfg_cache_dir : string option;  (** persistent tier; [None] disables *)
   cfg_deadline_ms : float option;
       (** default per-request deadline; a request's own [deadline_ms]
@@ -52,16 +57,21 @@ val default_config : config
 type t
 
 (** [create ~now ~config ()].  [now] is the clock used for deadlines
-    (injectable for deterministic tests). *)
+    and latencies (default: the monotonic clock; injectable for
+    deterministic tests). *)
 val create : ?now:(unit -> float) -> ?config:config -> unit -> t
 
 val metrics : t -> Metrics.t
-val registry : t -> Registry.t
+val registry : t -> Augem.Tuner.result Registry.t
+
+(** The blocked-GEMM plan registry (same bound, cache dir and breaker
+    as {!registry}). *)
+val plans : t -> Augem.Blocked.plan Registry.t
 val scheduler : t -> Scheduler.t
 val config : t -> config
 
 (** Handle one decoded request synchronously (blocks through the
-    scheduler for [tune] misses).  Never raises. *)
+    scheduler for [tune] and [blocked] misses).  Never raises. *)
 val handle_request : t -> Proto.request -> Proto.response
 
 (** Parse one wire line and handle it; the response line (no trailing

@@ -2,11 +2,12 @@
    scripted stdio serving session (serve_responses.txt) and the smoke
    serving-benchmark artifact (BENCH_serve.json).
 
-   The checks mirror the issue's acceptance bar: a first request is
-   answered from a real sweep (tier "tuned") with non-degraded
-   assembly, the identical second request is an in-memory hit, the
-   stats snapshot agrees exactly with the scripted sequence, and the
-   benchmark's warm-path mean latency is at least 10x below cold. *)
+   The checks: a first tune request is answered from a real sweep
+   (tier "tuned") with non-degraded assembly and the identical second
+   request is an in-memory hit; the same holds for a blocked-GEMM plan
+   and its repeat; the stats snapshot agrees exactly with the scripted
+   sequence; and the benchmark's warm-path mean latency is at least
+   10x below cold. *)
 
 module Json = Augem.Json
 
@@ -41,8 +42,8 @@ let check_responses path =
   let lines = In_channel.with_open_text path In_channel.input_lines in
   let lines = List.filter (fun l -> String.trim l <> "") lines in
   (match lines with
-  | [ _; _; _; _ ] -> ()
-  | _ -> fail "expected 4 response lines in %s, got %d" path (List.length lines));
+  | [ _; _; _; _; _; _ ] -> ()
+  | _ -> fail "expected 6 response lines in %s, got %d" path (List.length lines));
   let r = Array.of_list (List.map (parse_line "response") lines) in
   (* 1: cold tune — a sweep ran, nothing degraded, assembly present *)
   expect_int "r1.id" 1 (member "id" r.(0));
@@ -61,15 +62,25 @@ let check_responses path =
   expect_str "r2.tier" "memory" (member "tier" (member "provenance" r.(1)));
   (* 3: ping *)
   expect_bool "r3.pong" true (member "pong" r.(2));
-  (* 4: stats consistent with exactly this scripted sequence *)
-  let stats = member "stats" r.(3) in
+  (* 4, 5: a blocked plan from a real sweep, then from memory *)
+  List.iter
+    (fun (i, tier) ->
+      let what = Printf.sprintf "r%d" (i + 1) in
+      expect_int (what ^ ".id") (i + 1) (member "id" r.(i));
+      expect_bool (what ^ ".ok") true (member "ok" r.(i));
+      expect_bool (what ^ ".degraded") false (member "degraded" r.(i));
+      expect_str (what ^ ".tier") tier (member "tier" r.(i)))
+    [ (3, "tuned"); (4, "memory") ];
+  (* 6: stats consistent with exactly this scripted sequence *)
+  let stats = member "stats" r.(5) in
   let requests = member "requests" stats in
   expect_int "stats.requests.tune" 2 (member "tune" requests);
+  expect_int "stats.requests.blocked" 2 (member "blocked" requests);
   expect_int "stats.requests.ping" 1 (member "ping" requests);
   expect_int "stats.requests.stats" 1 (member "stats" requests);
   let tiers = member "tiers" stats in
-  expect_int "stats.tiers.tuned" 1 (member "tuned" tiers);
-  expect_int "stats.tiers.memory" 1 (member "memory" tiers);
+  expect_int "stats.tiers.tuned" 2 (member "tuned" tiers);
+  expect_int "stats.tiers.memory" 2 (member "memory" tiers);
   expect_int "stats.tiers.coalesced" 0 (member "coalesced" tiers);
   expect_int "stats.rejects.overload" 0 (member "overload" (member "rejects" stats));
   expect_int "stats.errors" 0 (member "errors" stats);
@@ -112,9 +123,9 @@ let check_responses path =
                    (Json.to_string x))
         fields
   | x -> fail "stats.native: expected an object, got %s" (Json.to_string x));
-  (* both tune requests are in the latency histogram (only tune
-     requests pay a measurable admission-to-response path) *)
-  expect_int "stats.request_ms.count" 2 (member "count" (member "request_ms" stats))
+  (* the tune and blocked requests are in the latency histogram (only
+     they pay a measurable admission-to-response path) *)
+  expect_int "stats.request_ms.count" 4 (member "count" (member "request_ms" stats))
 
 let check_bench path =
   let j =

@@ -133,6 +133,15 @@ let test_plan_shape () =
   Alcotest.(check bool) "blocked >= streamed on tuning workload" true
     (p.Blocked.pl_blocked_mflops >= p.Blocked.pl_streamed_mflops)
 
+(* A swept plan is not fell-back; the sweep-free baseline plan always
+   is, so the service never caches it. *)
+let test_plan_fell_back () =
+  Alcotest.(check bool) "tuned plan" false (Lazy.force plan).Blocked.pl_fell_back;
+  let b = Blocked.baseline_plan arch in
+  Alcotest.(check bool) "baseline plan" true b.Blocked.pl_fell_back;
+  Alcotest.(check bool) "baseline micro-kernel is the safe one" true
+    (b.Blocked.pl_micro_config = A.Tuner.safe_baseline)
+
 (* --- natively executed (host-gated) -------------------------------------- *)
 
 module Et = A.Machine.Etype
@@ -300,6 +309,7 @@ let suite =
       Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
       Alcotest.test_case "shape mismatch" `Quick test_shape_mismatch;
       Alcotest.test_case "plan shape" `Quick test_plan_shape;
+      Alcotest.test_case "plan fell-back flag" `Quick test_plan_fell_back;
       Alcotest.test_case "native differential, multi-block and alpha/beta"
         `Slow test_native_differential;
       Alcotest.test_case "native SCAL bit-identical to OCaml scaling" `Slow

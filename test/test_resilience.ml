@@ -31,6 +31,14 @@ let arch = Arch.sandy_bridge
 let tiny_space k =
   match Tuner.space_for k with c :: _ -> [ c ] | [] -> Alcotest.fail "empty space"
 
+(* the kernel registry's content address and fell-back rule, as the
+   server builds them *)
+let key k =
+  Registry.key ~arch:arch.Arch.name ~name:(Kernels.name_to_string k)
+    ~fingerprint:(Tuner.space_fingerprint (tiny_space k))
+
+let fell_back (r : Tuner.result) = r.Tuner.fell_back
+
 let canned = lazy (Tuner.tune ~space:(tiny_space Kernels.Axpy) arch Kernels.Axpy)
 let computed () = { Registry.c_result = Lazy.force canned; c_deadline_expired = false }
 
@@ -284,8 +292,7 @@ let test_scheduler_lost () =
 exception Boom
 
 let test_registry_leader_death_propagates () =
-  let t = Registry.create ~lru_capacity:4 () in
-  let space = tiny_space Kernels.Axpy in
+  let t = Registry.create ~fell_back ~lru_capacity:4 () in
   let m = Mutex.create () in
   let c = Condition.create () in
   let entered = ref false in
@@ -307,7 +314,7 @@ let test_registry_leader_death_propagates () =
     Thread.create
       (fun () ->
         match
-          Registry.find_or_compute t ~arch ~kernel:Kernels.Axpy ~space ~compute
+          Registry.find_or_compute t (key Kernels.Axpy) ~compute
         with
         | _ -> outcomes.(i) <- `Ok
         | exception Boom -> outcomes.(i) <- `Boom
@@ -338,8 +345,7 @@ let test_registry_leader_death_propagates () =
     outcomes;
   (* the key is retryable: the failed flight was fully cleaned up *)
   let o =
-    Registry.find_or_compute t ~arch ~kernel:Kernels.Axpy ~space
-      ~compute:(fun () -> computed ())
+    Registry.find_or_compute t (key Kernels.Axpy) ~compute:(fun () -> computed ())
   in
   Alcotest.(check string) "key retryable after failure" "tuned"
     (Proto.tier_to_string o.Registry.o_tier)
@@ -347,12 +353,9 @@ let test_registry_leader_death_propagates () =
 let test_registry_breaker_integration () =
   let now = ref 0. in
   let b = Breaker.create ~threshold:2 ~cooldown_s:10. ~now:(fun () -> !now) () in
-  let t = Registry.create ~lru_capacity:4 ~breaker:b () in
-  let space = tiny_space Kernels.Dot in
+  let t = Registry.create ~fell_back ~lru_capacity:4 ~breaker:b () in
   let failing () = raise Boom in
-  let go compute =
-    Registry.find_or_compute t ~arch ~kernel:Kernels.Dot ~space ~compute
-  in
+  let go compute = Registry.find_or_compute t (key Kernels.Dot) ~compute in
   (match go failing with
   | _ -> Alcotest.fail "compute should fail"
   | exception Boom -> ());
@@ -504,6 +507,14 @@ let tune_line ?(id = 1) kernel =
   Printf.sprintf {|{"id":%d,"op":"tune","kernel":"%s","arch":"sandybridge"}|} id
     kernel
 
+let blocked_line id =
+  Printf.sprintf
+    {|{"id":%d,"op":"blocked","arch":"sandybridge","m":64,"n":64,"k":64}|} id
+
+(* fire [action] on the next hit of [point] *)
+let arm_next point action =
+  F.arm [ { F.tr_point = point; tr_hit = F.hit_count point + 1; tr_action = action } ]
+
 let parse_json what line =
   match Json.parse line with
   | Ok j -> j
@@ -536,6 +547,15 @@ let test_server_lost_worker_degrades () =
       Alcotest.(check int) "worker death gauge" 1 (Metrics.get m "worker_deaths");
       Alcotest.(check int) "worker restart gauge" 1
         (Metrics.get m "worker_restarts");
+      (* a lost plan sweep is served the baseline plan, which is
+         fell-back: degraded and never cached *)
+      arm_next "scheduler.job" F.Kill;
+      let j3 = parse_json "lost plan" (Server.handle_line t (blocked_line 4)) in
+      Alcotest.(check bool) "plan degraded" true
+        (jget "lost plan" j3 "degraded" = Json.Bool true);
+      Alcotest.(check int) "plan counted as lost" 2 (Metrics.get m "degraded.lost");
+      Alcotest.(check int) "baseline plan not cached" 0
+        (Registry.lru_size (Server.plans t));
       Server.drain t)
 
 let test_server_breaker_serves_baseline () =
@@ -578,6 +598,23 @@ let test_server_breaker_serves_baseline () =
       let j3 = parse_json "probe" (Server.handle_line t (tune_line ~id:4 "dot")) in
       Alcotest.(check bool) "probe succeeds" true
         (jget "probe" j3 "degraded" = Json.Bool false);
+      (* a failing plan key trips the same breaker and is served the
+         degraded baseline plan, which is not cached *)
+      let blocked id = Server.handle_line t (blocked_line id) in
+      arm_next "registry.compute" F.Fail;
+      let j4 = parse_json "plan fail" (blocked 5) in
+      Alcotest.(check bool) "plan sweep fails" true
+        (jget "plan fail" j4 "ok" = Json.Bool false);
+      F.disarm ();
+      let j5 = parse_json "plan open" (blocked 6) in
+      Alcotest.(check bool) "plan served ok" true
+        (jget "plan open" j5 "ok" = Json.Bool true);
+      Alcotest.(check bool) "degraded baseline plan" true
+        (jget "plan open" j5 "degraded" = Json.Bool true);
+      Alcotest.(check int) "both breaker-degraded" 2
+        (Metrics.get m "degraded.breaker_open");
+      Alcotest.(check int) "baseline plan not cached" 0
+        (Registry.lru_size (Server.plans t));
       Server.drain t)
 
 let test_server_recovers_cache_at_boot () =

@@ -23,6 +23,14 @@ let arch = Arch.sandy_bridge
 let tiny_space k =
   match Tuner.space_for k with c :: _ -> [ c ] | [] -> Alcotest.fail "empty space"
 
+(* the kernel registry's content address and fell-back rule, as the
+   server builds them *)
+let key k =
+  Registry.key ~arch:arch.Arch.name ~name:(Kernels.name_to_string k)
+    ~fingerprint:(Tuner.space_fingerprint (tiny_space k))
+
+let fell_back (r : Tuner.result) = r.Tuner.fell_back
+
 (* a real (cheap) sweep result to hand out from stub computes *)
 let canned = lazy (Tuner.tune ~space:(tiny_space Kernels.Axpy) arch Kernels.Axpy)
 
@@ -112,16 +120,11 @@ let test_candidate_round_trip () =
 (* --- registry: tiers and LRU ---------------------------------------------- *)
 
 let test_registry_memory_tier () =
-  let t = Registry.create ~lru_capacity:4 () in
+  let t = Registry.create ~fell_back ~lru_capacity:4 () in
   let computes = ref 0 in
   let compute () = incr computes; computed () in
-  let space = tiny_space Kernels.Axpy in
-  let o1 =
-    Registry.find_or_compute t ~arch ~kernel:Kernels.Axpy ~space ~compute
-  in
-  let o2 =
-    Registry.find_or_compute t ~arch ~kernel:Kernels.Axpy ~space ~compute
-  in
+  let o1 = Registry.find_or_compute t (key Kernels.Axpy) ~compute in
+  let o2 = Registry.find_or_compute t (key Kernels.Axpy) ~compute in
   Alcotest.(check int) "one compute" 1 !computes;
   Alcotest.(check string) "first is tuned" "tuned"
     (Proto.tier_to_string o1.Registry.o_tier);
@@ -130,10 +133,10 @@ let test_registry_memory_tier () =
   Alcotest.(check int) "lru holds it" 1 (Registry.lru_size t)
 
 let test_registry_lru_eviction () =
-  let t = Registry.create ~lru_capacity:1 () in
+  let t = Registry.create ~fell_back ~lru_capacity:1 () in
   let computes = ref 0 in
   let compute () = incr computes; computed () in
-  let go k = Registry.find_or_compute t ~arch ~kernel:k ~space:(tiny_space k) ~compute in
+  let go k = Registry.find_or_compute t (key k) ~compute in
   ignore (go Kernels.Axpy);
   ignore (go Kernels.Dot) (* evicts axpy: capacity 1 *);
   Alcotest.(check int) "bounded" 1 (Registry.lru_size t);
@@ -145,14 +148,13 @@ let test_registry_disk_tier () =
   let dir = Filename.temp_dir "augem-serve-disk" "" in
   let computes = ref 0 in
   let compute () = incr computes; computed () in
-  let space = tiny_space Kernels.Scal in
   let events = ref [] in
   let on_event ~arch:_ ~kernel:_ ev = events := ev :: !events in
-  let t1 = Registry.create ~cache_dir:dir ~on_event () in
-  ignore (Registry.find_or_compute t1 ~arch ~kernel:Kernels.Scal ~space ~compute);
+  let t1 = Registry.create ~fell_back ~cache_dir:dir ~on_event () in
+  ignore (Registry.find_or_compute t1 (key Kernels.Scal) ~compute);
   (* a fresh registry with an empty L1 but the same disk dir *)
-  let t2 = Registry.create ~cache_dir:dir ~on_event () in
-  let o = Registry.find_or_compute t2 ~arch ~kernel:Kernels.Scal ~space ~compute in
+  let t2 = Registry.create ~fell_back ~cache_dir:dir ~on_event () in
+  let o = Registry.find_or_compute t2 (key Kernels.Scal) ~compute in
   Alcotest.(check int) "disk hit avoids the sweep" 1 !computes;
   Alcotest.(check string) "tier" "disk" (Proto.tier_to_string o.Registry.o_tier);
   Alcotest.(check bool) "store event seen" true
@@ -161,20 +163,19 @@ let test_registry_disk_tier () =
     (List.exists (function Tuner.Ev_disk_hit -> true | _ -> false) !events)
 
 let test_registry_degraded_not_cached () =
-  let t = Registry.create () in
+  let t = Registry.create ~fell_back () in
   let computes = ref 0 in
   let compute () = incr computes; computed ~expired:true () in
-  let space = tiny_space Kernels.Axpy in
-  let o = Registry.find_or_compute t ~arch ~kernel:Kernels.Axpy ~space ~compute in
+  let o = Registry.find_or_compute t (key Kernels.Axpy) ~compute in
   Alcotest.(check bool) "degraded" true o.Registry.o_degraded;
   Alcotest.(check int) "not inserted" 0 (Registry.lru_size t);
-  ignore (Registry.find_or_compute t ~arch ~kernel:Kernels.Axpy ~space ~compute);
+  ignore (Registry.find_or_compute t (key Kernels.Axpy) ~compute);
   Alcotest.(check int) "recomputed" 2 !computes
 
 (* --- single flight --------------------------------------------------------- *)
 
 let test_single_flight () =
-  let t = Registry.create () in
+  let t = Registry.create ~fell_back () in
   let g = gate () in
   let computes = ref 0 in
   let cm = Mutex.create () in
@@ -184,16 +185,12 @@ let test_single_flight () =
     computed ()
   in
   let n = 5 in
-  let space = tiny_space Kernels.Axpy in
   let tiers = Array.make n "" in
   let threads =
     List.init n (fun i ->
         Thread.create
           (fun () ->
-            let o =
-              Registry.find_or_compute t ~arch ~kernel:Kernels.Axpy ~space
-                ~compute
-            in
+            let o = Registry.find_or_compute t (key Kernels.Axpy) ~compute in
             tiers.(i) <- Proto.tier_to_string o.Registry.o_tier)
           ())
   in
@@ -212,11 +209,10 @@ let test_single_flight () =
   Alcotest.(check int) "n-1 coalesced" (n - 1) (count "coalesced")
 
 let test_single_flight_failure_shared () =
-  let t = Registry.create () in
+  let t = Registry.create ~fell_back () in
   let g = gate () in
   let compute () = wait_gate g; raise (Proto.Overload "synthetic") in
   let n = 3 in
-  let space = tiny_space Kernels.Dot in
   let failures = ref 0 in
   let fm = Mutex.create () in
   let threads =
@@ -224,8 +220,7 @@ let test_single_flight_failure_shared () =
         Thread.create
           (fun () ->
             match
-              Registry.find_or_compute t ~arch ~kernel:Kernels.Dot ~space
-                ~compute
+              Registry.find_or_compute t (key Kernels.Dot) ~compute
             with
             | exception Proto.Overload _ ->
                 Mutex.protect fm (fun () -> incr failures)
@@ -238,8 +233,7 @@ let test_single_flight_failure_shared () =
   Alcotest.(check int) "every waiter shares the failure" n !failures;
   (* the failed flight must not wedge the key *)
   let o =
-    Registry.find_or_compute t ~arch ~kernel:Kernels.Dot ~space
-      ~compute:(fun () -> computed ())
+    Registry.find_or_compute t (key Kernels.Dot) ~compute:(fun () -> computed ())
   in
   Alcotest.(check string) "key recovers" "tuned"
     (Proto.tier_to_string o.Registry.o_tier)
@@ -312,6 +306,44 @@ let jbool path j =
 let jstr j path =
   match Json.member path j with Some (Json.String s) -> s | _ -> "<missing>"
 
+let blocked_line ?deadline_ms ~id size =
+  Printf.sprintf
+    {|{"id":%d,"op":"blocked","arch":"sandybridge","m":%d,"n":%d,"k":%d%s}|}
+    id size size size
+    (match deadline_ms with
+    | Some ms -> Printf.sprintf {|,"deadline_ms":%g|} ms
+    | None -> "")
+
+(* Park the only worker behind a gate and run [f] on another thread;
+   [f]'s request queues behind the parked job. *)
+let with_parked_worker server f =
+  let sched = Server.scheduler server in
+  let g = gate () in
+  let busy = Scheduler.submit sched (fun () -> wait_gate g) in
+  while Scheduler.pending sched > 0 do Thread.yield () done;
+  let r = f g in
+  (match busy with Some f -> ignore (Scheduler.await f) | None -> ());
+  r
+
+(* Send [line] while the only worker is parked and let its deadline
+   pass before the worker frees up: the request is served degraded. *)
+let expire_while_parked server clock line =
+  with_parked_worker server (fun g ->
+      let resp = ref Json.Null in
+      let requester =
+        Thread.create
+          (fun () -> resp := reply_of (Server.handle_line server line))
+          ()
+      in
+      (* the request is queued once the scheduler holds one pending job *)
+      while Scheduler.pending (Server.scheduler server) < 1 do
+        Thread.yield ()
+      done;
+      clock := !clock +. 1. (* 1000 ms later: a 50 ms deadline is long gone *);
+      open_gate g;
+      Thread.join requester;
+      !resp)
+
 let test_server_scripted_sequence () =
   let server = Server.create () in
   let r1 = reply_of (Server.handle_line server (tune_line Kernels.Axpy)) in
@@ -346,41 +378,34 @@ let test_server_scripted_sequence () =
     (jstr (Option.get (Json.member "error" refused)) "code");
   Server.drain server
 
+(* A tune and two blocked requests whose deadlines expire in the queue:
+   each is served the baseline, degraded, and nothing is cached, so the
+   repeated plan request degrades again instead of hitting memory. *)
 let test_server_deadline_degrades () =
   let clock = ref 100. in
   let config = { Server.default_config with cfg_workers = 1; cfg_queue = 4 } in
   let server = Server.create ~now:(fun () -> !clock) ~config () in
-  let sched = Server.scheduler server in
-  let g = gate () in
-  (* park the only worker so the tune job sits in the queue *)
-  let busy = Scheduler.submit sched (fun () -> wait_gate g) in
-  while Scheduler.pending sched > 0 do Thread.yield () done;
-  let resp = ref Json.Null in
-  let requester =
-    Thread.create
-      (fun () ->
-        resp :=
-          reply_of
-            (Server.handle_line server
-               (tune_line ~deadline_ms:50. Kernels.Gemv)))
-      ()
-  in
-  (* the request is queued once the scheduler holds one pending job *)
-  while Scheduler.pending sched < 1 do Thread.yield () done;
-  clock := 101. (* 1000 ms later: the 50 ms deadline is long gone *);
-  open_gate g;
-  Thread.join requester;
-  let r = !resp in
+  let r = expire_while_parked server clock (tune_line ~deadline_ms:50. Kernels.Gemv) in
   Alcotest.(check bool) "ok" true (jbool "ok" r);
   Alcotest.(check bool) "degraded" true (jbool "degraded" r);
   let prov = Option.get (Json.member "provenance" r) in
   Alcotest.(check bool) "deadline_expired" true (jbool "deadline_expired" prov);
   Alcotest.(check bool) "baseline fell back" true (jbool "fell_back" prov);
+  List.iter
+    (fun id ->
+      let r =
+        expire_while_parked server clock (blocked_line ~deadline_ms:50. ~id 64)
+      in
+      Alcotest.(check bool) "plan ok" true (jbool "ok" r);
+      Alcotest.(check bool) "baseline plan, not memory" true (jbool "degraded" r);
+      Alcotest.(check string) "plan tier" "tuned" (jstr r "tier"))
+    [ 2; 3 ];
   let m = Server.metrics server in
-  Alcotest.(check int) "degraded.deadline" 1 (Metrics.get m "degraded.deadline");
+  Alcotest.(check int) "degraded.deadline" 3 (Metrics.get m "degraded.deadline");
   Alcotest.(check int) "degraded answers are not cached" 0
     (Registry.lru_size (Server.registry server));
-  (match busy with Some f -> ignore (Scheduler.await f) | None -> ());
+  Alcotest.(check int) "degraded plans are not cached" 0
+    (Registry.lru_size (Server.plans server));
   Server.drain server
 
 let test_server_overload_rejects () =
@@ -403,6 +428,100 @@ let test_server_overload_rejects () =
   (match busy with Some f -> ignore (Scheduler.await f) | None -> ());
   (match filler with Some f -> ignore (Scheduler.await f) | None -> ());
   Server.drain server
+
+(* --- blocked plans ----------------------------------------------------------- *)
+
+(* Canned plans for the plan registry: the sweep-free baseline plan
+   (fell back) and the same plan marked clean. *)
+let baseline_plan = lazy (A.Blocked.baseline_plan arch)
+let clean_plan = lazy { (Lazy.force baseline_plan) with A.Blocked.pl_fell_back = false }
+
+let plan_registry ?lru_capacity () =
+  Registry.create ?lru_capacity ~fell_back:(fun p -> p.A.Blocked.pl_fell_back) ()
+
+let plan_key i =
+  Registry.key ~arch:arch.Arch.name ~name:"blocked-dgemm"
+    ~fingerprint:(Printf.sprintf "canned-%d" i)
+
+let test_plan_registry_fell_back () =
+  let t = plan_registry () in
+  let computes = ref 0 in
+  let compute () =
+    incr computes;
+    { Registry.c_result = Lazy.force baseline_plan; c_deadline_expired = false }
+  in
+  let o = Registry.find_or_compute t (plan_key 0) ~compute in
+  Alcotest.(check string) "tier" "tuned" (Proto.tier_to_string o.Registry.o_tier);
+  Alcotest.(check bool) "served degraded" true o.Registry.o_degraded;
+  Alcotest.(check int) "never inserted" 0 (Registry.lru_size t);
+  ignore (Registry.find_or_compute t (plan_key 0) ~compute);
+  Alcotest.(check int) "recomputed" 2 !computes
+
+let test_plan_registry_bounded () =
+  let t = plan_registry ~lru_capacity:2 () in
+  let computes = ref 0 in
+  let compute () =
+    incr computes;
+    { Registry.c_result = Lazy.force clean_plan; c_deadline_expired = false }
+  in
+  let go i = Registry.find_or_compute t (plan_key i) ~compute in
+  List.iter (fun i -> ignore (go i)) [ 0; 1; 2 ];
+  Alcotest.(check int) "at most lru_capacity plans" 2 (Registry.lru_size t);
+  let o = go 0 in
+  Alcotest.(check string) "oldest plan evicted" "tuned"
+    (Proto.tier_to_string o.Registry.o_tier);
+  Alcotest.(check int) "recomputed" 4 !computes
+
+(* Two real plan sweeps: concurrent identical requests cost one, a
+   repeat is a memory hit, a second key under cfg_lru = 1 evicts the
+   first to disk, and a fresh server on the same cache dir replays
+   from disk. *)
+let test_server_blocked_tiers () =
+  let dir = Filename.temp_dir "augem-serve-plans" "" in
+  let config =
+    { Server.default_config with
+      cfg_workers = 1; cfg_queue = 4; cfg_lru = 1; cfg_cache_dir = Some dir }
+  in
+  Fun.protect ~finally:(fun () ->
+      ignore (A.Tuning_cache.clear ~dir);
+      try Sys.rmdir dir with Sys_error _ -> ())
+  @@ fun () ->
+  let server = Server.create ~config () in
+  let tier line =
+    let r = reply_of (Server.handle_line server line) in
+    Alcotest.(check bool) "ok" true (jbool "ok" r);
+    Alcotest.(check bool) "not degraded" false (jbool "degraded" r);
+    jstr r "tier"
+  in
+  let tiers = Array.make 3 "" in
+  with_parked_worker server (fun g ->
+      let threads =
+        List.init 3 (fun i ->
+            Thread.create (fun () -> tiers.(i) <- tier (blocked_line ~id:i 64)) ())
+      in
+      Registry.wait_coalesced (Server.plans server) 2;
+      open_gate g;
+      List.iter Thread.join threads);
+  Alcotest.(check (list string)) "one sweep, the others coalesced"
+    [ "coalesced"; "coalesced"; "tuned" ]
+    (List.sort compare (Array.to_list tiers));
+  let m = Server.metrics server in
+  Alcotest.(check int) "tiers.tuned" 1 (Metrics.get m "tiers.tuned");
+  Alcotest.(check string) "repeat" "memory" (tier (blocked_line ~id:10 64));
+  Alcotest.(check string) "second key" "tuned" (tier (blocked_line ~id:11 48));
+  Alcotest.(check int) "cfg_lru bounds plans" 1
+    (Registry.lru_size (Server.plans server));
+  Alcotest.(check int) "kernels untouched" 0
+    (Registry.lru_size (Server.registry server));
+  Alcotest.(check string) "evicted plan replays from disk" "disk"
+    (tier (blocked_line ~id:12 64));
+  Alcotest.(check int) "both plans stored" 2 (Metrics.get m "cache.stores");
+  Alcotest.(check int) "requests.blocked" 6 (Metrics.get m "requests.blocked");
+  Server.drain server;
+  let restarted = Server.create ~config () in
+  let r = reply_of (Server.handle_line restarted (blocked_line ~id:13 48)) in
+  Alcotest.(check string) "restart replays from disk" "disk" (jstr r "tier");
+  Server.drain restarted
 
 (* --- metrics --------------------------------------------------------------- *)
 
@@ -466,5 +585,11 @@ let suite =
       test_server_deadline_degrades;
     Alcotest.test_case "server overload rejects" `Quick
       test_server_overload_rejects;
+    Alcotest.test_case "plan registry: fell-back plan not stored" `Quick
+      test_plan_registry_fell_back;
+    Alcotest.test_case "plan registry: LRU bound" `Quick
+      test_plan_registry_bounded;
+    Alcotest.test_case "server blocked: coalesce, memory, evict, disk" `Slow
+      test_server_blocked_tiers;
     Alcotest.test_case "metrics snapshot" `Quick test_metrics_snapshot_consistency;
   ]
