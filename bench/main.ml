@@ -1,27 +1,35 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (section 5).
+   evaluation (section 5), plus the extension experiments.
 
-     Table 5   platform configurations
-     Fig 18a/b DGEMM  MFLOPS vs size, 4 libraries, both CPUs
-     Fig 19a/b DGEMV
-     Fig 20a/b DAXPY
-     Fig 21a/b DDOT
-     Table 6   SYMM/SYRK/SYR2K/TRMM/TRSM/GER average MFLOPS
+     bench/main.exe [--json-out DIR] [--jobs N] [--smoke] [EXPERIMENT...]
 
-   For each experiment the same series/rows the paper reports are
-   printed, followed by the mean speedup summary (the numbers quoted in
-   the paper's prose), and a machine-readable BENCH_<exp>.json artifact
-   is written next to the tables (--json-out picks the directory), so
-   every revision leaves a perf trajectory to compare against.  A timed
-   tuning-sweep section measures the sweep's wall-clock and
-   candidates/sec at --jobs 1 and --jobs N (BENCH_sweep.json).  A
-   Bechamel micro-benchmark of the code path behind each experiment
-   runs at the end (one Test.make per table and figure).
+   Each experiment is one row of [experiments] (at the end): a name, its
+   full grid and its reduced --smoke grid.  Naming no experiment runs
+   all of them, in table order:
 
-   --smoke runs a reduced grid (small Figure 18 + one small sweep,
-   JSON emitted and validated by the @bench-smoke alias) for CI.
+     verify        every library kernel re-verified on the simulator
+     table5        platform configurations
+     fig18..fig21  DGEMM/DGEMV/DAXPY/DDOT MFLOPS vs size, 4 libraries,
+                   both CPUs
+     full          blocked vs streamed DGEMM (BENCH_full.json)
+     full_f32      the same at f32 (BENCH_full_f32.json)
+     table6        SYMM/SYRK/SYR2K/TRMM/TRSM/GER average MFLOPS
+     sweep         the tuning sweep's wall-clock at jobs 1 and --jobs N
+     native        measured wall-clock blocked DGEMM/SGEMM
+     ablations     each design choice switched off in isolation
+     portability   tuned DGEMM across architectures
+     bechamel      one Bechamel micro-benchmark per table and figure
+     serve         cold vs warm latency of the in-process kernel service
 
-   Numbers come from the cycle-level + bandwidth model of the two
+   The figure and table experiments print the series/rows the paper
+   reports, followed by the mean speedup summary (the numbers quoted in
+   the paper's prose).  Every experiment with an artifact writes
+   BENCH_<name>.json into --json-out (default .), which test/smoke
+   checks against the artifact's schema.  [serve] runs last, so its
+   server's worker domain and client threads never overlap a timed
+   experiment.
+
+   Modelled numbers come from the cycle-level + bandwidth model of the
    modelled CPUs (see DESIGN.md): absolute values are the model's, the
    cross-library shape is the reproduction target.  EXPERIMENTS.md
    records paper-vs-measured for every experiment. *)
@@ -43,7 +51,6 @@ let archs = [ Arch.sandy_bridge; Arch.piledriver ]
 
 let json_out = ref "."
 let jobs_flag = ref (A.Pool.default_jobs ())
-let smoke = ref false
 
 let write_json name (v : Json.t) =
   let path = Filename.concat !json_out ("BENCH_" ^ name ^ ".json") in
@@ -59,7 +66,8 @@ let range lo hi step =
 let table5 () =
   Report.pp_table Fmt.stdout ~title:"Table 5: Platforms Configurations"
     ~header:[ "Intel Sandy Bridge"; "AMD Piledriver" ]
-    (List.map (fun (l, a, b) -> (l, [ a; b ])) (Arch.table5_rows ()))
+    (List.map (fun (l, a, b) -> (l, [ a; b ])) (Arch.table5_rows ()));
+  Fmt.pr "@."
 
 (* --- figure sweeps --------------------------------------------------------- *)
 
@@ -123,7 +131,7 @@ let json_of_speedups ~(baseline : string) (series : Report.series list) :
                    | Some _ | None -> None)
                series))
 
-let figure ~num ~title ~kernel ~workload ~sizes ~x_label : Json.t =
+let figure ~num ~title ~kernel ~workload ~x_label sizes () : Json.t =
   let arch_objs =
     List.mapi
       (fun i arch ->
@@ -156,25 +164,25 @@ let figure ~num ~title ~kernel ~workload ~sizes ~x_label : Json.t =
       ("arches", Json.List arch_objs);
     ]
 
-let fig18 ?(sizes = range 1024 6144 256) () =
+let fig18 =
   figure ~num:18 ~title:"DGEMM (m=n, k=256)" ~kernel:Kernels.Gemm
     ~workload:(fun m -> Perf.W_gemm { m; n = m; k = 256 })
-    ~sizes ~x_label:"m=n"
+    ~x_label:"m=n"
 
-let fig19 () =
+let fig19 =
   figure ~num:19 ~title:"DGEMV (m=n)" ~kernel:Kernels.Gemv
     ~workload:(fun m -> Perf.W_gemv { m; n = m })
-    ~sizes:(range 2048 5120 256) ~x_label:"m=n"
+    ~x_label:"m=n"
 
-let fig20 () =
+let fig20 =
   figure ~num:20 ~title:"DAXPY" ~kernel:Kernels.Axpy
     ~workload:(fun n -> Perf.W_axpy { n })
-    ~sizes:(range 100_000 200_000 5_000) ~x_label:"n"
+    ~x_label:"n"
 
-let fig21 () =
+let fig21 =
   figure ~num:21 ~title:"DDOT" ~kernel:Kernels.Dot
     ~workload:(fun n -> Perf.W_dot { n })
-    ~sizes:(range 100_000 200_000 5_000) ~x_label:"n"
+    ~x_label:"n"
 
 (* --- full-matrix blocked GEMM sweep -------------------------------------- *)
 
@@ -189,15 +197,21 @@ module Mem_model = A.Sim.Mem_model
    blocking override makes small matrices span many blocks — the
    blocking is a runtime parameter of the generated code). *)
 
-let full_sizes_default = [ 256; 512; 1024; 1536; 2048 ]
-
 (* Awkward shapes: primes, one block exactly, one block + remainder,
    unit.  With blocking 8/6/4 every one of these exercises remainder
    blocks in at least one dimension. *)
 let full_check_shapes = [ (17, 13, 11); (8, 6, 6); (9, 5, 7); (1, 1, 1) ]
 let full_check_blocking = { Mem_model.bl_mc = 8; bl_kc = 6; bl_nc = 4 }
 
-let full_matrix ?(et = Etype.F64) ?(sizes = full_sizes_default) () : Json.t =
+let blocking_json (b : Mem_model.blocking) : Json.t =
+  Json.Obj
+    [
+      ("mc", Json.Int b.Mem_model.bl_mc);
+      ("kc", Json.Int b.Mem_model.bl_kc);
+      ("nc", Json.Int b.Mem_model.bl_nc);
+    ]
+
+let full_matrix (et : Etype.t) (sizes : int list) () : Json.t =
   let gemm_name = String.uppercase_ascii (Etype.blas_prefix et) ^ "GEMM" in
   Fmt.pr
     "== Full-matrix blocked %s (m=n=k; generated packing + macro-kernel) \
@@ -271,13 +285,7 @@ let full_matrix ?(et = Etype.F64) ?(sizes = full_sizes_default) () : Json.t =
           [
             ("arch", Json.String arch.Arch.name);
             ("model", Json.String arch.Arch.model);
-            ( "blocking",
-              Json.Obj
-                [
-                  ("mc", Json.Int plan.A.Blocked.pl_blocking.Mem_model.bl_mc);
-                  ("kc", Json.Int plan.A.Blocked.pl_blocking.Mem_model.bl_kc);
-                  ("nc", Json.Int plan.A.Blocked.pl_blocking.Mem_model.bl_nc);
-                ] );
+            ("blocking", blocking_json plan.A.Blocked.pl_blocking);
             ("mr", Json.Int plan.A.Blocked.pl_mr);
             ("nr", Json.Int plan.A.Blocked.pl_nr);
             ( "micro_config",
@@ -321,20 +329,17 @@ module Clock = A.Jit.Clock
    the required SIMD features the whole experiment is skipped with an
    explicit marker, never silently. *)
 
-let native_sizes_default = [ 256; 512; 1024 ]
-
 (* Pick the first modelled architecture whose generated code this host
-   can actually run (piledriver wants FMA4, which modern x86 lacks). *)
-let native_arch_for ~(et : Etype.t) : (Arch.t * A.Blocked.plan, string) result
-    =
+   can actually run (piledriver wants FMA4, which modern x86 lacks), and
+   return its plan loaded into executable memory. *)
+let native_arch_for ~(et : Etype.t) :
+    (Native_blocked.native_plan, string) result =
   let rec go = function
     | [] -> Error "no modelled architecture is runnable on this host"
     | arch :: rest -> (
         let plan = A.Blocked.plan ~et ~jobs:!jobs_flag arch in
         match Native_blocked.load plan with
-        | Native_check.Ready np ->
-            Native_blocked.release np;
-            Ok (arch, plan)
+        | Native_check.Ready np -> Ok np
         | Native_check.Unsupported _ | Native_check.Rejected _ -> go rest)
   in
   (* prefer the AVX2+FMA3 machine: it is the closest model of a modern
@@ -343,99 +348,82 @@ let native_arch_for ~(et : Etype.t) : (Arch.t * A.Blocked.plan, string) result
 
 let native_precision ~(sizes : int list) (et : Etype.t) : Json.t =
   let gemm_name = String.uppercase_ascii (Etype.blas_prefix et) ^ "GEMM" in
+  let entry fields =
+    Json.Obj
+      (("precision", Json.String (Etype.name et))
+      :: ("name", Json.String gemm_name)
+      :: fields)
+  in
   match native_arch_for ~et with
   | Error m ->
       Fmt.pr "native %s: skipped (%s)@." gemm_name m;
-      Json.Obj
-        [
-          ("precision", Json.String (Etype.name et));
-          ("name", Json.String gemm_name);
-          ("skipped", Json.Bool true);
-          ("reason", Json.String m);
-        ]
-  | Ok (arch, plan) -> (
-      match Native_blocked.load plan with
-      | Native_check.Unsupported m | Native_check.Rejected m ->
-          Fmt.pr "native %s: skipped (%s)@." gemm_name m;
-          Json.Obj
-            [
-              ("precision", Json.String (Etype.name et));
-              ("name", Json.String gemm_name);
-              ("skipped", Json.Bool true);
-              ("reason", Json.String m);
-            ]
-      | Native_check.Ready np ->
-          (* differential gate before any timing: the simulated gate's
-             shapes and blocking, native vs simulated vs reference BLAS,
-             with both scaling steps bypassed and taken *)
-          let diffs =
-            List.concat_map
-              (fun (m, n, k) ->
-                List.map
-                  (fun (alpha, beta) ->
-                    (match
-                       Native_blocked.check ~blocking:full_check_blocking
-                         ~alpha ~beta np ~m ~n ~k ()
-                     with
-                    | Ok () -> ()
-                    | Error e ->
-                        Fmt.pr "NATIVE DIFFERENTIAL FAIL (%s %s): %s@."
-                          gemm_name arch.Arch.name e;
-                        exit 1);
-                    Json.Obj
-                      [
-                        ("m", Json.Int m); ("n", Json.Int n); ("k", Json.Int k);
-                        ("alpha", Json.Float alpha); ("beta", Json.Float beta);
-                        ("ok", Json.Bool true);
-                      ])
-                  [ (1.0, 1.0); (2.5, -0.5) ])
-              full_check_shapes
-          in
-          let points =
+      entry [ ("skipped", Json.Bool true); ("reason", Json.String m) ]
+  | Ok np ->
+      let plan = np.Native_blocked.np_plan in
+      let arch = plan.A.Blocked.pl_arch in
+      (* differential gate before any timing: the simulated gate's
+         shapes and blocking, native vs simulated vs reference BLAS,
+         with both scaling steps bypassed and taken *)
+      let diffs =
+        List.concat_map
+          (fun (m, n, k) ->
             List.map
-              (fun s ->
-                let b = Native_blocked.time_gemm np ~m:s ~n:s ~k:s () in
-                let predicted =
-                  (A.Blocked.predict plan (Perf.W_gemm { m = s; n = s; k = s }))
-                    .Perf.e_mflops
-                in
-                Fmt.pr
-                  "%-6s %6d  measured %9.0f MFLOPS  (model %9.0f; min %.4g s \
-                   over %d)@."
-                  gemm_name s b.Native_blocked.nb_mflops predicted
-                  b.Native_blocked.nb_timing.Clock.t_min_s
-                  b.Native_blocked.nb_timing.Clock.t_runs;
+              (fun (alpha, beta) ->
+                (match
+                   Native_blocked.check ~blocking:full_check_blocking ~alpha
+                     ~beta np ~m ~n ~k ()
+                 with
+                | Ok () -> ()
+                | Error e ->
+                    Fmt.pr "NATIVE DIFFERENTIAL FAIL (%s %s): %s@." gemm_name
+                      arch.Arch.name e;
+                    exit 1);
                 Json.Obj
                   [
-                    ("size", Json.Int s);
-                    ("mflops", Json.Float b.Native_blocked.nb_mflops);
-                    ("predicted_mflops", Json.Float predicted);
-                    ("runs", Json.Int b.Native_blocked.nb_timing.Clock.t_runs);
-                    ("min_s", Json.Float b.Native_blocked.nb_timing.Clock.t_min_s);
-                    ("mean_s", Json.Float b.Native_blocked.nb_timing.Clock.t_mean_s);
-                    ("max_s", Json.Float b.Native_blocked.nb_timing.Clock.t_max_s);
+                    ("m", Json.Int m); ("n", Json.Int n); ("k", Json.Int k);
+                    ("alpha", Json.Float alpha); ("beta", Json.Float beta);
+                    ("ok", Json.Bool true);
                   ])
-              sizes
-          in
-          Native_blocked.release np;
-          Json.Obj
-            [
-              ("precision", Json.String (Etype.name et));
-              ("name", Json.String gemm_name);
-              ("skipped", Json.Bool false);
-              ("arch", Json.String arch.Arch.name);
-              ( "blocking",
-                Json.Obj
-                  [
-                    ("mc", Json.Int plan.A.Blocked.pl_blocking.Mem_model.bl_mc);
-                    ("kc", Json.Int plan.A.Blocked.pl_blocking.Mem_model.bl_kc);
-                    ("nc", Json.Int plan.A.Blocked.pl_blocking.Mem_model.bl_nc);
-                  ] );
-              ("differential", Json.List diffs);
-              ("points", Json.List points);
-            ])
+              [ (1.0, 1.0); (2.5, -0.5) ])
+          full_check_shapes
+      in
+      let points =
+        List.map
+          (fun s ->
+            let b = Native_blocked.time_gemm np ~m:s ~n:s ~k:s () in
+            let predicted =
+              (A.Blocked.predict plan (Perf.W_gemm { m = s; n = s; k = s }))
+                .Perf.e_mflops
+            in
+            Fmt.pr
+              "%-6s %6d  measured %9.0f MFLOPS  (model %9.0f; min %.4g s over \
+               %d)@."
+              gemm_name s b.Native_blocked.nb_mflops predicted
+              b.Native_blocked.nb_timing.Clock.t_min_s
+              b.Native_blocked.nb_timing.Clock.t_runs;
+            Json.Obj
+              [
+                ("size", Json.Int s);
+                ("mflops", Json.Float b.Native_blocked.nb_mflops);
+                ("predicted_mflops", Json.Float predicted);
+                ("runs", Json.Int b.Native_blocked.nb_timing.Clock.t_runs);
+                ("min_s", Json.Float b.Native_blocked.nb_timing.Clock.t_min_s);
+                ("mean_s", Json.Float b.Native_blocked.nb_timing.Clock.t_mean_s);
+                ("max_s", Json.Float b.Native_blocked.nb_timing.Clock.t_max_s);
+              ])
+          sizes
+      in
+      Native_blocked.release np;
+      entry
+        [
+          ("skipped", Json.Bool false);
+          ("arch", Json.String arch.Arch.name);
+          ("blocking", blocking_json plan.A.Blocked.pl_blocking);
+          ("differential", Json.List diffs);
+          ("points", Json.List points);
+        ]
 
-let native_bench ?(sizes = native_sizes_default) () : Json.t =
+let native_bench (sizes : int list) () : Json.t =
   Fmt.pr "== Native blocked GEMM: measured wall-clock MFLOPS ==@.";
   let host = Native_check.host_features () in
   Fmt.pr "host: %s@."
@@ -532,8 +520,8 @@ let table6 () : Json.t =
    trajectory for the tuner itself.  Results are checked identical
    across job counts — the parallel sweep's determinism contract,
    enforced here on every bench run, not just in the test suite. *)
-let tuning_sweep ~(jobs : int) (pairs : (Arch.t * Kernels.name) list) : Json.t
-    =
+let tuning_sweep (pairs : (Arch.t * Kernels.name) list) () : Json.t =
+  let jobs = !jobs_flag in
   Fmt.pr "== Tuning sweep: wall-clock and candidates/sec ==@.";
   let time f =
     let t0 = Clock.now_s () in
@@ -623,7 +611,7 @@ let tuning_sweep ~(jobs : int) (pairs : (Arch.t * Kernels.name) list) : Json.t
       ("speedup", Json.Float speedup);
     ]
 
-let all_pairs () =
+let all_pairs =
   List.concat_map
     (fun arch ->
       List.map (fun k -> (arch, k))
@@ -658,7 +646,7 @@ let verify_everything () =
   if !failures = 0 then
     Fmt.pr
       "verification gate: all %d library/kernel/arch combinations match the \
-       reference BLAS on the functional simulator@."
+       reference BLAS on the functional simulator@.@."
       !total
   else exit 1
 
@@ -827,59 +815,188 @@ let run_bechamel () =
         results)
     (bechamel_tests ())
 
+(* --- serving: cold vs warm ------------------------------------------------ *)
+
+module Service = Augem_service
+
+(* Closed-loop clients against an in-process kernel service, through
+   the same [handle_line] path the transports use.  Cold phase: one
+   first request per (kernel, arch) key, sequential — each misses both
+   tiers and pays a full tuning sweep.  Warm phase: [serve_clients]
+   threads each issue [serve_requests] requests round-robin over the
+   same keys — each is an in-memory hit.  The headline number is the
+   cold/warm mean latency ratio; BENCH_serve.json records both
+   distributions plus the server's own stats snapshot, so the artifact
+   is self-consistent (requests = cold + warm + 1 stats, tiers.memory =
+   warm count). *)
+
+let serve_clients = 4
+let serve_requests = 25
+
+(* one-candidate spaces keep the cold sweep cheap without changing what
+   is measured (a miss still walks queue -> sweep -> store -> insert) *)
+let tiny_space kernel =
+  match Tuner.space_for kernel with c :: _ -> [ c ] | [] -> []
+
+let serve_smoke_keys =
+  [
+    (Kernels.Axpy, Arch.sandy_bridge, tiny_space Kernels.Axpy);
+    (Kernels.Dot, Arch.piledriver, tiny_space Kernels.Dot);
+  ]
+
+let serve_full_keys =
+  List.concat_map
+    (fun arch ->
+      List.map
+        (fun k -> (k, arch, Tuner.space_for k))
+        [ Kernels.Axpy; Kernels.Dot; Kernels.Scal; Kernels.Gemv ])
+    archs
+
+let tune_line (kernel, (arch : Arch.t), space) : string =
+  Json.to_string
+    (Service.Proto.request_to_json
+       {
+         Service.Proto.rq_id = Json.String (Kernels.name_to_string kernel);
+         rq_op =
+           Service.Proto.Op_tune
+             {
+               Service.Proto.tq_kernel = kernel;
+               tq_arch = arch;
+               tq_et = Etype.F64;
+               tq_space = (if space = [] then None else Some space);
+               tq_deadline_ms = None;
+             };
+       })
+
+let mean_ms samples =
+  if samples = [] then 0.
+  else List.fold_left ( +. ) 0. samples /. float_of_int (List.length samples)
+
+let phase_json (samples : float list) : Json.t =
+  Json.Obj
+    [
+      ("count", Json.Int (List.length samples));
+      ("mean_ms", Json.Float (mean_ms samples));
+      ("max_ms", Json.Float (List.fold_left Float.max 0. samples));
+    ]
+
+let serve ~mode keys () : Json.t =
+  Fmt.pr "== Serving: cold vs warm request latency ==@.";
+  let lines = List.map tune_line keys in
+  let server = Service.Server.create () in
+  (* latency of one request, on the monotonic clock *)
+  let request line =
+    let t0 = Clock.now_ns () in
+    let reply = Service.Server.handle_line server line in
+    let ms = Int64.to_float (Int64.sub (Clock.now_ns ()) t0) /. 1e6 in
+    match Json.parse reply with
+    | Ok j when Json.member "ok" j = Some (Json.Bool true) -> ms
+    | _ -> failwith ("serve: request failed: " ^ reply)
+  in
+  (* cold: sequential first requests, full sweep each *)
+  let cold = List.map request lines in
+  (* warm: closed-loop clients over the now-resident keys *)
+  let warm_m = Mutex.create () in
+  let warm = ref [] in
+  let client i =
+    let mine =
+      List.init serve_requests (fun r ->
+          request (List.nth lines ((i + r) mod List.length lines)))
+    in
+    Mutex.protect warm_m (fun () -> warm := mine @ !warm)
+  in
+  List.iter Thread.join (List.init serve_clients (Thread.create client));
+  let stats =
+    match
+      Json.parse (Service.Server.handle_line server {|{"id":0,"op":"stats"}|})
+    with
+    | Ok j -> Option.value (Json.member "stats" j) ~default:Json.Null
+    | Error _ -> Json.Null
+  in
+  Service.Server.drain server;
+  let cold_ms = mean_ms cold and warm_ms = mean_ms !warm in
+  let speedup = if warm_ms > 0. then cold_ms /. warm_ms else 0. in
+  Fmt.pr "%d keys, %d clients x %d requests@." (List.length keys)
+    serve_clients serve_requests;
+  Fmt.pr "cold  %d requests  mean %.2f ms@." (List.length cold) cold_ms;
+  Fmt.pr "warm  %d requests  mean %.3f ms@." (List.length !warm) warm_ms;
+  Fmt.pr "warm speedup %.1fx@.@." speedup;
+  Json.Obj
+    [
+      ("experiment", Json.String "serve");
+      ("mode", Json.String mode);
+      ( "kernels",
+        Json.List
+          (List.map
+             (fun (k, (a : Arch.t), _) ->
+               Json.String (Kernels.name_to_string k ^ "@" ^ a.Arch.name))
+             keys) );
+      ("clients", Json.Int serve_clients);
+      ("requests_per_client", Json.Int serve_requests);
+      ("cold", phase_json cold);
+      ("warm", phase_json !warm);
+      ("speedup", Json.Float speedup);
+      ("stats", stats);
+    ]
+
 (* --- main ------------------------------------------------------------------ *)
 
-let run_full () =
-  verify_everything ();
-  Fmt.pr "@.";
-  table5 ();
-  Fmt.pr "@.";
-  write_json "fig18" (fig18 ());
-  write_json "fig19" (fig19 ());
-  write_json "fig20" (fig20 ());
-  write_json "fig21" (fig21 ());
-  write_json "full" (full_matrix ());
-  write_json "full_f32" (full_matrix ~et:Etype.F32 ());
-  write_json "table6" (table6 ());
-  write_json "sweep" (tuning_sweep ~jobs:!jobs_flag (all_pairs ()));
-  write_json "native" (native_bench ());
-  ablations ();
-  portability ();
-  run_bechamel ()
+type experiment = { name : string; full : unit -> unit; smoke : unit -> unit }
 
-(* Reduced run for CI (@bench-smoke): a small Figure 18 grid and one
-   small sweep, emitting the same JSON artifacts the full run does. *)
-let run_smoke () =
-  write_json "fig18" (fig18 ~sizes:[ 1024; 1536 ] ());
-  write_json "sweep"
-    (tuning_sweep ~jobs:!jobs_flag
-       [ (Arch.sandy_bridge, Kernels.Axpy); (Arch.piledriver, Kernels.Dot) ])
-
-(* Reduced blocked-GEMM run for CI (@blocked-smoke): the differential
-   gate on the simulator plus a small model sweep, at both precisions,
-   emitting the same BENCH_full.json / BENCH_full_f32.json the full run
-   does. *)
-let run_blocked_smoke () =
-  let sizes = [ 256; 512; 1024 ] in
-  write_json "full" (full_matrix ~sizes ());
-  write_json "full_f32" (full_matrix ~et:Etype.F32 ~sizes ())
-
-(* Native wall-clock run: only the measured blocked-GEMM experiment.
-   --native-smoke shrinks the grid for CI (@native-smoke validates the
-   emitted JSON, including the skipped:true marker on hosts without
-   AVX). *)
-let run_native ~smoke () =
-  let sizes = if smoke then [ 128; 256 ] else native_sizes_default in
-  write_json "native" (native_bench ~sizes ())
+(* One row per experiment: its full grid and its --smoke grid (the same
+   run where the experiment has no reduced grid).  An [artifact] row
+   writes what its runs return to BENCH_<name>.json.  Rows run in this
+   order; [serve] stays last. *)
+let experiments =
+  let row name ?smoke full =
+    { name; full; smoke = Option.value smoke ~default:full }
+  in
+  let artifact name ?smoke full =
+    let write run () = write_json name (run ()) in
+    row name ?smoke:(Option.map write smoke) (write full)
+  in
+  let blocked_sizes = [ 256; 512; 1024; 1536; 2048 ] in
+  let blocked_smoke_sizes = [ 256; 512; 1024 ] in
+  [
+    row "verify" verify_everything;
+    row "table5" table5;
+    artifact "fig18"
+      (fig18 (range 1024 6144 256))
+      ~smoke:(fig18 [ 1024; 1536 ]);
+    artifact "fig19" (fig19 (range 2048 5120 256));
+    artifact "fig20" (fig20 (range 100_000 200_000 5_000));
+    artifact "fig21" (fig21 (range 100_000 200_000 5_000));
+    artifact "full"
+      (full_matrix Etype.F64 blocked_sizes)
+      ~smoke:(full_matrix Etype.F64 blocked_smoke_sizes);
+    artifact "full_f32"
+      (full_matrix Etype.F32 blocked_sizes)
+      ~smoke:(full_matrix Etype.F32 blocked_smoke_sizes);
+    artifact "table6" table6;
+    artifact "sweep" (tuning_sweep all_pairs)
+      ~smoke:
+        (tuning_sweep
+           [
+             (Arch.sandy_bridge, Kernels.Axpy); (Arch.piledriver, Kernels.Dot);
+           ]);
+    artifact "native" (native_bench [ 256; 512; 1024 ])
+      ~smoke:(native_bench [ 128; 256 ]);
+    row "ablations" ablations;
+    row "portability" portability;
+    row "bechamel" run_bechamel;
+    artifact "serve"
+      (serve ~mode:"full" serve_full_keys)
+      ~smoke:(serve ~mode:"smoke" serve_smoke_keys);
+  ]
 
 let () =
+  let names = List.map (fun e -> e.name) experiments in
   let usage =
-    "bench/main.exe [--json-out DIR] [--jobs N] [--smoke] [--blocked-smoke] \
-     [--native] [--native-smoke]"
+    "bench/main.exe [--json-out DIR] [--jobs N] [--smoke] [EXPERIMENT...]\n\
+     experiments (default: all): " ^ String.concat " " names
   in
-  let blocked_smoke = ref false in
-  let native = ref false in
-  let native_smoke = ref false in
+  let smoke = ref false in
+  let selected = ref [] in
   Arg.parse
     [
       ( "--json-out",
@@ -888,28 +1005,22 @@ let () =
       ( "--jobs",
         Arg.Set_int jobs_flag,
         "N  tuning-sweep parallelism (default: recommended domain count)" );
-      ( "--smoke",
-        Arg.Set smoke,
-        "  reduced CI run: small Figure 18 grid + one small sweep" );
-      ( "--blocked-smoke",
-        Arg.Set blocked_smoke,
-        "  reduced CI run: blocked-DGEMM differential gate + small \
-         full-matrix sweep" );
-      ( "--native",
-        Arg.Set native,
-        "  measured run: JIT the blocked GEMM and report wall-clock MFLOPS \
-         (BENCH_native.json; skips with a marker on hosts without AVX)" );
-      ( "--native-smoke",
-        Arg.Set native_smoke,
-        "  reduced CI run: native blocked GEMM on a small grid" );
+      ("--smoke", Arg.Set smoke, "  run each experiment's reduced grid");
     ]
-    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    (fun name ->
+      if List.mem name names then selected := name :: !selected
+      else
+        raise
+          (Arg.Bad
+             (Printf.sprintf "unknown experiment %S (valid: %s)" name
+                (String.concat ", " names))))
     usage;
   jobs_flag := max 1 !jobs_flag;
   Tuner.set_jobs !jobs_flag;
   Fmt.pr "AUGEM reproduction benchmark harness@.";
   Fmt.pr "(modelled CPUs; shapes reproduce the paper's figures/tables)@.@.";
-  if !native || !native_smoke then run_native ~smoke:!native_smoke ()
-  else if !blocked_smoke then run_blocked_smoke ()
-  else if !smoke then run_smoke ()
-  else run_full ()
+  List.iter
+    (fun e ->
+      if !selected = [] || List.mem e.name !selected then
+        (if !smoke then e.smoke else e.full) ())
+    experiments

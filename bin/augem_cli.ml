@@ -107,17 +107,6 @@ let script_arg =
           "Transformation script (overrides --jam/--unroll/--prefetch); see \
            the directive language in lib/transform/script.ml.")
 
-let load_script = function
-  | None -> None
-  | Some path ->
-      let src = In_channel.with_open_text path In_channel.input_all in
-      (match A.Transform.Script.parse src with
-      | Ok s -> Some s
-      | Error msg ->
-          (* msg is "line N: ..." since Script tracks directive lines *)
-          Fmt.epr "%s: script error: %s@." path msg;
-          exit 1)
-
 let config_of_flags kernel jam unroll prefetch =
   let default_for k =
     match k with
@@ -149,6 +138,22 @@ let config_of_flags kernel jam unroll prefetch =
           Some { A.Transform.Prefetch.pf_distance = d; pf_stores = true });
   }
 
+(* The configuration and emit options a subcommand's flags describe: a
+   --script file, or else --jam/--unroll/--prefetch over the kernel's
+   defaults. *)
+let config_of_args kernel jam unroll prefetch = function
+  | None ->
+      ( config_of_flags kernel jam unroll prefetch,
+        A.Codegen.Emit.default_options )
+  | Some path -> (
+      let src = In_channel.with_open_text path In_channel.input_all in
+      match A.Transform.Script.parse src with
+      | Ok s -> (s.A.Transform.Script.sc_config, A.opts_of_script s)
+      | Error msg ->
+          (* msg is "line N: ..." since Script tracks directive lines *)
+          Fmt.epr "%s: script error: %s@." path msg;
+          exit 1)
+
 (* --- subcommands -------------------------------------------------------- *)
 
 let native_arg =
@@ -164,14 +169,8 @@ let native_arg =
 
 let generate_cmd =
   let run arch kernel et jam unroll prefetch script native =
-    let g =
-      match load_script script with
-      | Some s -> A.generate_scripted ~et ~arch ~script:s kernel
-      | None ->
-          A.generate ~et ~arch
-            ~config:(config_of_flags kernel jam unroll prefetch)
-            kernel
-    in
+    let config, opts = config_of_args kernel jam unroll prefetch script in
+    let g = A.generate ~et ~opts ~arch ~config kernel in
     print_string (A.assembly g);
     if native then begin
       let st = A.Native_check.check ~arch ~et kernel g.A.g_program in
@@ -353,13 +352,8 @@ let tune_cmd =
 
 let phases_cmd =
   let run arch kernel jam unroll prefetch script =
-    let g =
-      match load_script script with
-      | Some s -> A.generate_scripted ~arch ~script:s kernel
-      | None ->
-          A.generate ~arch ~config:(config_of_flags kernel jam unroll prefetch)
-            kernel
-    in
+    let config, opts = config_of_args kernel jam unroll prefetch script in
+    let g = A.generate ~opts ~arch ~config kernel in
     Fmt.pr "=== 1. simple C input ===@.%a@.@." A.Ir.Pp.pp_kernel g.A.g_source;
     Fmt.pr "=== 2. optimized low-level C ===@.%a@.@." A.Ir.Pp.pp_kernel
       g.A.g_optimized;
@@ -404,11 +398,7 @@ let max_faults_arg =
 
 let verify_cmd =
   let run arch kernel et jam unroll prefetch chaos chaos_asm max_faults =
-    let fp =
-      match et with
-      | A.Machine.Etype.F32 -> Some A.Ir.Ast.Float
-      | A.Machine.Etype.F64 -> None
-    in
+    let fp = A.fp_of_et et in
     let config = config_of_flags kernel jam unroll prefetch in
     let g = A.generate ~et ~arch ~config kernel in
     let v = A.verify g in
@@ -486,20 +476,11 @@ let finding_to_json (f : A.Analysis.Asmcheck.finding) : A.Json.t =
 
 let lint_cmd =
   let run arch kernel et jam unroll prefetch script json =
-    let g =
-      match load_script script with
-      | Some s -> A.generate_scripted ~et ~arch ~script:s kernel
-      | None ->
-          A.generate ~et ~arch
-            ~config:(config_of_flags kernel jam unroll prefetch)
-            kernel
+    let config, opts = config_of_args kernel jam unroll prefetch script in
+    let g = A.generate ~et ~opts ~arch ~config kernel in
+    let params =
+      (A.Ir.Kernels.kernel_of_name ?fp:(A.fp_of_et et) kernel).A.Ir.Ast.k_params
     in
-    let fp =
-      match et with
-      | A.Machine.Etype.F32 -> Some A.Ir.Ast.Float
-      | A.Machine.Etype.F64 -> None
-    in
-    let params = (A.Ir.Kernels.kernel_of_name ?fp kernel).A.Ir.Ast.k_params in
     let findings =
       A.Verify.Oracle.check_static
         ~avx:(arch.A.Machine.Arch.simd = A.Machine.Arch.AVX)
@@ -556,21 +537,13 @@ let compile_cmd =
         exit 1
     | Ok kernel ->
         let config, opts =
-          match load_script script with
-          | Some s ->
-              (s.A.Transform.Script.sc_config, A.opts_of_script s)
-          | None ->
-              let config =
-                config_of_flags A.Ir.Kernels.Gemm jam unroll prefetch
-              in
-              (* without explicit flags, only the always-safe passes *)
-              let config =
-                if jam = None && unroll = None then
-                  { config with A.Transform.Pipeline.jam = [];
-                    inner_unroll = None }
-                else config
-              in
-              (config, A.Codegen.Emit.default_options)
+          config_of_args A.Ir.Kernels.Gemm jam unroll prefetch script
+        in
+        (* without any flag, only the always-safe passes *)
+        let config =
+          if script = None && jam = None && unroll = None then
+            { config with A.Transform.Pipeline.jam = []; inner_unroll = None }
+          else config
         in
         let optimized = A.Transform.Pipeline.apply kernel config in
         let prog = A.Codegen.Emit.generate ~arch ~opts optimized in
@@ -662,23 +635,12 @@ let explain_json_arg =
 
 let explain_cmd =
   let run arch kernel et jam unroll prefetch script json =
-    let config, prefer, max_width =
-      match load_script script with
-      | Some sc ->
-          let eo = A.opts_of_script sc in
-          ( sc.A.Transform.Script.sc_config,
-            eo.A.Codegen.Emit.prefer,
-            eo.A.Codegen.Emit.max_width )
-      | None ->
-          ( config_of_flags kernel jam unroll prefetch,
-            A.Codegen.Plan.Prefer_auto,
-            None )
-    in
+    let config, eo = config_of_args kernel jam unroll prefetch script in
     let opts =
       {
         A.Driver.Lower.default_opts with
-        A.Driver.Lower.prefer;
-        max_width;
+        A.Driver.Lower.prefer = eo.A.Codegen.Emit.prefer;
+        max_width = eo.A.Codegen.Emit.max_width;
         snapshots = true;
       }
     in
@@ -835,10 +797,10 @@ let serve_cmd =
       value & opt (some float) None
       & info [ "deadline-ms" ] ~docv:"MS"
           ~doc:
-            "Default per-request deadline: a tune request still queued \
-             after $(docv) is served the safe-baseline kernel with \
-             degraded:true instead of waiting for a sweep.  Requests may \
-             override with their own deadline_ms.")
+            "Default per-request deadline: a tune or blocked request still \
+             queued after $(docv) is served the safe-baseline kernel or plan \
+             with degraded:true instead of waiting for a sweep.  Requests \
+             may override with their own deadline_ms.")
   in
   let tune_jobs_arg =
     Arg.(
@@ -931,9 +893,10 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run the kernel service: accept line-delimited JSON tune/stats \
-          requests (stdio or a Unix-domain socket) and answer with tuned \
-          assembly plus provenance, through the two-tier cache, \
+         "Run the kernel service: accept line-delimited JSON \
+          tune/blocked/ping/stats/shutdown requests (stdio or a Unix-domain \
+          socket) and answer with tuned assembly or blocked-GEMM plans plus \
+          provenance, through the two-tier cache, \
           single-flight deduplication and the bounded admission queue; \
           with $(b,--chaos-seed), run the deterministic fault-injection \
           harness instead")

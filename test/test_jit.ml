@@ -394,31 +394,39 @@ let native_guard () =
   end
   else true
 
-(* The full guarded path on a couple of kernels at both precisions:
-   lint gate, feature check, JIT, then the three-way differential
-   (native vs simulator vs reference BLAS) over the harness sweep. *)
+(* The full guarded path on every kernel, every modelled arch and both
+   precisions: lint gate, feature check, JIT, then the three-way
+   differential (native vs simulator vs reference BLAS) over the harness
+   sweep.  A Skip is only legal when cpuid reports a feature missing, so
+   a host with SSE2+AVX must run at least one combination. *)
 let test_native_differential () =
-  if native_guard () then
+  if native_guard () then begin
+    let checked = ref 0 in
     List.iter
-      (fun et ->
+      (fun (arch : Arch.t) ->
         List.iter
-          (fun kernel ->
-            let arch = Arch.haswell in
-            let cand = A.Tuner.safe_baseline in
-            let g =
-              A.generate ~et ~arch ~config:cand.A.Tuner.cand_config
-                ~opts:cand.A.Tuner.cand_opts kernel
-            in
-            match A.Native_check.check ~arch ~et kernel g.A.g_program with
-            | A.Native_check.Pass -> ()
-            | A.Native_check.Skip m ->
-                Printf.printf "%s %s: skipped (%s)\n"
-                  (K.name_to_string kernel) (Et.name et) m
-            | A.Native_check.Fail m ->
-                Alcotest.failf "%s %s: %s" (K.name_to_string kernel)
-                  (Et.name et) m)
-          [ K.Copy; K.Dot; K.Gemm ])
-      [ Et.F64; Et.F32 ]
+          (fun et ->
+            List.iter
+              (fun kernel ->
+                let cand = A.Tuner.safe_baseline in
+                let g =
+                  A.generate ~et ~arch ~config:cand.A.Tuner.cand_config
+                    ~opts:cand.A.Tuner.cand_opts kernel
+                in
+                match A.Native_check.check ~arch ~et kernel g.A.g_program with
+                | A.Native_check.Pass -> incr checked
+                | A.Native_check.Skip m ->
+                    Printf.printf "%s %s %s: skipped (%s)\n" arch.Arch.name
+                      (K.name_to_string kernel) (Et.name et) m
+                | A.Native_check.Fail m ->
+                    Alcotest.failf "%s %s %s: %s" arch.Arch.name
+                      (K.name_to_string kernel) (Et.name et) m)
+              K.[ Gemm; Gemv; Axpy; Dot; Ger; Scal; Copy; Pack_a; Pack_b ])
+          [ Et.F64; Et.F32 ])
+      Arch.extended;
+    if !checked = 0 then
+      Alcotest.fail "host claims SSE2+AVX but every differential check skipped"
+  end
 
 (* Rejected programs must never reach executable memory: a kernel with
    a flags hazard comes back Fail/Rejected from the gate, not loaded. *)
