@@ -387,30 +387,37 @@ let native_precision ~(sizes : int list) (et : Etype.t) : Json.t =
               [ (1.0, 1.0); (2.5, -0.5) ])
           full_check_shapes
       in
+      (* every size on one core, the figure the per-core model
+         predicts, and on the whole team *)
+      let team = A.Pool.default_jobs () in
       let points =
-        List.map
+        List.concat_map
           (fun s ->
-            let b = Native_blocked.time_gemm np ~m:s ~n:s ~k:s () in
             let predicted =
               (A.Blocked.predict plan (Perf.W_gemm { m = s; n = s; k = s }))
                 .Perf.e_mflops
             in
-            Fmt.pr
-              "%-6s %6d  measured %9.0f MFLOPS  (model %9.0f; min %.4g s over \
-               %d)@."
-              gemm_name s b.Native_blocked.nb_mflops predicted
-              b.Native_blocked.nb_timing.Clock.t_min_s
-              b.Native_blocked.nb_timing.Clock.t_runs;
-            Json.Obj
-              [
-                ("size", Json.Int s);
-                ("mflops", Json.Float b.Native_blocked.nb_mflops);
-                ("predicted_mflops", Json.Float predicted);
-                ("runs", Json.Int b.Native_blocked.nb_timing.Clock.t_runs);
-                ("min_s", Json.Float b.Native_blocked.nb_timing.Clock.t_min_s);
-                ("mean_s", Json.Float b.Native_blocked.nb_timing.Clock.t_mean_s);
-                ("max_s", Json.Float b.Native_blocked.nb_timing.Clock.t_max_s);
-              ])
+            List.map
+              (fun jobs ->
+                let b = Native_blocked.time_gemm ~jobs np ~m:s ~n:s ~k:s () in
+                let t = b.Native_blocked.nb_timing in
+                Fmt.pr
+                  "%-6s %6d  jobs %d  measured %9.0f MFLOPS  (model %9.0f per \
+                   core; min %.4g s over %d)@."
+                  gemm_name s jobs b.Native_blocked.nb_mflops predicted
+                  t.Clock.t_min_s t.Clock.t_runs;
+                Json.Obj
+                  [
+                    ("size", Json.Int s);
+                    ("jobs", Json.Int jobs);
+                    ("mflops", Json.Float b.Native_blocked.nb_mflops);
+                    ("predicted_mflops", Json.Float predicted);
+                    ("runs", Json.Int t.Clock.t_runs);
+                    ("min_s", Json.Float t.Clock.t_min_s);
+                    ("mean_s", Json.Float t.Clock.t_mean_s);
+                    ("max_s", Json.Float t.Clock.t_max_s);
+                  ])
+              (List.sort_uniq compare [ 1; team ]))
           sizes
       in
       Native_blocked.release np;

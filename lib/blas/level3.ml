@@ -3,7 +3,8 @@
    [dgemm_naive] is the semantics oracle.  [nest] is Goto's
    block-partitioned algorithm (the one the paper's GEMM kernel plugs
    into): loops over Kc x Nc panels of B and Mc x Kc blocks of A, with
-   packing, scaling and the micro-kernel delegated to an [executor].
+   packing, scaling and the micro-kernel delegated to an [executor]
+   whose workers may share each panel's blocks.
    One nest, three executors: [dgemm_blocked] here (reference packing
    into the layouts the generated micro-kernel expects, A[l*Mc + i] and
    B[j*Kc + l], and a micro-kernel callback — by default the reference
@@ -101,16 +102,31 @@ let default_blocking = { bk_mc = 128; bk_kc = 256; bk_nc = 512 }
 
 (* --- the macro-kernel loop nest ----------------------------------------- *)
 
-type executor = {
-  scale_c : float -> unit;
-  pack_b : l0:int -> j0:int -> kc:int -> nc:int -> unit;
-  scale_b : float -> kc:int -> nc:int -> unit;
+type worker = {
   pack_a : i0:int -> l0:int -> mc:int -> kc:int -> unit;
   micro : i0:int -> j0:int -> mc:int -> kc:int -> nc:int -> unit;
 }
 
+type fork = int -> (int -> unit) -> unit
+
+let direct : fork =
+ fun n slice ->
+  for w = 0 to n - 1 do
+    slice w
+  done
+
+type executor = {
+  scale_c : float -> unit;
+  pack_b : l0:int -> j0:int -> kc:int -> nc:int -> unit;
+  scale_b : float -> kc:int -> nc:int -> unit;
+  workers : worker array;
+  fork : fork;
+}
+
 (* Validation happens when the operands are applied, so a caller can
-   build its executor knowing the problem is well formed. *)
+   build its executor knowing the problem is well formed.  No step of a
+   pass allocates unless it forks: the cursor and [claim] are made once
+   here, and the loop indices are immutable per iteration. *)
 let nest ~who ~blocking ~alpha ~beta (a : t) (b : t) (c : t) :
     executor -> unit =
   let m = a.rows and k = a.cols and n = b.cols in
@@ -119,29 +135,41 @@ let nest ~who ~blocking ~alpha ~beta (a : t) (b : t) (c : t) :
   let { bk_mc; bk_kc; bk_nc } = blocking in
   if bk_mc < 1 || bk_kc < 1 || bk_nc < 1 then
     invalid_arg (who ^ ": blocking dimensions must be positive");
-  fun ex ->
-    if beta <> 1. then ex.scale_c beta;
-    if alpha <> 0. then begin
-      let j0 = ref 0 in
-      while !j0 < n do
-        let nc = min bk_nc (n - !j0) in
-        let l0 = ref 0 in
-        while !l0 < k do
-          let kc = min bk_kc (k - !l0) in
-          ex.pack_b ~l0:!l0 ~j0:!j0 ~kc ~nc;
-          if alpha <> 1. then ex.scale_b alpha ~kc ~nc;
-          let i0 = ref 0 in
-          while !i0 < m do
-            let mc = min bk_mc (m - !i0) in
-            ex.pack_a ~i0:!i0 ~l0:!l0 ~mc ~kc;
-            ex.micro ~i0:!i0 ~j0:!j0 ~mc ~kc ~nc;
-            i0 := !i0 + mc
-          done;
-          l0 := !l0 + kc
-        done;
-        j0 := !j0 + nc
-      done
+  let blocks = (m + bk_mc - 1) / bk_mc in
+  let cursor = Atomic.make 0 in
+  let rec claim (w : worker) ~l0 ~j0 ~kc ~nc =
+    let blk = Atomic.fetch_and_add cursor 1 in
+    if blk < blocks then begin
+      let i0 = blk * bk_mc in
+      let mc = min bk_mc (m - i0) in
+      w.pack_a ~i0 ~l0 ~mc ~kc;
+      w.micro ~i0 ~j0 ~mc ~kc ~nc;
+      claim w ~l0 ~j0 ~kc ~nc
     end
+  in
+  fun ex ->
+    let workers = Array.length ex.workers in
+    if beta <> 1. then ex.scale_c beta;
+    if alpha <> 0. then
+      for jb = 0 to ((n + bk_nc - 1) / bk_nc) - 1 do
+        let j0 = jb * bk_nc in
+        let nc = min bk_nc (n - j0) in
+        for lb = 0 to ((k + bk_kc - 1) / bk_kc) - 1 do
+          let l0 = lb * bk_kc in
+          let kc = min bk_kc (k - l0) in
+          ex.pack_b ~l0 ~j0 ~kc ~nc;
+          if alpha <> 1. then ex.scale_b alpha ~kc ~nc;
+          Atomic.set cursor 0;
+          if workers = 1 || blocks = 1 then
+            claim ex.workers.(0) ~l0 ~j0 ~kc ~nc
+          else
+            ex.fork workers (fun w -> claim ex.workers.(w) ~l0 ~j0 ~kc ~nc)
+        done
+      done
+
+let packed_sizes { bk_mc; bk_kc; bk_nc } (a : t) (b : t) =
+  let kc = min bk_kc a.cols in
+  (min bk_mc a.rows * kc, kc * min bk_nc b.cols)
 
 let scale alpha (m : t) =
   for j = 0 to m.cols - 1 do
@@ -155,8 +183,8 @@ let dgemm_blocked ?(blocking = default_blocking)
     ?(kernel : micro_kernel = micro_kernel_ref) ~alpha ~beta (a : t) (b : t)
     (c : t) =
   let run = nest ~who:"dgemm" ~blocking ~alpha ~beta a b c in
-  let pa = Array.make (blocking.bk_mc * blocking.bk_kc) 0. in
-  let pb = Array.make (blocking.bk_kc * blocking.bk_nc) 0. in
+  let pa_len, pb_len = packed_sizes blocking a b in
+  let pa = Array.make pa_len 0. and pb = Array.make pb_len 0. in
   run
     {
       scale_c = (fun beta -> scale beta c);
@@ -166,11 +194,17 @@ let dgemm_blocked ?(blocking = default_blocking)
           for idx = 0 to (kc * nc) - 1 do
             pb.(idx) <- alpha *. pb.(idx)
           done);
-      pack_a = (fun ~i0 ~l0 ~mc ~kc -> pack_a a ~i0 ~l0 ~mc ~kc pa);
-      micro =
-        (fun ~i0 ~j0 ~mc ~kc ~nc ->
-          kernel ~mc ~kc ~nc ~pa ~pb ~c_data:c.data
-            ~c_off:((j0 * c.ld) + i0) ~ldc:c.ld);
+      workers =
+        [|
+          {
+            pack_a = (fun ~i0 ~l0 ~mc ~kc -> pack_a a ~i0 ~l0 ~mc ~kc pa);
+            micro =
+              (fun ~i0 ~j0 ~mc ~kc ~nc ->
+                kernel ~mc ~kc ~nc ~pa ~pb ~c_data:c.data
+                  ~c_off:((j0 * c.ld) + i0) ~ldc:c.ld);
+          };
+        |];
+      fork = direct;
     }
 
 let dgemm = dgemm_blocked

@@ -63,26 +63,57 @@ type blocking = {
 
 val default_blocking : blocking
 
-(** The five steps of one macro-kernel pass, keyed by block
-    coordinates: C := beta*C; pack the kc x nc panel of B at (l0, j0);
-    packed B := alpha * packed B; pack the mc x kc block of A at
-    (i0, l0); the C tile at (i0, j0) += packed A * packed B.  An
-    executor owns its operands, packing buffers and element rounding. *)
+(** What one worker does to an ic block, keyed by block coordinates:
+    pack the mc x kc block of A at (i0, l0) into the worker's own
+    packed-A buffer; the C tile at (i0, j0) += packed A * packed B. *)
+type worker = {
+  pack_a : i0:int -> l0:int -> mc:int -> kc:int -> unit;
+  micro : i0:int -> j0:int -> mc:int -> kc:int -> nc:int -> unit;
+}
+
+(** [fork n slice] runs [slice w] exactly once for every [w < n],
+    possibly concurrently, and returns when all have returned. *)
+type fork = int -> (int -> unit) -> unit
+
+(** The fork that runs every slice on its caller, in index order. *)
+val direct : fork
+
+(** The steps of one macro-kernel pass.  The caller runs the shared
+    ones: C := beta*C; pack the kc x nc panel of B at (l0, j0); packed
+    B := alpha * packed B.  Each packed-B panel's ic blocks go to the
+    [workers] (at least one) through [fork].  An executor owns its
+    operands, packing buffers and element rounding. *)
 type executor = {
   scale_c : float -> unit;
   pack_b : l0:int -> j0:int -> kc:int -> nc:int -> unit;
   scale_b : float -> kc:int -> nc:int -> unit;
-  pack_a : i0:int -> l0:int -> mc:int -> kc:int -> unit;
-  micro : i0:int -> j0:int -> mc:int -> kc:int -> nc:int -> unit;
+  workers : worker array;
+  fork : fork;
 }
 
 (** [nest ~who ~blocking ~alpha ~beta a b c] validates the shapes and
     the blocking, raising [Invalid_argument] prefixed by [who], and
     returns the jc/pc/ic loop nest for C := alpha*A*B + beta*C.  Each
-    application to an executor runs one full pass. *)
+    application to an executor runs one full pass; passes must not
+    overlap.
+
+    Within a panel, a worker claims the next unclaimed ic block from a
+    shared cursor, so a fast worker takes more blocks.  The fork
+    returns before the next [pack_b], every block is the one the serial
+    nest runs, and the pc panels of each C tile follow one another in
+    the serial order: the result does not depend on how many workers
+    there are or which worker ran which block.  A panel with a single
+    block, and an executor with a single worker, run on the caller
+    without a fork; so does every pass with [alpha = 0]. *)
 val nest :
   who:string -> blocking:blocking -> alpha:float -> beta:float ->
   Matrix.t -> Matrix.t -> Matrix.t -> executor -> unit
+
+(** [packed_sizes blocking a b] is the element count of one packed-A
+    block and of one packed-B panel for A * B under [blocking]:
+    min(mc,m)·min(kc,k) and min(kc,k)·min(nc,n).  Every executor sizes
+    its packing buffers by it. *)
+val packed_sizes : blocking -> Matrix.t -> Matrix.t -> int * int
 
 (** C := alpha*A*B + beta*C: {!nest} over the reference executor. *)
 val dgemm_blocked :

@@ -134,8 +134,8 @@ let gemm ?(fuel = default_fuel) ?blocking ?(alpha = 1.0) ?(beta = 1.0)
   let alpha = Et.round et alpha and beta = Et.round et beta in
   let blocking = nest_blocking ?blocking p in
   let run = L3.nest ~who:"Blocked.gemm" ~blocking ~alpha ~beta a b c in
-  let pabuf = Array.make (blocking.L3.bk_mc * blocking.L3.bk_kc) 0. in
-  let pbbuf = Array.make (blocking.L3.bk_kc * blocking.L3.bk_nc) 0. in
+  let pa_len, pb_len = L3.packed_sizes blocking a b in
+  let pabuf = Array.make pa_len 0. and pbbuf = Array.make pb_len 0. in
   let micro_calls = ref 0 and pack_a_calls = ref 0 and pack_b_calls = ref 0 in
   let insns = ref 0 in
   let count calls (r : Exec.result) =
@@ -166,19 +166,25 @@ let gemm ?(fuel = default_fuel) ?blocking ?(alpha = 1.0) ?(beta = 1.0)
           for idx = 0 to (kc * nc) - 1 do
             pbbuf.(idx) <- Et.round et (alpha *. pbbuf.(idx))
           done);
-      pack_a =
-        (fun ~i0 ~l0 ~mc ~kc ->
-          let ld = a.Mat.ld in
-          let block =
-            view a.Mat.data ~ld ~off:((l0 * ld) + i0) ~rows:mc ~cols:kc
-          in
-          count pack_a_calls
-            (Exec.call ~et ~fuel p.pl_pack_a
-               Exec.[ Aint mc; Aint kc; Aint ld; Abuf block; Abuf pabuf ]));
-      micro =
-        (fun ~i0 ~j0 ~mc ~kc ~nc ->
-          micro ~mc ~kc ~nc ~pa:pabuf ~pb:pbbuf ~c_data:c.Mat.data
-            ~c_off:((j0 * c.Mat.ld) + i0) ~ldc:c.Mat.ld);
+      workers =
+        [|
+          {
+            L3.pack_a =
+              (fun ~i0 ~l0 ~mc ~kc ->
+                let ld = a.Mat.ld in
+                let block =
+                  view a.Mat.data ~ld ~off:((l0 * ld) + i0) ~rows:mc ~cols:kc
+                in
+                count pack_a_calls
+                  (Exec.call ~et ~fuel p.pl_pack_a
+                     Exec.[ Aint mc; Aint kc; Aint ld; Abuf block; Abuf pabuf ]));
+            micro =
+              (fun ~i0 ~j0 ~mc ~kc ~nc ->
+                micro ~mc ~kc ~nc ~pa:pabuf ~pb:pbbuf ~c_data:c.Mat.data
+                  ~c_off:((j0 * c.Mat.ld) + i0) ~ldc:c.Mat.ld);
+          };
+        |];
+      fork = L3.direct;
     };
   {
     st_micro_calls = !micro_calls;

@@ -21,7 +21,15 @@
    handling, scaling rounded to the element type), so at f64 the native
    result must agree bit-exactly with the simulated one, and within
    [Etype.tol] at f32 where the simulator's round-after-every-op
-   semantics legitimately double-rounds. *)
+   semantics legitimately double-rounds.
+
+   Natively the nest runs on every core: the caller scales C and packs
+   and scales each B panel, and each worker packs its ic blocks into its
+   own packed-A buffer and runs the micro-kernel on them.  The workers
+   are the plan's [Team], whose helper domains live until [release].
+   The split moves no block boundary, so every row of C meets the
+   micro-kernel's vector body or its scalar remainder exactly as in a
+   serial run, and the result is bit-identical to [~jobs:1]. *)
 
 module Exec = Augem_sim.Exec_sim
 module Mat = Augem_blas.Matrix
@@ -34,6 +42,8 @@ module Perf = Augem_sim.Perf
 module Runtime = Augem_jit.Runtime
 module Abi = Augem_jit.Abi
 module Clock = Augem_jit.Clock
+module Pool = Augem_parallel.Pool
+module Team = Augem_parallel.Team
 
 (* --- element-typed resident buffers ------------------------------------ *)
 
@@ -46,6 +56,7 @@ type tensor = {
   t_get : int -> float;
   t_set : int -> float -> unit;
   t_addr : int -> int64;  (* address of element [i] *)
+  t_at : int -> int;  (* the same address as an int, without allocating *)
 }
 
 (* [n] elements starting on a page boundary.  Where malloc puts a large
@@ -61,28 +72,37 @@ let page_aligned kind n =
 
 let tensor (et : Et.t) (n : int) : tensor =
   let n' = max 1 n + Abi.pad_elements in
+  (* user-space addresses fit in an OCaml int *)
+  let addresses ba =
+    let base = Int64.to_int (Runtime.jit_ba_addr ba)
+    and bytes = Bigarray.kind_size_in_bytes (Bigarray.Array1.kind ba) in
+    let t_at i = base + (i * bytes) in
+    (t_at, fun i -> Int64.of_int (t_at i))
+  in
   match et with
   | Et.F64 ->
       let ba = page_aligned Bigarray.float64 n' in
       Bigarray.Array1.fill ba 0.0;
-      let base = Runtime.jit_ba_addr ba in
+      let t_at, t_addr = addresses ba in
       {
         t_len = n;
         t_get = Bigarray.Array1.get ba;
         t_set = Bigarray.Array1.set ba;
-        t_addr = (fun i -> Int64.add base (Int64.of_int (i * 8)));
+        t_addr;
+        t_at;
       }
   | Et.F32 ->
       let ba = page_aligned Bigarray.float32 n' in
       Bigarray.Array1.fill ba 0.0;
-      let base = Runtime.jit_ba_addr ba in
+      let t_at, t_addr = addresses ba in
       {
         t_len = n;
         (* float32 storage narrows on set, exactly like the simulator's
            typed memory *)
         t_get = Bigarray.Array1.get ba;
         t_set = Bigarray.Array1.set ba;
-        t_addr = (fun i -> Int64.add base (Int64.of_int (i * 4)));
+        t_addr;
+        t_at;
       }
 
 let stage (et : Et.t) (data : float array) : tensor =
@@ -103,9 +123,12 @@ type native_plan = {
   np_pack_a : Runtime.Exec_buf.t;
   np_pack_b : Runtime.Exec_buf.t;
   np_scal : Runtime.Exec_buf.t;
+  np_team : Team.t;  (* one worker per core; helpers start on first use *)
 }
 
+(* Joins the team's helper domains and unmaps the code. *)
 let release (np : native_plan) =
+  Team.release np.np_team;
   Runtime.Exec_buf.release np.np_micro;
   Runtime.Exec_buf.release np.np_pack_a;
   Runtime.Exec_buf.release np.np_pack_b;
@@ -129,6 +152,7 @@ let load (p : Blocked.plan) : native_plan Native_check.gated =
                 np_pack_a = pa;
                 np_pack_b = pb;
                 np_scal = scal;
+                np_team = Team.create (Pool.default_jobs ());
               }
         | _ -> assert false)
     | (label, prog) :: rest -> (
@@ -154,30 +178,50 @@ let load (p : Blocked.plan) : native_plan Native_check.gated =
 (* Stage C := alpha*A*B + beta*C over resident buffers and return
    [run] (one full blocked pass; repeatable, each pass re-applies beta
    and accumulates) and [finish] (copy C back into [c] and return it).
-   Argument staging happens once, outside the timed region. *)
-let gemm_runner ?blocking ?(alpha = 1.0) ?(beta = 1.0) (np : native_plan)
-    (a : Mat.t) (b : Mat.t) (c : Mat.t) : (unit -> unit) * (unit -> unit) =
+   Argument staging happens once, outside the timed region, and a pass
+   allocates nothing on one worker.
+
+   [jobs] (default: every core) caps the workers; there are never more
+   than the team's size or than C has ic blocks.  Packed B and each
+   worker's packed A are sized to the problem ([Level3.packed_sizes]). *)
+let gemm_runner ?(jobs = Pool.default_jobs ()) ?blocking ?(alpha = 1.0)
+    ?(beta = 1.0) (np : native_plan) (a : Mat.t) (b : Mat.t) (c : Mat.t) :
+    (unit -> unit) * (unit -> unit) =
   let p = np.np_plan in
   let et = p.Blocked.pl_et in
   let alpha = Et.round et alpha and beta = Et.round et beta in
   let blocking = Blocked.nest_blocking ?blocking p in
   let nest = L3.nest ~who:"Native_blocked.gemm" ~blocking ~alpha ~beta a b c in
+  let pa_len, pb_len = L3.packed_sizes blocking a b in
   let ta = stage et a.Mat.data in
   let tb = stage et b.Mat.data in
   let tc = stage et c.Mat.data in
-  let tpa = tensor et (blocking.L3.bk_mc * blocking.L3.bk_kc) in
-  let tpb = tensor et (blocking.L3.bk_kc * blocking.L3.bk_nc) in
+  let tpb = tensor et pb_len in
   let fp32 = et = Et.F32 in
-  let invoke buf iargs =
-    Runtime.Exec_buf.invoke buf ~iargs ~dargs:[||] ~fp32
+  let call buf i0 i1 i2 i3 i4 i5 i6 =
+    Runtime.Exec_buf.call buf ~fp32 i0 i1 i2 i3 i4 i5 i6 0 0. 0. 0. 0.
   in
-  let i64 = Int64.of_int in
   (* [len] elements of [t] from [off] on, times [factor] *)
   let scal t ~off ~len factor =
-    Runtime.Exec_buf.invoke np.np_scal
-      ~iargs:[| i64 len; t.t_addr off |]
-      ~dargs:[| factor |] ~fp32
+    Runtime.Exec_buf.call np.np_scal ~fp32 len (t.t_at off) 0 0 0 0 0 0
+      factor 0. 0. 0.
   in
+  let worker _ =
+    let tpa = tensor et pa_len in
+    {
+      L3.pack_a =
+        (fun ~i0 ~l0 ~mc ~kc ->
+          call np.np_pack_a mc kc a.Mat.ld
+            (ta.t_at ((l0 * a.Mat.ld) + i0))
+            (tpa.t_at 0) 0 0);
+      micro =
+        (fun ~i0 ~j0 ~mc ~kc ~nc ->
+          call np.np_micro mc kc nc c.Mat.ld (tpa.t_at 0) (tpb.t_at 0)
+            (tc.t_at ((j0 * c.Mat.ld) + i0)));
+    }
+  in
+  let blocks = (a.Mat.rows + blocking.L3.bk_mc - 1) / blocking.L3.bk_mc in
+  let workers = max 1 (min (min jobs (Team.size np.np_team)) blocks) in
   let ex =
     {
       L3.scale_c =
@@ -192,27 +236,12 @@ let gemm_runner ?blocking ?(alpha = 1.0) ?(beta = 1.0) (np : native_plan)
             done);
       pack_b =
         (fun ~l0 ~j0 ~kc ~nc ->
-          let b_off = (j0 * b.Mat.ld) + l0 in
-          invoke np.np_pack_b
-            [|
-              i64 kc; i64 nc; i64 b.Mat.ld; tb.t_addr b_off; tpb.t_addr 0;
-            |]);
+          call np.np_pack_b kc nc b.Mat.ld
+            (tb.t_at ((j0 * b.Mat.ld) + l0))
+            (tpb.t_at 0) 0 0);
       scale_b = (fun alpha ~kc ~nc -> scal tpb ~off:0 ~len:(kc * nc) alpha);
-      pack_a =
-        (fun ~i0 ~l0 ~mc ~kc ->
-          let a_off = (l0 * a.Mat.ld) + i0 in
-          invoke np.np_pack_a
-            [|
-              i64 mc; i64 kc; i64 a.Mat.ld; ta.t_addr a_off; tpa.t_addr 0;
-            |]);
-      micro =
-        (fun ~i0 ~j0 ~mc ~kc ~nc ->
-          let c_off = (j0 * c.Mat.ld) + i0 in
-          invoke np.np_micro
-            [|
-              i64 mc; i64 kc; i64 nc; i64 c.Mat.ld; tpa.t_addr 0;
-              tpb.t_addr 0; tc.t_addr c_off;
-            |]);
+      workers = Array.init workers worker;
+      fork = Team.fork np.np_team;
     }
   in
   let run () = nest ex in
@@ -220,9 +249,9 @@ let gemm_runner ?blocking ?(alpha = 1.0) ?(beta = 1.0) (np : native_plan)
   (run, finish)
 
 (* One native C := alpha*A*B + beta*C, in place in [c]. *)
-let gemm ?blocking ?alpha ?beta (np : native_plan) (a : Mat.t) (b : Mat.t)
-    (c : Mat.t) : unit =
-  let run, finish = gemm_runner ?blocking ?alpha ?beta np a b c in
+let gemm ?jobs ?blocking ?alpha ?beta (np : native_plan) (a : Mat.t)
+    (b : Mat.t) (c : Mat.t) : unit =
+  let run, finish = gemm_runner ?jobs ?blocking ?alpha ?beta np a b c in
   run ();
   finish ()
 
@@ -271,11 +300,11 @@ type bench = {
 (* Time the staged loop nest (staging excluded).  Repeated passes
    accumulate into C (beta = 1), which is harmless for timing and
    keeps every pass's memory traffic identical. *)
-let time_gemm ?(repeats = 5) ?(warmup = 1) ?blocking ?(seed = 42)
+let time_gemm ?(repeats = 5) ?(warmup = 1) ?jobs ?blocking ?(seed = 42)
     (np : native_plan) ~m ~n ~k () : bench =
   let et = np.np_plan.Blocked.pl_et in
   let a, b, c = Blocked.operands ~et ~seed ~m ~n ~k in
-  let run, _finish = gemm_runner ?blocking np a b c in
+  let run, _finish = gemm_runner ?jobs ?blocking np a b c in
   let t = Clock.measure ~warmup ~repeats run in
   let flops = 2.0 *. float_of_int m *. float_of_int n *. float_of_int k in
   {

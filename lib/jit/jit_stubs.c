@@ -15,7 +15,8 @@
  *    eight integer-class arguments (six in registers, two on the
  *    stack) and up to four FP arguments.  Calling through a C function
  *    pointer of exactly that shape lets the C compiler place every
- *    argument where the ABI demands, including the stack slots.
+ *    argument where the ABI demands, including the stack slots.  The
+ *    bridge allocates nothing on the OCaml heap.
  *
  * A monotonic-clock read (CLOCK_MONOTONIC, nanoseconds) also lives
  * here so wall-clock measurement does not depend on gettimeofday.
@@ -107,7 +108,8 @@ CAMLprim value augem_jit_map(value vcode) {
     caml_failwith("jit: mprotect(R|X) failed");
   }
   pair = caml_alloc_tuple(2);
-  Store_field(pair, 0, caml_copy_nativeint((intnat)p));
+  /* user-space addresses fit in an OCaml int */
+  Store_field(pair, 0, Val_long((intnat)p));
   Store_field(pair, 1, Val_long((long)sz));
   CAMLreturn(pair);
 #else
@@ -117,7 +119,7 @@ CAMLprim value augem_jit_map(value vcode) {
 
 CAMLprim value augem_jit_unmap(value vaddr, value vsize) {
 #if defined(AUGEM_UNIX)
-  munmap((void *)Nativeint_val(vaddr), (size_t)Long_val(vsize));
+  munmap((void *)Long_val(vaddr), (size_t)Long_val(vsize));
 #endif
   return Val_unit;
 }
@@ -131,28 +133,36 @@ typedef void (*augem_kernel_f)(int64_t, int64_t, int64_t, int64_t, int64_t,
                                int64_t, int64_t, int64_t, float, float, float,
                                float);
 
-/* viargs: int64 array (8), vdargs: float array (4).  Extra arguments
- * beyond what the kernel's signature binds are harmless under SysV
- * (non-varargs callees ignore surplus registers/stack slots).  When
- * [vfp32] is set, FP arguments are narrowed to C float so an f32
- * kernel reads its scalar from the low 32 bits of the xmm register,
- * exactly as the ABI passes single precision. */
-CAMLprim value augem_jit_invoke(value vaddr, value viargs, value vdargs,
-                                value vfp32) {
-  int64_t ia[8];
-  double da[4];
-  int i;
-  for (i = 0; i < 8; i++) ia[i] = Int64_val(Field(viargs, i));
-  for (i = 0; i < 4; i++) da[i] = Double_field(vdargs, i);
-  void *fn = (void *)Nativeint_val(vaddr);
+/* Call the kernel at [fn] with eight integer-class and four FP
+ * arguments.  The OCaml side declares this [@@noalloc] with untagged
+ * integers and unboxed floats, so a call allocates nothing and never
+ * stops other domains for a minor collection.  Extra arguments beyond
+ * what the kernel's signature binds are harmless under SysV (non-varargs
+ * callees ignore surplus registers/stack slots).  When [vfp32] is set,
+ * FP arguments are narrowed to C float so an f32 kernel reads its
+ * scalar from the low 32 bits of the xmm register, exactly as the ABI
+ * passes single precision. */
+value augem_jit_call(intnat fn, intnat i0, intnat i1, intnat i2, intnat i3,
+                     intnat i4, intnat i5, intnat i6, intnat i7, double d0,
+                     double d1, double d2, double d3, value vfp32) {
   if (Bool_val(vfp32))
-    ((augem_kernel_f)fn)(ia[0], ia[1], ia[2], ia[3], ia[4], ia[5], ia[6],
-                         ia[7], (float)da[0], (float)da[1], (float)da[2],
-                         (float)da[3]);
+    ((augem_kernel_f)(void *)fn)(i0, i1, i2, i3, i4, i5, i6, i7, (float)d0,
+                                 (float)d1, (float)d2, (float)d3);
   else
-    ((augem_kernel_d)fn)(ia[0], ia[1], ia[2], ia[3], ia[4], ia[5], ia[6],
-                         ia[7], da[0], da[1], da[2], da[3]);
+    ((augem_kernel_d)(void *)fn)(i0, i1, i2, i3, i4, i5, i6, i7, d0, d1, d2,
+                                 d3);
   return Val_unit;
+}
+
+CAMLprim value augem_jit_call_byte(value *argv, int argn) {
+  (void)argn;
+  return augem_jit_call(Long_val(argv[0]), Long_val(argv[1]),
+                        Long_val(argv[2]), Long_val(argv[3]),
+                        Long_val(argv[4]), Long_val(argv[5]),
+                        Long_val(argv[6]), Long_val(argv[7]),
+                        Long_val(argv[8]), Double_val(argv[9]),
+                        Double_val(argv[10]), Double_val(argv[11]),
+                        Double_val(argv[12]), argv[13]);
 }
 
 /* Base address of a Bigarray's data, as an int64 the encoder-side ABI

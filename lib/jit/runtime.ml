@@ -10,12 +10,28 @@
 
 open Augem_machine
 
-external jit_map : string -> nativeint * int = "augem_jit_map"
-external jit_unmap : nativeint -> int -> unit = "augem_jit_unmap"
+external jit_map : string -> int * int = "augem_jit_map"
+external jit_unmap : int -> int -> unit = "augem_jit_unmap"
 external jit_cpu_features : unit -> int = "augem_jit_cpu_features"
 
-external jit_invoke : nativeint -> int64 array -> float array -> bool -> unit
-  = "augem_jit_invoke"
+(* entry point, eight integer-class arguments, four FP arguments, fp32 *)
+external jit_call :
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (float[@unboxed]) ->
+  (float[@unboxed]) ->
+  (float[@unboxed]) ->
+  (float[@unboxed]) ->
+  bool ->
+  unit = "augem_jit_call_byte" "augem_jit_call"
+[@@noalloc]
 
 external jit_ba_addr :
   ('a, 'b, Bigarray.c_layout) Bigarray.Array1.t -> int64 = "augem_jit_ba_addr"
@@ -79,7 +95,7 @@ let required_features ~(avx : bool) (p : Insn.program) : Cpu.feature list =
 
 module Exec_buf = struct
   type t = {
-    addr : nativeint;
+    addr : int;
     mapped : int;  (* page-rounded mapping size *)
     code_len : int;
     mutable live : bool;
@@ -99,18 +115,35 @@ module Exec_buf = struct
     Gc.finalise release t;
     t
 
-  (* Call the entry point with up to 8 integer-class and 4 FP
+  let check_live (t : t) =
+    if not t.live then failwith "jit: invoke on a released code buffer"
+
+  (* Call the entry point with eight integer-class and four FP
      arguments (SysV AMD64: 6 integer registers + 2 stack slots,
-     xmm0-3).  [fp32] narrows the FP arguments to single precision. *)
+     xmm0-3); arguments the kernel does not take are ignored.  [fp32]
+     narrows the FP arguments to single precision.  Allocates nothing,
+     so a loop nest can call it once per block. *)
+  let call (t : t) ~fp32 i0 i1 i2 i3 i4 i5 i6 i7 d0 d1 d2 d3 =
+    check_live t;
+    jit_call t.addr i0 i1 i2 i3 i4 i5 i6 i7 d0 d1 d2 d3 fp32
+
+  let int_arg (a : int64 array) n =
+    if n < Array.length a then Int64.to_int a.(n) else 0
+
+  (* [call] with the arguments in arrays: up to 8 integer-class and 4 FP
+     arguments, missing ones passed as zero. *)
   let invoke (t : t) ~(iargs : int64 array) ~(dargs : float array)
       ~(fp32 : bool) : unit =
-    if not t.live then failwith "jit: invoke on a released code buffer";
-    let ia = Array.make 8 0L in
-    let da = Array.make 4 0.0 in
-    if Array.length iargs > 8 then
-      failwith "jit: more than 8 integer-class arguments";
-    if Array.length dargs > 4 then failwith "jit: more than 4 FP arguments";
-    Array.blit iargs 0 ia 0 (Array.length iargs);
-    Array.blit dargs 0 da 0 (Array.length dargs);
-    jit_invoke t.addr ia da fp32
+    let ni = Array.length iargs and nd = Array.length dargs in
+    if ni > 8 then failwith "jit: more than 8 integer-class arguments";
+    if nd > 4 then failwith "jit: more than 4 FP arguments";
+    check_live t;
+    let i = iargs in
+    jit_call t.addr (int_arg i 0) (int_arg i 1) (int_arg i 2) (int_arg i 3)
+      (int_arg i 4) (int_arg i 5) (int_arg i 6) (int_arg i 7)
+      (if nd > 0 then dargs.(0) else 0.0)
+      (if nd > 1 then dargs.(1) else 0.0)
+      (if nd > 2 then dargs.(2) else 0.0)
+      (if nd > 3 then dargs.(3) else 0.0)
+      fp32
 end

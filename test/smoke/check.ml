@@ -175,6 +175,7 @@ let native_gemm ~name ~precision =
           (Obj
              [
                ("size", int_ge 1);
+               ("jobs", int_ge 1);
                ("mflops", positive);
                ("predicted_mflops", positive);
                ("runs", int_ge 1);
@@ -408,32 +409,45 @@ let f32_over_f64 file ~f64 ~f32 =
     f32
 
 (* The measured SGEMM/DGEMM ordering at the largest size matches the
-   model's (f32 has twice the lanes, so both should favour SGEMM). *)
+   model's (f32 has twice the lanes, so both should favour SGEMM), for
+   each worker count both precisions were timed at. *)
 let native_ordering file j =
   match to_list j.%{"precisions"} with
   | [ d; s ]
     when d.%{"skipped"} = Json.Bool false && s.%{"skipped"} = Json.Bool false
     ->
-      let at_largest pr =
+      let at_largest pr jobs =
         List.fold_left
           (fun best p ->
-            if to_num p.%{"size"} > to_num best.%{"size"} then p else best)
-          (List.hd (to_list pr.%{"points"}))
+            if p.%{"jobs"} <> jobs then best
+            else
+              match best with
+              | Some b when to_num b.%{"size"} >= to_num p.%{"size"} -> best
+              | _ -> Some p)
+          None
           (to_list pr.%{"points"})
       in
-      let pd = at_largest d and ps = at_largest s in
       let v p k = to_num p.%{k} in
-      if pd.%{"size"} <> ps.%{"size"} then
-        violation file "DGEMM/SGEMM largest sizes differ: %s vs %s"
-          (show pd.%{"size"}) (show ps.%{"size"})
-      else if v ps "mflops" > v pd "mflops"
-              <> (v ps "predicted_mflops" > v pd "predicted_mflops")
-      then
-        violation file
-          "measured ordering at size %s (SGEMM %.0f vs DGEMM %.0f) \
-           contradicts the model's (%.0f vs %.0f)"
-          (show pd.%{"size"}) (v ps "mflops") (v pd "mflops")
-          (v ps "predicted_mflops") (v pd "predicted_mflops")
+      List.iter
+        (fun jobs ->
+          match (at_largest d jobs, at_largest s jobs) with
+          | Some pd, Some ps ->
+              if pd.%{"size"} <> ps.%{"size"} then
+                violation file
+                  "jobs %s: DGEMM/SGEMM largest sizes differ: %s vs %s"
+                  (show jobs) (show pd.%{"size"}) (show ps.%{"size"})
+              else if v ps "mflops" > v pd "mflops"
+                      <> (v ps "predicted_mflops" > v pd "predicted_mflops")
+              then
+                violation file
+                  "jobs %s: measured ordering at size %s (SGEMM %.0f vs DGEMM \
+                   %.0f) contradicts the model's (%.0f vs %.0f)"
+                  (show jobs) (show pd.%{"size"}) (v ps "mflops")
+                  (v pd "mflops") (v ps "predicted_mflops")
+                  (v pd "predicted_mflops")
+          | _ -> ())
+        (List.sort_uniq compare
+           (List.map (fun p -> p.%{"jobs"}) (to_list d.%{"points"})))
   | _ -> ()
 
 (* The embedded stats snapshot agrees with the request counts. *)

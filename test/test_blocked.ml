@@ -166,12 +166,21 @@ let padded_operands ~et ~seed ~m ~n ~k =
 
 (* One native run under the tiny blocking, against the simulated driver
    — bit-exact at f64, within [Et.tol] at f32 where the simulator
-   double-rounds — and against [dgemm_naive] within [Et.tol].  C's
-   padding rows, if any, must come back bit-unchanged. *)
+   double-rounds — and against [dgemm_naive] within [Et.tol].  The run
+   with its ic blocks split over two workers must be bit-identical to
+   the one on a single worker, and C's padding rows, if any, must come
+   back bit-unchanged. *)
+let bits (c : Mat.t) = Array.map Int64.bits_of_float c.Mat.data
+
 let native_case et p np label (a, b, c0) (alpha, beta) =
   let k = a.Mat.cols in
-  let c_nat = Mat.copy c0 and c_sim = Mat.copy c0 and c_ref = Mat.copy c0 in
-  NB.gemm ~blocking:tiny ~alpha ~beta np a b c_nat;
+  let c_nat = Mat.copy c0 and c_one = Mat.copy c0 in
+  let c_sim = Mat.copy c0 and c_ref = Mat.copy c0 in
+  NB.gemm ~jobs:2 ~blocking:tiny ~alpha ~beta np a b c_nat;
+  NB.gemm ~jobs:1 ~blocking:tiny ~alpha ~beta np a b c_one;
+  if bits c_nat <> bits c_one then
+    Alcotest.failf "%s %s alpha=%g beta=%g: jobs:2 differs from jobs:1 by %.3g"
+      (Et.name et) label alpha beta (Mat.max_abs_diff c_one c_nat);
   ignore (Blocked.gemm ~blocking:tiny ~alpha ~beta p a b c_sim);
   L3.dgemm_naive ~alpha ~beta a b c_ref;
   let tol = Et.tol ~k et in
@@ -191,12 +200,9 @@ let native_case et p np label (a, b, c0) (alpha, beta) =
           (Et.name et) label alpha beta)
     c_nat.Mat.data
 
-(* Multi-block trips and remainders natively: every difficult shape,
-   with (alpha, beta) covering both scaling passes and the alpha = 0
-   short-circuit, then with every leading dimension larger than its
-   row count, which scales C one column at a time; at both
-   precisions. *)
-let test_native_differential () =
+(* [f et p np] on the loaded native plan of each precision; skipped
+   where the host cannot run it. *)
+let on_native_plans f =
   if not (A.Native_check.host_supported ()) then
     print_endline "skipped: host CPU lacks SSE2+AVX"
   else
@@ -205,21 +211,75 @@ let test_native_differential () =
         let p = Lazy.force plan in
         match NB.load p with
         | A.Native_check.Ready np ->
-            List.iter
-              (fun (label, m, n, k) ->
-                List.iter
-                  (native_case et p np label
-                     (Blocked.operands ~et ~seed:m ~m ~n ~k))
-                  [ (1.0, 1.0); (2.5, -0.5); (0.0, 2.0) ];
-                native_case et p np (label ^ ", ld = rows + 3")
-                  (padded_operands ~et ~seed:m ~m ~n ~k)
-                  (2.5, -0.5))
-              difficult_shapes;
-            NB.release np
+            Fun.protect ~finally:(fun () -> NB.release np) (fun () -> f et p np)
         | A.Native_check.Unsupported m ->
             Printf.printf "%s: skipped (%s)\n" (Et.name et) m
         | A.Native_check.Rejected m -> Alcotest.failf "%s: %s" (Et.name et) m)
       [ (Et.F64, plan); (Et.F32, plan_f32) ]
+
+(* Multi-block trips and remainders natively: every difficult shape,
+   with (alpha, beta) covering both scaling passes and the alpha = 0
+   short-circuit, then with every leading dimension larger than its
+   row count, which scales C one column at a time; at both
+   precisions. *)
+let test_native_differential () =
+  on_native_plans (fun et p np ->
+      List.iter
+        (fun (label, m, n, k) ->
+          List.iter
+            (native_case et p np label (Blocked.operands ~et ~seed:m ~m ~n ~k))
+            [ (1.0, 1.0); (2.5, -0.5); (0.0, 2.0) ];
+          native_case et p np (label ^ ", ld = rows + 3")
+            (padded_operands ~et ~seed:m ~m ~n ~k)
+            (2.5, -0.5))
+        difficult_shapes)
+
+(* The packing buffers are sized to the problem, not to the blocking:
+   shapes smaller than the plan's tuned blocking in every dimension,
+   run under that blocking, against the simulator and [dgemm_naive]. *)
+let test_native_small_shapes () =
+  on_native_plans (fun et _p np ->
+      let bl = np.NB.np_plan.Blocked.pl_blocking in
+      let mc = bl.Mem_model.bl_mc and kc = bl.Mem_model.bl_kc in
+      let nc = bl.Mem_model.bl_nc in
+      List.iter
+        (fun (m, n, k) ->
+          match NB.check ~alpha:1.5 ~beta:(-0.5) np ~m ~n ~k () with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s: %s" (Et.name et) e)
+        [
+          (1, 1, 1);
+          (3, 2, 5);
+          (min 17 (mc - 1), min 11 (nc - 1), min 13 (kc - 1));
+          (mc - 1, min 3 (nc - 1), min 4 (kc - 1));
+          (min 5 (mc - 1), min 3 (nc - 1), kc - 1);
+        ])
+
+(* At jobs:1 a warm pass allocates nothing: the minor words counted
+   over fifty passes equal those over one (the count itself allocates
+   the same in both).  Three ic blocks, alpha and beta != 1, so both
+   SCAL steps run. *)
+let test_native_no_allocation () =
+  on_native_plans (fun et _p np ->
+      let a, b, c = Blocked.operands ~et ~seed:5 ~m:17 ~n:11 ~k:13 in
+      let run, _finish =
+        NB.gemm_runner ~jobs:1 ~blocking:tiny ~alpha:2.5 ~beta:(-0.5) np a b c
+      in
+      run ();
+      let words f =
+        let w0 = Gc.minor_words () in
+        f ();
+        Gc.minor_words () -. w0
+      in
+      let fifty () =
+        for _ = 1 to 50 do
+          run ()
+        done
+      in
+      let one = words run and many = words fifty in
+      if one <> many then
+        Alcotest.failf "%s: %g minor words over one pass, %g over fifty"
+          (Et.name et) one many)
 
 (* The plan's generated SCAL against OCaml scaling, bit for bit:
    [beta *. x] at f64 and [Et.round (beta *. x)] at f32, where the
@@ -312,6 +372,10 @@ let suite =
       Alcotest.test_case "plan fell-back flag" `Quick test_plan_fell_back;
       Alcotest.test_case "native differential, multi-block and alpha/beta"
         `Slow test_native_differential;
+      Alcotest.test_case "native shapes smaller than the tuned blocking"
+        `Slow test_native_small_shapes;
+      Alcotest.test_case "native pass allocates nothing at jobs:1" `Quick
+        test_native_no_allocation;
       Alcotest.test_case "native SCAL bit-identical to OCaml scaling" `Slow
         test_native_scal;
       Alcotest.test_case "resident tensors are page-aligned" `Quick

@@ -68,6 +68,93 @@ let test_pool_exception_deterministic () =
             5 x)
     [ 1; 2; 4 ]
 
+(* --- the persistent team -------------------------------------------------- *)
+
+module Team = A.Team
+
+let with_team size f =
+  let t = Team.create size in
+  Fun.protect ~finally:(fun () -> Team.release t) (fun () -> f t)
+
+(* Each fork runs every slice index once, more slices than workers
+   included; returns how often each index ran. *)
+let fork_counts t n =
+  let ran = Array.init n (fun _ -> Atomic.make 0) in
+  Team.fork t n (fun w -> Atomic.incr ran.(w));
+  Array.map Atomic.get ran
+
+let test_team_every_index_once () =
+  with_team 3 (fun t ->
+      for round = 1 to 200 do
+        let n = 1 + (round mod 7) in
+        Alcotest.(check (array int))
+          (Printf.sprintf "fork %d of %d slices" round n)
+          (Array.make n 1) (fork_counts t n)
+      done;
+      Alcotest.(check int) "helpers started" 2 (Team.helpers t))
+
+(* The caller's slice waits until the other slice has started, so that
+   one runs on a helper, which raises. *)
+let test_team_helper_exception () =
+  with_team 2 (fun t ->
+      let caller = Domain.self () in
+      let started = Atomic.make 0 in
+      (match
+         Team.fork t 2 (fun w ->
+             Atomic.incr started;
+             if Domain.self () <> caller then raise (Boom w);
+             while Atomic.get started < 2 do
+               Domain.cpu_relax ()
+             done)
+       with
+      | () -> Alcotest.fail "expected the helper's exception"
+      | exception Boom _ -> ());
+      Alcotest.(check (array int)) "next fork" [| 1; 1; 1 |] (fork_counts t 3))
+
+(* A fork from inside a running fork finds the team busy: its slices
+   all run on the domain that called it, in index order. *)
+let test_team_busy_runs_on_caller () =
+  with_team 2 (fun t ->
+      let inner = Array.make 2 [] in
+      Team.fork t 2 (fun w ->
+          let me = Domain.self () in
+          let trail = ref [] in
+          Team.fork t 4 (fun i -> trail := (i, Domain.self () = me) :: !trail);
+          inner.(w) <- List.rev !trail);
+      Array.iter
+        (fun trail ->
+          Alcotest.(check (list (pair int bool)))
+            "inner slices on the caller, in order"
+            [ (0, true); (1, true); (2, true); (3, true) ]
+            trail)
+        inner)
+
+let test_team_release_joins () =
+  let t = Team.create 2 in
+  Alcotest.(check int) "none before a fork" 0 (Team.helpers t);
+  ignore (fork_counts t 2);
+  Alcotest.(check int) "one helper" 1 (Team.helpers t);
+  Team.release t;
+  Alcotest.(check int) "joined" 0 (Team.helpers t);
+  Team.release t;
+  let caller = Domain.self () in
+  let on_caller = Atomic.make 0 in
+  Team.fork t 3 (fun _ ->
+      if Domain.self () = caller then Atomic.incr on_caller);
+  Alcotest.(check int) "a released team forks on its caller" 3
+    (Atomic.get on_caller)
+
+(* Idle helpers sleep: the process's user time over a 200 ms sleep
+   after a fork stays far below what one spinning helper would burn. *)
+let test_team_idle_no_cpu () =
+  with_team 2 (fun t ->
+      ignore (fork_counts t 2);
+      let before = (Unix.times ()).Unix.tms_utime in
+      Unix.sleepf 0.2;
+      let used = (Unix.times ()).Unix.tms_utime -. before in
+      if used >= 0.05 then
+        Alcotest.failf "%.0f ms of user time while idle" (used *. 1000.))
+
 (* --- sweep determinism --------------------------------------------------- *)
 
 let check_identical ~what (seq : Tuner.result) (par : Tuner.result) =
@@ -141,6 +228,15 @@ let suite =
       test_pool_unbalanced_costs;
     Alcotest.test_case "pool exception determinism" `Quick
       test_pool_exception_deterministic;
+    Alcotest.test_case "team runs every index once per fork" `Quick
+      test_team_every_index_once;
+    Alcotest.test_case "team re-raises a helper's exception" `Quick
+      test_team_helper_exception;
+    Alcotest.test_case "busy team forks on its caller" `Quick
+      test_team_busy_runs_on_caller;
+    Alcotest.test_case "team release joins its helpers" `Quick
+      test_team_release_joins;
+    Alcotest.test_case "idle team burns no CPU" `Quick test_team_idle_no_cpu;
     Alcotest.test_case "tune jobs:4 == jobs:1, all kernels x arches" `Slow
       test_tune_deterministic_all_kernels;
     Alcotest.test_case "tune determinism on a mostly-hostile space" `Quick
