@@ -18,7 +18,6 @@
      native        measured wall-clock blocked DGEMM/SGEMM
      ablations     each design choice switched off in isolation
      portability   tuned DGEMM across architectures
-     bechamel      one Bechamel micro-benchmark per table and figure
      serve         cold vs warm latency of the in-process kernel service
 
    The figure and table experiments print the series/rows the paper
@@ -758,70 +757,6 @@ let portability () =
     Arch.extended;
   Fmt.pr "@."
 
-(* --- Bechamel micro-benchmarks --------------------------------------------- *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let snb = Arch.sandy_bridge in
-  (* warm the generation caches so the benches measure the modelled path *)
-  List.iter
-    (fun k -> List.iter (fun id -> ignore (Lib.generate id snb k)) Lib.all)
-    Kernels.[ Gemm; Gemv; Axpy; Dot ];
-  let point kernel workload =
-    Staged.stage (fun () ->
-        List.iter
-          (fun id -> ignore (Lib.predict id snb kernel workload))
-          Lib.all)
-  in
-  [
-    Test.make ~name:"table5:platform-rows"
-      (Staged.stage (fun () -> ignore (Arch.table5_rows ())));
-    Test.make ~name:"fig18:dgemm-point"
-      (point Kernels.Gemm (Perf.W_gemm { m = 4096; n = 4096; k = 256 }));
-    Test.make ~name:"fig19:dgemv-point"
-      (point Kernels.Gemv (Perf.W_gemv { m = 4096; n = 4096 }));
-    Test.make ~name:"fig20:daxpy-point"
-      (point Kernels.Axpy (Perf.W_axpy { n = 150_000 }));
-    Test.make ~name:"fig21:ddot-point"
-      (point Kernels.Dot (Perf.W_dot { n = 150_000 }));
-    Test.make ~name:"table6:routine-point"
-      (Staged.stage (fun () ->
-           ignore (Routine.predict Lib.AUGEM snb Routine.SYMM ~m:2048 ~k:256)));
-    (* the pipeline itself, end to end *)
-    Test.make ~name:"pipeline:source-to-asm"
-      (Staged.stage (fun () ->
-           let cfg =
-             { A.Transform.Pipeline.default with jam = [ ("j", 2); ("i", 8) ] }
-           in
-           ignore (A.generate ~arch:snb ~config:cfg Kernels.Gemm)));
-    Test.make ~name:"simulator:gemm-microkernel"
-      (Staged.stage
-         (let g = A.tuned ~arch:snb Kernels.Gemm in
-          fun () -> ignore (A.Harness.verify_gemm g.A.g_program)));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~stabilize:false ()
-  in
-  Fmt.pr "== Bechamel micro-benchmarks (one per table/figure) ==@.";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let results = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Fmt.pr "%-30s %14.1f ns/run@." name est
-          | _ -> Fmt.pr "%-30s (no estimate)@." name)
-        results)
-    (bechamel_tests ())
-
 (* --- serving: cold vs warm ------------------------------------------------ *)
 
 module Service = Augem_service
@@ -990,7 +925,6 @@ let experiments =
       ~smoke:(native_bench [ 128; 256 ]);
     row "ablations" ablations;
     row "portability" portability;
-    row "bechamel" run_bechamel;
     artifact "serve"
       (serve ~mode:"full" serve_full_keys)
       ~smoke:(serve ~mode:"smoke" serve_smoke_keys);

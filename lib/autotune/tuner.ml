@@ -240,32 +240,6 @@ let generate_candidate_diag (arch : Arch.t) ?(max_insns = default_max_insns)
       let code, detail = diag_of_generation_exn exn in
       Error (mk code Diag.S_codegen detail)
 
-(* Back-compatible option view.  The kernel name labelling its
-   diagnostics used to be hardcoded to Gemm, mislabelling every
-   non-GEMM kernel tuned through this path; it is now inferred from the
-   kernel's own function name (or passed explicitly via [?kname] for
-   kernels outside the built-in set).  [?on_diag] observes the
-   diagnostic the option view would otherwise swallow. *)
-let infer_kname (kernel : Ast.kernel) : Kernels.name option =
-  List.find_map
-    (fun (n, k) ->
-      if String.equal k.Ast.k_name kernel.Ast.k_name then Some n else None)
-    Kernels.all
-
-let generate_candidate ?kname ?(on_diag = fun (_ : Diag.t) -> ())
-    (arch : Arch.t) (kernel : Ast.kernel) (c : candidate) :
-    Insn.program option =
-  let kname =
-    match kname with
-    | Some n -> n
-    | None -> Option.value ~default:Kernels.Gemm (infer_kname kernel)
-  in
-  match generate_candidate_diag arch kname kernel c with
-  | Ok prog -> Some prog
-  | Error d ->
-      on_diag d;
-      None
-
 (* Optional wall-clock measurement hook (the native JIT path installs
    one): when present, [score_diag] replaces the model's predicted
    MFLOPS with the measured figure whenever the program can actually

@@ -68,24 +68,6 @@ val generate_candidate_diag :
   candidate ->
   (Augem_machine.Insn.program, Augem_verify.Diag.t) Stdlib.result
 
-(** The built-in kernel a function name denotes, if any (matches the
-    [k_name] of the kernels in {!Augem_ir.Kernels.all}). *)
-val infer_kname : Augem_ir.Ast.kernel -> Augem_ir.Kernels.name option
-
-(** Back-compatible view of {!generate_candidate_diag}: [None] when the
-    configuration does not fit the machine.  The diagnostic's kernel
-    label is inferred from the kernel's function name (override with
-    [?kname] for kernels outside the built-in set — it used to be
-    hardcoded to GEMM, mislabelling every other kernel); [?on_diag]
-    observes the diagnostic this view otherwise drops. *)
-val generate_candidate :
-  ?kname:Augem_ir.Kernels.name ->
-  ?on_diag:(Augem_verify.Diag.t -> unit) ->
-  Augem_machine.Arch.t ->
-  Augem_ir.Ast.kernel ->
-  candidate ->
-  Augem_machine.Insn.program option
-
 (** Score a generated program, classifying failures.  [et] selects the
     element type the performance model counts flops in (default f64)
     and the precision label on the diagnostic. *)

@@ -14,9 +14,10 @@
    The remaining routines (SYMM, SYRK, SYR2K, TRMM, TRSM) follow the
    standard cast-onto-GEMM decompositions of Goto & van de Geijn,
    "High-performance implementation of the level-3 BLAS": the bulk of
-   their flops run through [dgemm_blocked]; TRSM additionally performs
-   small triangular solves that do not map onto GEMM — the structural
-   reason AUGEM loses only TRSM in the paper's Table 6. *)
+   their flops run through the [gemm] they are given (by default
+   [dgemm_blocked]); TRSM additionally performs small triangular solves
+   that do not map onto GEMM — the structural reason AUGEM loses only
+   TRSM in the paper's Table 6. *)
 
 open Matrix
 
@@ -207,7 +208,10 @@ let dgemm_blocked ?(blocking = default_blocking)
       fork = direct;
     }
 
-let dgemm = dgemm_blocked
+type gemm = alpha:float -> beta:float -> t -> t -> t -> unit
+
+(* The routines' default GEMM: [dgemm_blocked] with its own defaults. *)
+let blocked : gemm = fun ~alpha ~beta a b c -> dgemm_blocked ~alpha ~beta a b c
 
 (* transpose view materialized (reference code, clarity first) *)
 let transpose (a : t) : t = init a.cols a.rows (fun i j -> get a j i)
@@ -217,18 +221,18 @@ type side =
   | Right
 
 (* --- SYMM: C := alpha * A * B + beta * C with A symmetric ------------- *)
-let dsymm ?blocking ?kernel ~(side : side) ~alpha ~beta (a : t) (b : t) (c : t)
+let dsymm ?(gemm = blocked) ~(side : side) ~alpha ~beta (a : t) (b : t) (c : t)
     =
   (* materialize the full symmetric matrix (lower storage) and cast to
      GEMM: the flops all run through the GEMM kernel *)
   let n = a.rows in
   let full = init n n (fun i j -> if i >= j then get a i j else get a j i) in
   match side with
-  | Left -> dgemm_blocked ?blocking ?kernel ~alpha ~beta full b c
-  | Right -> dgemm_blocked ?blocking ?kernel ~alpha ~beta b full c
+  | Left -> gemm ~alpha ~beta full b c
+  | Right -> gemm ~alpha ~beta b full c
 
 (* --- SYRK: C := alpha * A * A^T + beta * C (lower) --------------------- *)
-let dsyrk ?blocking ?kernel ~alpha ~beta (a : t) (c : t) =
+let dsyrk ?(gemm = blocked) ~alpha ~beta (a : t) (c : t) =
   let at = transpose a in
   let full = create c.rows c.cols in
   for j = 0 to c.cols - 1 do
@@ -236,7 +240,7 @@ let dsyrk ?blocking ?kernel ~alpha ~beta (a : t) (c : t) =
       set full i j (get c i j)
     done
   done;
-  dgemm_blocked ?blocking ?kernel ~alpha ~beta a at full;
+  gemm ~alpha ~beta a at full;
   (* only the lower triangle of C is referenced/updated *)
   for j = 0 to c.cols - 1 do
     for i = j to c.rows - 1 do
@@ -245,15 +249,15 @@ let dsyrk ?blocking ?kernel ~alpha ~beta (a : t) (c : t) =
   done
 
 (* --- SYR2K: C := alpha * (A * B^T + B * A^T) + beta * C (lower) -------- *)
-let dsyr2k ?blocking ?kernel ~alpha ~beta (a : t) (b : t) (c : t) =
+let dsyr2k ?(gemm = blocked) ~alpha ~beta (a : t) (b : t) (c : t) =
   let full = create c.rows c.cols in
   for j = 0 to c.cols - 1 do
     for i = 0 to c.rows - 1 do
       set full i j (get c i j)
     done
   done;
-  dgemm_blocked ?blocking ?kernel ~alpha ~beta a (transpose b) full;
-  dgemm_blocked ?blocking ?kernel ~alpha ~beta:1. b (transpose a) full;
+  gemm ~alpha ~beta a (transpose b) full;
+  gemm ~alpha ~beta:1. b (transpose a) full;
   for j = 0 to c.cols - 1 do
     for i = j to c.rows - 1 do
       set c i j (get full i j)
@@ -265,7 +269,7 @@ let dsyr2k ?blocking ?kernel ~alpha ~beta (a : t) (b : t) (c : t) =
    update is GEMM, the diagonal part a small triangular multiply. *)
 let trmm_block = 64
 
-let dtrmm ?blocking ?kernel ~alpha (l : t) (b : t) =
+let dtrmm ?(gemm = blocked) ~alpha (l : t) (b : t) =
   let n = l.rows and rhs = b.cols in
   let nb = trmm_block in
   (* process block rows bottom-up so inputs are unmodified *)
@@ -287,7 +291,7 @@ let dtrmm ?blocking ?kernel ~alpha (l : t) (b : t) =
       let l21 = init ib !i0 (fun i j -> get l (!i0 + i) j) in
       let b1 = init !i0 rhs (fun i j -> get b i j) in
       let view = init ib rhs (fun i j -> get b (!i0 + i) j) in
-      dgemm_blocked ?blocking ?kernel ~alpha:1. ~beta:1. l21 b1 view;
+      gemm ~alpha:1. ~beta:1. l21 b1 view;
       for j = 0 to rhs - 1 do
         for i = 0 to ib - 1 do
           set b (!i0 + i) j (get view i j)
@@ -302,7 +306,7 @@ let dtrmm ?blocking ?kernel ~alpha (l : t) (b : t) =
 (* The paper's two-step decomposition: B1 := L11^-1 B1 (small solve,
    translated straightforwardly — not GEMM-accelerated), then
    B2 := B2 - L21 * B1 (GEMM). *)
-let dtrsm ?blocking ?kernel ~alpha (l : t) (b : t) =
+let dtrsm ?(gemm = blocked) ~alpha (l : t) (b : t) =
   let n = l.rows and rhs = b.cols in
   if alpha <> 1. then scale alpha b;
   let nb = trmm_block in
@@ -325,7 +329,7 @@ let dtrsm ?blocking ?kernel ~alpha (l : t) (b : t) =
       let l21 = init rows ib (fun i j -> get l (!i0 + ib + i) (!i0 + j)) in
       let b1 = init ib rhs (fun i j -> get b (!i0 + i) j) in
       let view = init rows rhs (fun i j -> get b (!i0 + ib + i) j) in
-      dgemm_blocked ?blocking ?kernel ~alpha:(-1.) ~beta:1. l21 b1 view;
+      gemm ~alpha:(-1.) ~beta:1. l21 b1 view;
       for j = 0 to rhs - 1 do
         for i = 0 to rows - 1 do
           set b (!i0 + ib + i) j (get view i j)

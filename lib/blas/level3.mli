@@ -126,15 +126,13 @@ val dgemm_blocked :
   Matrix.t ->
   unit
 
-val dgemm :
-  ?blocking:blocking ->
-  ?kernel:micro_kernel ->
-  alpha:float ->
-  beta:float ->
-  Matrix.t ->
-  Matrix.t ->
-  Matrix.t ->
-  unit
+(** C := alpha*A*B + beta*C.  SYMM, SYRK, SYR2K, TRMM and TRSM run
+    their GEMM work through the one they are given: by default
+    {!dgemm_blocked} with its own defaults; a closure over
+    [Blocked.gemm] or [Native_blocked.gemm] runs it on a plan's
+    generated kernels. *)
+type gemm =
+  alpha:float -> beta:float -> Matrix.t -> Matrix.t -> Matrix.t -> unit
 
 val transpose : Matrix.t -> Matrix.t
 
@@ -144,8 +142,7 @@ type side =
 
 (** SYMM over a symmetric A (lower storage), cast onto GEMM. *)
 val dsymm :
-  ?blocking:blocking ->
-  ?kernel:micro_kernel ->
+  ?gemm:gemm ->
   side:side ->
   alpha:float ->
   beta:float ->
@@ -156,8 +153,7 @@ val dsymm :
 
 (** C := alpha*A*A^T + beta*C, lower triangle. *)
 val dsyrk :
-  ?blocking:blocking ->
-  ?kernel:micro_kernel ->
+  ?gemm:gemm ->
   alpha:float ->
   beta:float ->
   Matrix.t ->
@@ -166,8 +162,7 @@ val dsyrk :
 
 (** C := alpha*(A*B^T + B*A^T) + beta*C, lower triangle. *)
 val dsyr2k :
-  ?blocking:blocking ->
-  ?kernel:micro_kernel ->
+  ?gemm:gemm ->
   alpha:float ->
   beta:float ->
   Matrix.t ->
@@ -178,8 +173,7 @@ val dsyr2k :
 (** B := alpha*L*B, L lower-triangular; off-diagonal work through
     GEMM. *)
 val dtrmm :
-  ?blocking:blocking ->
-  ?kernel:micro_kernel ->
+  ?gemm:gemm ->
   alpha:float ->
   Matrix.t ->
   Matrix.t ->
@@ -189,8 +183,7 @@ val dtrmm :
     diagonal solves (not GEMM-accelerated) plus GEMM trailing
     updates. *)
 val dtrsm :
-  ?blocking:blocking ->
-  ?kernel:micro_kernel ->
+  ?gemm:gemm ->
   alpha:float ->
   Matrix.t ->
   Matrix.t ->

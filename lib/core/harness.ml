@@ -55,8 +55,8 @@ let default_fuel = 20_000_000
 
 (* How a verify driver executes the kernel under test.  The default
    runner is the functional simulator; the native JIT path plugs in a
-   runner that executes real machine code (or one that runs both and
-   cross-checks), so one set of seeds, shapes and degenerate sweeps
+   runner that executes real machine code and the simulator and
+   cross-checks them, so one set of seeds, shapes and degenerate sweeps
    drives every execution backend. *)
 type runner = {
   run_name : string;

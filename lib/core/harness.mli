@@ -42,8 +42,8 @@ val default_fuel : int
 
 (** How a verify driver executes the kernel under test: the functional
     simulator by default ({!sim_runner}), or a plugged-in backend such
-    as the native JIT (or a differential runner that executes both and
-    cross-checks the outputs).  [run] receives the element type, the
+    as the native JIT's differential runner, which executes both and
+    cross-checks the outputs.  [run] receives the element type, the
     instruction budget (meaningful to the simulator only), the program
     and its arguments; it returns the simulator result when one was
     produced. *)

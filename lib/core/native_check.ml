@@ -127,20 +127,6 @@ let differential_with (buf : Runtime.Exec_buf.t) : Harness.runner =
                 cmp 0 (args, clones)));
   }
 
-(* A runner that executes natively only (no simulator pass): the
-   harness still compares the outputs against the reference BLAS, but
-   no fuel is consumed.  Used where the simulator has already had its
-   say and only the native half is in question. *)
-let native_runner (buf : Runtime.Exec_buf.t) : Harness.runner =
-  {
-    Harness.run_name = "native";
-    run =
-      (fun ~et ~fuel:_ _prog args ->
-        match Abi.call ~et buf args with
-        | exception Abi.Abi_error m -> Error ("abi: " ^ m)
-        | () -> Ok None);
-  }
-
 (* The full guarded check of one generated program: gates, then the
    complete harness sweep (all shapes, remainder cases, degenerate
    shapes) under the differential runner. *)

@@ -139,8 +139,13 @@ let analyze ?pipeline_model ?et (arch : Arch.t) (p : Insn.program) :
 
 (* The hot loop: the one with the most FLOPs per iteration.  Analyses
    are memoized on the program text — sweeps query the same generated
-   kernel at many problem sizes. *)
+   kernel at many problem sizes.  Tuning sweeps and server workers query
+   it from several domains, so the table is guarded by a mutex (plain
+   lock and unlock: neither table operation raises).  The analysis runs
+   outside it; two domains racing on one key both analyse and both
+   store the same deterministic value. *)
 let hot_cache : (string, loop_info option) Hashtbl.t = Hashtbl.create 64
+let hot_mutex = Mutex.create ()
 
 let hot_loop ?(pipeline_model = `Out_of_order) ?(et = Etype.F64)
     (arch : Arch.t) (p : Insn.program) : loop_info option =
@@ -150,7 +155,10 @@ let hot_loop ?(pipeline_model = `Out_of_order) ?(et = Etype.F64)
     ^ Etype.name et ^ "/"
     ^ Digest.to_hex (Digest.string (Marshal.to_string p.Insn.prog_insns []))
   in
-  match Hashtbl.find_opt hot_cache key with
+  Mutex.lock hot_mutex;
+  let found = Hashtbl.find_opt hot_cache key in
+  Mutex.unlock hot_mutex;
+  match found with
   | Some v -> v
   | None ->
       let loops = analyze ~pipeline_model ~et arch p in
@@ -168,7 +176,9 @@ let hot_loop ?(pipeline_model = `Out_of_order) ?(et = Etype.F64)
                 else Some best)
           None loops
       in
+      Mutex.lock hot_mutex;
       Hashtbl.replace hot_cache key v;
+      Mutex.unlock hot_mutex;
       v
 
 (* Peak-fraction efficiency of a kernel's hot loop: flops per cycle

@@ -104,9 +104,9 @@ let test_generate_candidate_classifies_broken_kernel () =
       Alcotest.(check bool) "detail non-empty" true
         (String.length d.Diag.d_detail > 0)
 
-(* The back-compatible option view still works on healthy and hostile
-   candidates alike. *)
-let test_generate_candidate_option_view () =
+(* A healthy candidate generates; a register-starved one is rejected
+   with a diagnostic rather than an exception. *)
+let test_generate_candidate_healthy_and_starved () =
   let kernel = Kernels.kernel_of_name Kernels.Gemm in
   let ok_cand =
     {
@@ -114,16 +114,20 @@ let test_generate_candidate_option_view () =
       cand_opts = A.Codegen.Emit.default_options;
     }
   in
-  (match Tuner.generate_candidate arch kernel ok_cand with
-  | Some _ -> ()
-  | None -> Alcotest.fail "healthy candidate rejected");
-  match Tuner.generate_candidate arch kernel (List.hd hostile_space) with
-  | None -> ()
-  | Some _ -> Alcotest.fail "register-starved candidate accepted"
+  (match Tuner.generate_candidate_diag arch Kernels.Gemm kernel ok_cand with
+  | Ok _ -> ()
+  | Error d ->
+      Alcotest.failf "healthy candidate rejected: %s" (Diag.to_string d));
+  match
+    Tuner.generate_candidate_diag arch Kernels.Gemm kernel
+      (List.hd hostile_space)
+  with
+  | Ok _ -> Alcotest.fail "register-starved candidate accepted"
+  | Error _ -> ()
 
-(* Regression: generate_candidate used to hardcode Kernels.Gemm into
+(* Regression: candidate generation used to hardcode Kernels.Gemm into
    the diagnostic, mislabelling failures from every other kernel.  A
-   register-starved GEMV candidate must now be diagnosed as "gemv". *)
+   register-starved GEMV candidate must be diagnosed as "gemv". *)
 let test_generate_candidate_labels_real_kernel () =
   let kernel = Kernels.kernel_of_name Kernels.Gemv in
   let starved =
@@ -133,39 +137,11 @@ let test_generate_candidate_labels_real_kernel () =
       cand_opts = A.Codegen.Emit.default_options;
     }
   in
-  let seen = ref [] in
-  (match
-     Tuner.generate_candidate ~on_diag:(fun d -> seen := d :: !seen) arch
-       kernel starved
-   with
-  | None -> ()
-  | Some _ -> Alcotest.fail "register-starved gemv candidate accepted");
-  match !seen with
-  | [ d ] ->
+  match Tuner.generate_candidate_diag arch Kernels.Gemv kernel starved with
+  | Ok _ -> Alcotest.fail "register-starved gemv candidate accepted"
+  | Error d ->
       Alcotest.(check string) "diagnostic names the real kernel" "gemv"
         d.Diag.d_kernel
-  | ds -> Alcotest.failf "expected exactly one diagnostic, got %d"
-            (List.length ds)
-
-(* And an explicit [?kname] wins over inference, for kernels outside
-   the built-in set. *)
-let test_generate_candidate_explicit_kname () =
-  let gemv = Kernels.kernel_of_name Kernels.Gemv in
-  let custom = { gemv with A.Ir.Ast.k_name = "my_custom_kernel" } in
-  let starved = List.hd hostile_space in
-  let seen = ref [] in
-  (match
-     Tuner.generate_candidate ~kname:Kernels.Ger
-       ~on_diag:(fun d -> seen := d :: !seen)
-       arch custom starved
-   with
-  | None -> ()
-  | Some _ -> Alcotest.fail "register-starved candidate accepted");
-  match !seen with
-  | [ d ] ->
-      Alcotest.(check string) "explicit kname used" "ger" d.Diag.d_kernel
-  | ds -> Alcotest.failf "expected exactly one diagnostic, got %d"
-            (List.length ds)
 
 (* The staged-lowering driver attributes rejections to the lowering
    stage that raised: register starvation surfaces inside the
@@ -248,12 +224,10 @@ let suite =
       test_healthy_sweep_does_not_fall_back;
     Alcotest.test_case "broken kernel classified, not raised" `Quick
       test_generate_candidate_classifies_broken_kernel;
-    Alcotest.test_case "option view of candidate generation" `Quick
-      test_generate_candidate_option_view;
+    Alcotest.test_case "healthy and starved candidates" `Quick
+      test_generate_candidate_healthy_and_starved;
     Alcotest.test_case "diagnostics name the real kernel (gemv)" `Quick
       test_generate_candidate_labels_real_kernel;
-    Alcotest.test_case "explicit kname overrides inference" `Quick
-      test_generate_candidate_explicit_kname;
     Alcotest.test_case "rejections attribute the lowering stage" `Quick
       test_rejection_attributes_stage;
     Alcotest.test_case "histogram aggregates and sorts" `Quick

@@ -255,6 +255,57 @@ let test_native_small_shapes () =
           (min 5 (mc - 1), min 3 (nc - 1), kc - 1);
         ])
 
+(* Table 6 on the native GEMM: each Level-3 routine gives bit-identical
+   results through a closure over [NB.gemm] and one over [Blocked.gemm]
+   on the same inputs, both under the tiny blocking.  That is the GEMM
+   contract above, carried through the routines, so f64 only.  TRMM and
+   TRSM cross their 64-row diagonal block; SYRK and SYR2K take alpha,
+   beta != 1.  Each routine must call the GEMM it is given. *)
+let test_native_level3 () =
+  on_native_plans (fun et p np ->
+      if et = Et.F64 then begin
+        let calls = ref 0 in
+        let native : L3.gemm =
+         fun ~alpha ~beta a b c ->
+          incr calls;
+          NB.gemm ~blocking:tiny ~alpha ~beta np a b c
+        in
+        let simulated : L3.gemm =
+         fun ~alpha ~beta a b c ->
+          ignore (Blocked.gemm ~blocking:tiny ~alpha ~beta p a b c)
+        in
+        let sym = Mat.random ~seed:1 13 13 and sq = Mat.random ~seed:2 13 13 in
+        let a = Mat.random ~seed:3 13 9 and b = Mat.random ~seed:4 13 9 in
+        let l = Mat.random_lower ~seed:5 70 and rhs = Mat.random ~seed:6 70 5 in
+        let alpha = 1.5 and beta = -0.5 in
+        let into m f gemm =
+          let out = Mat.copy m in
+          f gemm out;
+          out
+        in
+        List.iter
+          (fun (name, run) ->
+            calls := 0;
+            let c_nat = run native in
+            if !calls = 0 then Alcotest.failf "%s never called its gemm" name;
+            let c_sim = run simulated in
+            if bits c_nat <> bits c_sim then
+              Alcotest.failf "%s: native differs from simulated by %.3g" name
+                (Mat.max_abs_diff c_sim c_nat))
+          [
+            ( "symm left",
+              into sq (fun gemm ->
+                  L3.dsymm ~gemm ~side:L3.Left ~alpha ~beta sym sq) );
+            ( "symm right",
+              into sq (fun gemm ->
+                  L3.dsymm ~gemm ~side:L3.Right ~alpha ~beta sym sq) );
+            ("syrk", into sq (fun gemm -> L3.dsyrk ~gemm ~alpha ~beta a));
+            ("syr2k", into sq (fun gemm -> L3.dsyr2k ~gemm ~alpha ~beta a b));
+            ("trmm", into rhs (fun gemm -> L3.dtrmm ~gemm ~alpha l));
+            ("trsm", into rhs (fun gemm -> L3.dtrsm ~gemm ~alpha l));
+          ]
+      end)
+
 (* At jobs:1 a warm pass allocates nothing: the minor words counted
    over fifty passes equal those over one (the count itself allocates
    the same in both).  Three ic blocks, alpha and beta != 1, so both
@@ -374,6 +425,8 @@ let suite =
         `Slow test_native_differential;
       Alcotest.test_case "native shapes smaller than the tuned blocking"
         `Slow test_native_small_shapes;
+      Alcotest.test_case "Table 6 routines on the native GEMM" `Slow
+        test_native_level3;
       Alcotest.test_case "native pass allocates nothing at jobs:1" `Quick
         test_native_no_allocation;
       Alcotest.test_case "native SCAL bit-identical to OCaml scaling" `Slow

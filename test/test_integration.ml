@@ -70,8 +70,8 @@ let test_trsm_with_simulated_kernel () =
   let l = Mat.random_lower ~seed:91 n in
   let b = Mat.random ~seed:92 n rhs in
   let x = Mat.copy b in
-  L3.dtrsm ~blocking:{ L3.bk_mc = 16; bk_kc = 12; bk_nc = 8 } ~kernel
-    ~alpha:1.0 l x;
+  let blocking = { L3.bk_mc = 16; bk_kc = 12; bk_nc = 8 } in
+  L3.dtrsm ~gemm:(L3.dgemm_blocked ~blocking ~kernel) ~alpha:1.0 l x;
   let x' = Mat.copy x in
   L3.dtrmm ~alpha:1.0 l x';
   Alcotest.(check bool) "L(trsm) = b" true (Mat.approx_equal ~tol:1e-7 x' b)
@@ -125,6 +125,117 @@ let test_assembly_listing_sane () =
       Alcotest.(check bool) ("contains " ^ needle) true found)
     [ "dgemm_kernel:"; "vfmadd231pd"; "prefetcht0"; "ret"; ".globl" ]
 
+(* --- the encoder against GNU as ------------------------------------------ *)
+
+module Insn = A.Machine.Insn
+module Et = A.Machine.Etype
+module Enc = A.Jit.Encoder
+
+(* The encoder deliberately emits the IR's flags-neutral add/sub as lea
+   (see encoder.ml); [as] gets the equivalent lea text so the byte
+   comparison stays meaningful for those instructions too. *)
+let flags_neutral (i : Insn.t) : Insn.t =
+  match i with
+  | Insn.Addri (r, n) ->
+      Insn.Lea (r, { Insn.base = r; index = None; disp = n })
+  | Insn.Addrr (d, s) ->
+      let base, index = if s = A.Machine.Reg.Rsp then (s, d) else (d, s) in
+      Insn.Lea (d, { Insn.base; index = Some (index, Insn.S1); disp = 0 })
+  | Insn.Subri (r, n) ->
+      Insn.Lea (r, { Insn.base = r; index = None; disp = -n })
+  | i -> i
+
+let on_path tool =
+  let path = Option.value ~default:"" (Sys.getenv_opt "PATH") in
+  List.exists
+    (fun dir -> Sys.file_exists (Filename.concat dir tool))
+    (String.split_on_char ':' path)
+
+(* The .text bytes [as] and [objcopy] make of the listing [asm] of the
+   program [label], through files in [dir]. *)
+let gas_bytes dir ~label asm =
+  let file ext = Filename.concat dir ("prog" ^ ext) in
+  Out_channel.with_open_text (file ".s") (fun oc -> output_string oc asm);
+  let q ext = Filename.quote (file ext) in
+  let cmd =
+    Printf.sprintf "as %s -o %s && objcopy -O binary --only-section=.text %s %s"
+      (q ".s") (q ".o") (q ".o") (q ".bin")
+  in
+  if Sys.command cmd <> 0 then Alcotest.failf "%s: as or objcopy failed" label;
+  In_channel.with_open_bin (file ".bin") In_channel.input_all
+
+(* Every program the default tuning spaces generate for the nine
+   kernels, on every extended arch at both precisions, encodes to the
+   bytes [as] makes of its listing.  The first mismatch fails the test
+   with 16 bytes of each side from 4 before the first differing byte. *)
+let test_encoder_matches_gas () =
+  match List.find_opt (fun t -> not (on_path t)) [ "as"; "objcopy" ] with
+  | Some tool -> Printf.printf "skipped: %s not found\n" tool
+  | None ->
+      let dir = Filename.temp_dir "augem-gas" "" in
+      let remove () =
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat dir f))
+          (Sys.readdir dir);
+        Sys.rmdir dir
+      in
+      Fun.protect ~finally:remove @@ fun () ->
+      let checked = ref 0 in
+      let check (arch : Arch.t) et kernel (cand : A.Tuner.candidate) =
+        match
+          A.generate ~et ~arch ~config:cand.A.Tuner.cand_config
+            ~opts:cand.A.Tuner.cand_opts kernel
+        with
+        | exception _ -> () (* the candidate does not fit the machine *)
+        | g ->
+            let label =
+              Printf.sprintf "%s %s %s [%s]" arch.Arch.name (Et.name et)
+                (Kernels.name_to_string kernel)
+                (A.Transform.Pipeline.config_to_string cand.A.Tuner.cand_config)
+            in
+            let prog = g.A.g_program in
+            let ours =
+              (Enc.encode_program ~avx:(arch.Arch.simd = Arch.AVX) ~et prog)
+                .Enc.enc_code
+            in
+            let insns = List.map flags_neutral prog.Insn.prog_insns in
+            let listing =
+              A.assembly
+                { g with A.g_program = { prog with Insn.prog_insns = insns } }
+            in
+            let theirs = gas_bytes dir ~label listing in
+            incr checked;
+            if not (String.equal ours theirs) then begin
+              let n = min (String.length ours) (String.length theirs) in
+              let rec first i =
+                if i < n && ours.[i] = theirs.[i] then first (i + 1) else i
+              in
+              let d = first 0 in
+              let window s =
+                let lo = max 0 (d - 4) in
+                Enc.to_hex (String.sub s lo (min 16 (String.length s - lo)))
+              in
+              Alcotest.failf
+                "%s: encoder and as differ at byte %d (%d vs %d bytes)\n\
+                \  encoder: %s\n\
+                \  as:      %s"
+                label d (String.length ours) (String.length theirs)
+                (window ours) (window theirs)
+            end
+      in
+      List.iter
+        (fun arch ->
+          List.iter
+            (fun et ->
+              List.iter
+                (fun kernel ->
+                  List.iter (check arch et kernel) (A.Tuner.space_for kernel))
+                Kernels.names)
+            [ Et.F64; Et.F32 ])
+        Arch.extended;
+      if !checked = 0 then Alcotest.fail "no program checked";
+      Printf.printf "%d programs: encoder bytes = as bytes\n" !checked
+
 let suite =
   [
     Alcotest.test_case "blocked GEMM with simulated kernel" `Slow
@@ -134,5 +245,7 @@ let suite =
     Alcotest.test_case "C text to simulated execution" `Quick
       test_c_text_to_simulated_execution;
     Alcotest.test_case "assembly listing" `Quick test_assembly_listing_sane;
+    Alcotest.test_case "encoder bytes = GNU as bytes" `Slow
+      test_encoder_matches_gas;
     QCheck_alcotest.to_alcotest prop_blocked_sim_random_shapes;
   ]
