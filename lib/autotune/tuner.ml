@@ -286,12 +286,6 @@ let score_diag ?(et = Etype.F64) (arch : Arch.t) (kname : Kernels.name)
   | exception exn ->
       Error (mk (Diag.code_of_exn exn) (Printexc.to_string exn))
 
-let score (arch : Arch.t) (prog : Insn.program) (w : Augem_sim.Perf.workload) :
-    float option =
-  match Augem_sim.Perf.predict arch prog w with
-  | e -> Some e.Augem_sim.Perf.e_mflops
-  | exception Augem_sim.Perf.No_hot_loop _ -> None
-
 (* Process-wide sweep parallelism: [tune ~jobs] overrides per call;
    [set_jobs] (or the AUGEM_JOBS environment variable) sets the default
    for every sweep, including the internal ones behind the library

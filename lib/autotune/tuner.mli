@@ -102,14 +102,6 @@ type native_measure =
 val set_native_measure : native_measure option -> unit
 val native_measure_installed : unit -> bool
 
-(** Score a generated program on a workload; [None] when the program
-    has no analyzable hot loop. *)
-val score :
-  Augem_machine.Arch.t ->
-  Augem_machine.Insn.program ->
-  Augem_sim.Perf.workload ->
-  float option
-
 (** Set the process-wide default sweep parallelism (also settable via
     the [AUGEM_JOBS] environment variable); clamped to at least 1.
     Affects every {!tune}/{!tuned} call that does not pass [?jobs],

@@ -17,8 +17,7 @@ type t = {
   mutable rejected_total : int;
 }
 
-let create ?(threshold = 3) ?(cooldown_s = 30.) ?(now = Unix.gettimeofday) ()
-    : t =
+let create ?(threshold = 3) ?(cooldown_s = 30.) ~now () : t =
   {
     m = Mutex.create ();
     keys = Hashtbl.create 16;

@@ -26,10 +26,9 @@ type t
 
 (** [create ~threshold ~cooldown_s ~now ()]: open a key after
     [threshold] consecutive failures (clamped to ≥ 1); allow a probe
-    [cooldown_s] after opening.  [now] defaults to
-    [Unix.gettimeofday]. *)
+    [cooldown_s] after opening, as read on the caller's clock [now]. *)
 val create :
-  ?threshold:int -> ?cooldown_s:float -> ?now:(unit -> float) -> unit -> t
+  ?threshold:int -> ?cooldown_s:float -> now:(unit -> float) -> unit -> t
 
 val threshold : t -> int
 val cooldown_s : t -> float

@@ -26,9 +26,9 @@
 exception Injected of string
 
 (** Raised by a [Kill]-triggered point: simulates the death of the
-    executing worker.  {!Augem_parallel.Taskq} treats it as fatal to
-    the worker domain (supervised respawn) rather than as an ordinary
-    task exception. *)
+    executing worker.  {!Augem_service.Scheduler} treats it as fatal to
+    the worker domain (the job is lost, a replacement is spawned within
+    the restart budget) rather than as an ordinary job exception. *)
 exception Worker_kill of string
 
 type action =

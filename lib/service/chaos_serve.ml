@@ -184,7 +184,7 @@ let run_session ~(index : int) ~(g : prng) ~(log : string -> unit)
       cfg_recover = true;
     }
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = A.Jit.Clock.now_s () in
   let server = Server.create ~config () in
   let viol fmt =
     Printf.ksprintf
@@ -226,7 +226,7 @@ let run_session ~(index : int) ~(g : prng) ~(log : string -> unit)
   spawn (fun () -> client 1);
   let rec wait_clients () =
     if Mutex.protect respond_mutex (fun () -> !done_count) >= 2 then true
-    else if Unix.gettimeofday () -. t0 > session_deadline_s then false
+    else if A.Jit.Clock.now_s () -. t0 > session_deadline_s then false
     else begin
       Thread.delay 0.002;
       wait_clients ()
@@ -311,7 +311,7 @@ let run_session ~(index : int) ~(g : prng) ~(log : string -> unit)
         | None -> viol "stats reply without stats body")
     | Error _ -> ());
     (* wall-clock invariant: the whole scripted session stays bounded *)
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = A.Jit.Clock.now_s () -. t0 in
     if wall > session_deadline_s then
       viol "session took %.1fs (deadline %.0fs)" wall session_deadline_s;
     let coalesced = Registry.coalesced_total (Server.registry server) in
@@ -327,6 +327,7 @@ let run ?(sessions = 40) ?(log = fun _ -> ()) ~(seed : int) () : outcome =
   in
   let schedules = Hashtbl.create 64 in
   let points = Hashtbl.create 16 in
+  let reached = Hashtbl.create 16 in
   let coalesced = ref 0 in
   let deaths = ref 0 in
   let injected = ref 0 in
@@ -334,10 +335,22 @@ let run ?(sessions = 40) ?(log = fun _ -> ()) ~(seed : int) () : outcome =
     let schedule, co, inj, dd = run_session ~index:i ~g ~log st in
     Hashtbl.replace schedules (schedule_key schedule) ();
     List.iter (fun tr -> Hashtbl.replace points tr.Faultpoint.tr_point ()) schedule;
+    List.iter
+      (fun (p, _) -> if Faultpoint.hit_count p > 0 then Hashtbl.replace reached p ())
+      catalog;
     coalesced := !coalesced + co;
     injected := !injected + inj;
     deaths := !deaths + dd
   done;
+  (* a catalog point no session reached injects nothing when armed: a
+     moved or deleted hit would silently turn its schedules into no-ops *)
+  List.iter
+    (fun (p, _) ->
+      if not (Hashtbl.mem reached p) then
+        Queue.add
+          (Printf.sprintf "fault point %s was never hit in %d sessions" p sessions)
+          st.s_violations)
+    catalog;
   Faultpoint.disarm ();
   Faultpoint.reset_counters ();
   {

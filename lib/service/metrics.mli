@@ -1,5 +1,9 @@
-(** Live service metrics: counters and latency histograms, snapshotted
-    as JSON by the [stats] request.
+(** Live service counters and latency histograms, snapshotted as JSON
+    by the [stats] request.
+
+    Metrics counts events and stores no gauge: the worker, breaker and
+    cache-recovery gauges are read from the components that own them
+    when the snapshot is taken, and passed to {!snapshot}.
 
     Everything is guarded by one mutex (mutations are nanoseconds
     against multi-millisecond requests) and safe from any domain or
@@ -15,39 +19,26 @@ val create : ?now:(unit -> float) -> unit -> t
 
 (** {2 Counters} *)
 
-val incr_request : t -> string -> unit
-(** by op name ("tune", "blocked", "stats", "ping", "shutdown",
-    "bad") *)
+type counter =
+  | Request of string
+      (** by op name ("tune", "blocked", "stats", "ping", "shutdown",
+          "bad") *)
+  | Tier of Proto.tier  (** the tier that answered a request *)
+  | Overload  (** rejected: the queue was at capacity *)
+  | Degraded_deadline
+      (** served the baseline because the deadline expired pre-sweep *)
+  | Degraded_fell_back
+      (** served a sweep result whose whole space was discarded *)
+  | Degraded_lost
+      (** served the baseline because the worker running the sweep died *)
+  | Degraded_breaker
+      (** served the baseline because the key's circuit breaker is open *)
+  | Errors
+  | Disk_corrupt  (** a disk-tier entry failed its checksum *)
+  | Stores  (** a result was stored on disk *)
+  | Store_errors  (** storing a result on disk failed *)
 
-val incr_tier : t -> Proto.tier -> unit
-val incr_overload : t -> unit
-
-val incr_degraded_deadline : t -> unit
-(** served the baseline because the deadline expired pre-sweep *)
-
-val incr_degraded_fell_back : t -> unit
-(** served a sweep result whose whole space was discarded *)
-
-val incr_degraded_lost : t -> unit
-(** served the baseline because the worker running the sweep died *)
-
-val incr_degraded_breaker : t -> unit
-(** served the baseline because the key's circuit breaker is open *)
-
-val incr_errors : t -> unit
-
-(** {2 Resilience gauges}
-
-    Sampled from the owning component (scheduler, breaker, recovery
-    scan) at stats time — the snapshot reflects the component's own
-    arithmetic, not a parallel count that could drift. *)
-
-val set_workers : t -> live:int -> deaths:int -> restarts:int -> unit
-val set_breaker : t -> open_now:int -> opened_total:int -> rejected:int -> unit
-val set_cache_recovery : t -> recovered:int -> quarantined:int -> unit
-
-(** Milliseconds since [create]. *)
-val uptime_ms : t -> float
+val incr : t -> counter -> unit
 
 (** Fold a {!Augem.Tuner.cache_event} into the counters — the shared
     accounting path with the [tune] CLI (disk corruptions, stores,
@@ -65,9 +56,12 @@ val observe_tuning_ms : t -> float -> unit
 (** {2 Reading} *)
 
 (** Counter value by snapshot path, e.g. ["tiers.memory"],
-    ["requests.tune"], ["rejects.overload"],
-    ["resilience.worker_restarts"] (flat aliases like
-    ["worker_restarts"] also resolve) — test/validation helper. *)
+    ["requests.tune"], ["rejects.overload"], ["errors"] — test and
+    validation helper.  Raises [Invalid_argument] on a path that names
+    no counter. *)
 val get : t -> string -> int
 
-val snapshot : t -> Augem.Json.t
+(** [snapshot t ~resilience] renders every counter, the uptime and
+    both histograms.  [resilience] holds the gauges read from their
+    owners, rendered in order under ["resilience"]. *)
+val snapshot : t -> resilience:(string * int) list -> Augem.Json.t

@@ -54,28 +54,34 @@ type t = {
   registry : Tuner.result Registry.t;
   plans : A.Blocked.plan Registry.t;
   sched : Scheduler.t;
+  recovered : int;  (* cache entries the boot-time recovery kept *)
+  quarantined : int;  (* and the ones it moved aside *)
   mutable stop : bool;
   mutable listen_fd : Unix.file_descr option;
   clients : (Unix.file_descr, unit) Hashtbl.t;
   cm : Mutex.t;  (* stop / listen_fd / clients *)
+  no_clients : Condition.t;  (* signalled when [clients] empties *)
 }
 
 let create ?(now = A.Jit.Clock.now_s) ?(config = default_config) () : t =
   let metrics = Metrics.create ~now () in
   (* the cache dir may hold debris of a previous instance killed
      mid-store: quarantine it before the first lookup can see it *)
-  (match config.cfg_cache_dir with
-  | Some dir when config.cfg_recover ->
-      let r = Cache.recover ~dir () in
-      let quarantined = r.Cache.rc_quarantined + r.Cache.rc_tmp_quarantined in
-      Metrics.set_cache_recovery metrics ~recovered:r.Cache.rc_valid
-        ~quarantined;
-      if quarantined > 0 then
-        Log.warn (fun m ->
-            m "cache recovery: %d valid, %d quarantined (%d torn, %d tmp)"
-              r.Cache.rc_valid quarantined r.Cache.rc_quarantined
-              r.Cache.rc_tmp_quarantined)
-  | _ -> ());
+  let recovered, quarantined =
+    match config.cfg_cache_dir with
+    | Some dir when config.cfg_recover ->
+        let r = Cache.recover ~dir () in
+        let quarantined =
+          r.Cache.rc_quarantined + r.Cache.rc_tmp_quarantined
+        in
+        if quarantined > 0 then
+          Log.warn (fun m ->
+              m "cache recovery: %d valid, %d quarantined (%d torn, %d tmp)"
+                r.Cache.rc_valid quarantined r.Cache.rc_quarantined
+                r.Cache.rc_tmp_quarantined);
+        (r.Cache.rc_valid, quarantined)
+    | _ -> (0, 0)
+  in
   let breaker =
     if config.cfg_breaker_threshold > 0 then
       Some
@@ -105,17 +111,19 @@ let create ?(now = A.Jit.Clock.now_s) ?(config = default_config) () : t =
     registry = registry (fun r -> r.Tuner.fell_back);
     plans = registry (fun p -> p.A.Blocked.pl_fell_back);
     sched;
+    recovered;
+    quarantined;
     stop = false;
     listen_fd = None;
     clients = Hashtbl.create 8;
     cm = Mutex.create ();
+    no_clients = Condition.create ();
   }
 
 let metrics t = t.metrics
 let registry t = t.registry
 let plans t = t.plans
 let scheduler t = t.sched
-let config t = t.cfg
 let stopping t = Mutex.protect t.cm (fun () -> t.stop)
 
 let request_stop (t : t) : unit =
@@ -175,7 +183,7 @@ let handle_cached (t : t) (id : Json.t) (reg : 'v Registry.t)
     { Proto.rs_id = id; rs_result }
   in
   let internal e =
-    Metrics.incr_errors t.metrics;
+    Metrics.incr t.metrics Metrics.Errors;
     let e_detail =
       match e with
       | Tuner.No_viable_configuration detail -> detail
@@ -185,13 +193,13 @@ let handle_cached (t : t) (id : Json.t) (reg : 'v Registry.t)
   in
   match Registry.find_or_compute reg key ~compute with
   | exception Proto.Overload detail ->
-      Metrics.incr_overload t.metrics;
+      Metrics.incr t.metrics Metrics.Overload;
       respond (Error { Proto.e_code = Proto.e_overload; e_detail = detail })
   | exception Breaker.Open_circuit _ -> (
       (* the key's circuit is open: serve the safe baseline immediately
          (annotated, degraded) rather than queueing another doomed
          sweep *)
-      Metrics.incr_degraded_breaker t.metrics;
+      Metrics.incr t.metrics Metrics.Degraded_breaker;
       match baseline () with
       | exception e -> internal e
       | r ->
@@ -207,12 +215,12 @@ let handle_cached (t : t) (id : Json.t) (reg : 'v Registry.t)
                   })))
   | exception e -> internal e
   | o ->
-      Metrics.incr_tier t.metrics o.Registry.o_tier;
+      Metrics.incr t.metrics (Metrics.Tier o.Registry.o_tier);
       if o.Registry.o_deadline_expired then
-        Metrics.incr_degraded_deadline t.metrics
-      else if !lost then Metrics.incr_degraded_lost t.metrics
+        Metrics.incr t.metrics Metrics.Degraded_deadline
+      else if !lost then Metrics.incr t.metrics Metrics.Degraded_lost
       else if o.Registry.o_degraded then
-        Metrics.incr_degraded_fell_back t.metrics;
+        Metrics.incr t.metrics Metrics.Degraded_fell_back;
       if o.Registry.o_tier = Proto.T_tuned then
         Metrics.observe_tuning_ms t.metrics o.Registry.o_tuning_ms;
       respond (Ok (reply ~breaker_open:false o))
@@ -332,22 +340,26 @@ let op_name : Proto.op -> string = function
 
 let handle_request (t : t) (rq : Proto.request) : Proto.response =
   let answer rs_result = { Proto.rs_id = rq.Proto.rq_id; rs_result } in
-  Metrics.incr_request t.metrics (op_name rq.Proto.rq_op);
+  Metrics.incr t.metrics (Metrics.Request (op_name rq.Proto.rq_op));
   match rq.Proto.rq_op with
   | Proto.Op_ping -> answer (Ok Proto.R_pong)
   | Proto.Op_stats ->
-      (* refresh the resilience gauges from their owning components so
-         the snapshot can't drift from the real counters *)
-      Metrics.set_workers t.metrics
-        ~live:(Scheduler.live_workers t.sched)
-        ~deaths:(Scheduler.worker_deaths t.sched)
-        ~restarts:(Scheduler.worker_restarts t.sched);
-      (match Registry.breaker t.registry with
-      | Some b ->
-          Metrics.set_breaker t.metrics ~open_now:(Breaker.open_now b)
-            ~opened_total:(Breaker.opened_total b)
-            ~rejected:(Breaker.rejected_total b)
-      | None -> ());
+      (* the resilience gauges, read from the components that own them *)
+      let breaker gauge =
+        match Registry.breaker t.registry with Some b -> gauge b | None -> 0
+      in
+      let resilience =
+        [
+          ("worker_live", Scheduler.live_workers t.sched);
+          ("worker_deaths", Scheduler.worker_deaths t.sched);
+          ("worker_restarts", Scheduler.worker_restarts t.sched);
+          ("breaker_open", breaker Breaker.open_now);
+          ("breaker_open_total", breaker Breaker.opened_total);
+          ("breaker_rejected", breaker Breaker.rejected_total);
+          ("cache_recovered", t.recovered);
+          ("cache_quarantined", t.quarantined);
+        ]
+      in
       (* host native-execution capability: whether this server could JIT
          and run generated kernels, and which SIMD features cpuid
          reports.  Static per process, so appended at snapshot time
@@ -361,7 +373,7 @@ let handle_request (t : t) (rq : Proto.request) : Proto.response =
                  (A.Native_check.host_features ())) )
       in
       let stats =
-        match Metrics.snapshot t.metrics with
+        match Metrics.snapshot t.metrics ~resilience with
         | Json.Obj fields -> Json.Obj (fields @ [ native ])
         | j -> j
       in
@@ -383,7 +395,7 @@ let handle_request (t : t) (rq : Proto.request) : Proto.response =
 let handle_line (t : t) (line : string) : string =
   match Proto.parse_request line with
   | Error (id, e) ->
-      Metrics.incr_request t.metrics "bad";
+      Metrics.incr t.metrics (Metrics.Request "bad");
       Proto.response_line { Proto.rs_id = id; rs_result = Error e }
   | Ok rq -> (
       match
@@ -393,7 +405,7 @@ let handle_line (t : t) (line : string) : string =
       | rs -> Proto.response_line rs
       | exception e ->
           (* handle_request is supposed to be total; backstop anyway *)
-          Metrics.incr_errors t.metrics;
+          Metrics.incr t.metrics Metrics.Errors;
           Proto.response_line
             {
               Proto.rs_id = rq.Proto.rq_id;
@@ -426,8 +438,14 @@ let serve_stdio (t : t) : unit =
 let track_client (t : t) (fd : Unix.file_descr) : unit =
   Mutex.protect t.cm (fun () -> Hashtbl.replace t.clients fd ())
 
+(* Forget and close a client's socket in one step under [cm], so
+   [serve_socket] never shuts down a descriptor that is already closed
+   or reused. *)
 let untrack_client (t : t) (fd : Unix.file_descr) : unit =
-  Mutex.protect t.cm (fun () -> Hashtbl.remove t.clients fd)
+  Mutex.protect t.cm (fun () ->
+      Hashtbl.remove t.clients fd;
+      (try Unix.close fd with _ -> ());
+      if Hashtbl.length t.clients = 0 then Condition.broadcast t.no_clients)
 
 let serve_client (t : t) (fd : Unix.file_descr) : unit =
   let ic = Unix.in_channel_of_descr fd in
@@ -443,8 +461,7 @@ let serve_client (t : t) (fd : Unix.file_descr) : unit =
         if not (stopping t) then loop ()
   in
   (try loop () with Sys_error _ | End_of_file -> ());
-  untrack_client t fd;
-  try Unix.close fd with _ -> ()
+  untrack_client t fd
 
 let serve_socket (t : t) (path : string) : unit =
   (* a client that disconnects mid-response must surface as EPIPE in
@@ -456,14 +473,15 @@ let serve_socket (t : t) (path : string) : unit =
   Unix.listen listen_fd 64;
   Mutex.protect t.cm (fun () -> t.listen_fd <- Some listen_fd);
   Log.info (fun m -> m "listening on %s" path);
-  let threads = ref [] in
+  (* a client's thread ends when its client does; only the [clients]
+     table remembers it, so the daemon holds nothing per past client *)
   let rec accept_loop () =
     if stopping t then ()
     else
       match Unix.accept listen_fd with
       | fd, _ ->
           track_client t fd;
-          threads := Thread.create (fun () -> serve_client t fd) () :: !threads;
+          ignore (Thread.create (fun () -> serve_client t fd) ());
           accept_loop ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
       | exception Unix.Unix_error _ ->
@@ -477,11 +495,13 @@ let serve_socket (t : t) (path : string) : unit =
   (try Unix.close listen_fd with _ -> ());
   (* unblock every client still parked in a read — receive side only,
      so a response already being written (e.g. the shutdown ack) still
-     reaches its client — then join *)
-  let fds = Mutex.protect t.cm (fun () -> Hashtbl.fold (fun fd () acc -> fd :: acc) t.clients []) in
-  List.iter
-    (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with _ -> ())
-    fds;
-  List.iter Thread.join !threads;
+     reaches its client — then wait until every client has closed *)
+  Mutex.protect t.cm (fun () ->
+      Hashtbl.iter
+        (fun fd () -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with _ -> ())
+        t.clients;
+      while Hashtbl.length t.clients > 0 do
+        Condition.wait t.no_clients t.cm
+      done);
   (try Unix.unlink path with _ -> ());
   drain t

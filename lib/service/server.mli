@@ -16,9 +16,10 @@
     Transports: [serve_stdio] (one request per stdin line, one response
     per stdout line, EOF = clean shutdown — what the [@serve-smoke]
     alias boots) and [serve_socket] (Unix-domain socket, one thread per
-    client, concurrent requests across clients).  A [shutdown] request
+    live client, concurrent requests across clients).  A [shutdown] request
     or SIGINT/SIGTERM ({!request_stop}) stops the accept loop, unblocks
-    every client, joins their threads, and drains the worker pool.
+    every client, waits until each has closed, and drains the worker
+    pool.
 
     Resilience: {!create} first quarantines crash debris in the cache
     dir ({!Augem.Tuning_cache.recover}); worker domains that die are
@@ -26,8 +27,10 @@
     the safe baseline ([degraded.lost]); a key whose sweeps keep
     failing trips a per-key circuit breaker and is served the degraded
     baseline (a kernel reply with [provenance.breaker_open = true])
-    until a cooldown probe succeeds.  The [stats] snapshot carries the supervision, breaker
-    and recovery gauges under ["resilience"]. *)
+    until a cooldown probe succeeds.  The [stats] snapshot carries the
+    supervision, breaker and recovery gauges under ["resilience"], read
+    from the scheduler, the breaker and the boot-time recovery result
+    when the snapshot is taken. *)
 
 type config = {
   cfg_workers : int;  (** tuning-worker domains *)
@@ -68,7 +71,6 @@ val registry : t -> Augem.Tuner.result Registry.t
     as {!registry}). *)
 val plans : t -> Augem.Blocked.plan Registry.t
 val scheduler : t -> Scheduler.t
-val config : t -> config
 
 (** Handle one decoded request synchronously (blocks through the
     scheduler for [tune] and [blocked] misses).  Never raises. *)
@@ -77,9 +79,6 @@ val handle_request : t -> Proto.request -> Proto.response
 (** Parse one wire line and handle it; the response line (no trailing
     newline).  Never raises. *)
 val handle_line : t -> string -> string
-
-(** Has a [shutdown] request or {!request_stop} been seen? *)
-val stopping : t -> bool
 
 (** Flag the server to stop and unblock a blocked accept loop.
     Safe to call from a signal handler or any thread. *)
@@ -90,9 +89,10 @@ val request_stop : t -> unit
 val serve_stdio : t -> unit
 
 (** Bind a Unix-domain socket at [path] (replacing a stale socket
-    file), serve until [shutdown]/{!request_stop}, then unblock and
-    join every client and drain the worker pool.  The socket file is
-    removed on exit. *)
+    file), serve until [shutdown]/{!request_stop}, then unblock every
+    client, wait until each has closed, and drain the worker pool.
+    Only live clients hold a thread.  The socket file is removed on
+    exit. *)
 val serve_socket : t -> string -> unit
 
 (** Drain and join the worker pool (idempotent; transports call it on

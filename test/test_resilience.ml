@@ -18,7 +18,6 @@ module R = Augem_resilience
 module F = R.Faultpoint
 module Breaker = R.Breaker
 module Retry = R.Retry
-module Taskq = Augem_parallel.Taskq
 module S = Augem_service
 module Proto = S.Proto
 module Registry = S.Registry
@@ -215,54 +214,61 @@ let test_retry_classification () =
 
 (* --- worker supervision ---------------------------------------------------- *)
 
-let test_taskq_kill_respawn () =
+(* Submit [f] and wait for its outcome, named so a check shows it. *)
+let run_job (s : Scheduler.t) (f : unit -> unit) : string =
+  match Scheduler.submit s f with
+  | None -> Alcotest.fail "submit rejected"
+  | Some fut -> (
+      match Scheduler.await fut with
+      | Scheduler.Done () -> "done"
+      | Scheduler.Expired -> "expired"
+      | Scheduler.Failed e -> "failed: " ^ Printexc.to_string e
+      | Scheduler.Lost -> "lost")
+
+let test_scheduler_kill_respawn () =
   with_faults (fun () ->
-      let t = Taskq.create ~workers:1 ~capacity:8 ~restart_budget:2 () in
+      let s = Scheduler.create ~workers:1 ~capacity:8 ~restart_budget:2 () in
       F.arm [ { F.tr_point = "taskq.worker"; tr_hit = 1; tr_action = F.Kill } ];
-      let abandoned = ref false in
       let ran = ref false in
-      Alcotest.(check bool) "submit accepted" true
-        (Taskq.submit t
-           ~on_abandon:(fun () -> abandoned := true)
-           (fun () -> ran := true));
-      eventually "the killed job to be abandoned" (fun () -> !abandoned);
+      Alcotest.(check string) "killed job is lost" "lost"
+        (run_job s (fun () -> ran := true));
       Alcotest.(check bool) "killed job never ran" false !ran;
-      (* the supervisor brings up a replacement that drains new work *)
-      let second = ref false in
-      ignore (Taskq.submit t (fun () -> second := true));
-      eventually "the respawned worker to run a task" (fun () -> !second);
-      Alcotest.(check int) "one death" 1 (Taskq.deaths t);
-      Alcotest.(check int) "one respawn" 1 (Taskq.restarts t);
-      Alcotest.(check int) "live again" 1 (Taskq.live_workers t);
-      Taskq.shutdown t)
+      (* the replacement drains new work; it is spawned in the same
+         step that counts the death, so both counters are settled once
+         it has run a job *)
+      Alcotest.(check string) "the replacement runs the next job" "done"
+        (run_job s ignore);
+      Alcotest.(check int) "one death" 1 (Scheduler.worker_deaths s);
+      Alcotest.(check int) "one respawn" 1 (Scheduler.worker_restarts s);
+      Alcotest.(check int) "live again" 1 (Scheduler.live_workers s);
+      Scheduler.shutdown s)
 
-let test_taskq_restart_budget () =
+let test_scheduler_restart_budget () =
   with_faults (fun () ->
-      let t = Taskq.create ~workers:1 ~capacity:8 ~restart_budget:0 () in
+      let s = Scheduler.create ~workers:1 ~capacity:8 ~restart_budget:0 () in
       F.arm [ { F.tr_point = "taskq.worker"; tr_hit = 1; tr_action = F.Kill } ];
-      let abandoned = ref false in
-      ignore (Taskq.submit t ~on_abandon:(fun () -> abandoned := true) ignore);
-      eventually "the job to be abandoned" (fun () -> !abandoned);
-      eventually "the death to be counted" (fun () -> Taskq.deaths t = 1);
-      Alcotest.(check int) "budget exhausted: no respawn" 0 (Taskq.restarts t);
-      Alcotest.(check int) "no workers left" 0 (Taskq.live_workers t);
-      Taskq.shutdown t)
+      Alcotest.(check string) "killed job is lost" "lost" (run_job s ignore);
+      eventually "the death to be counted" (fun () ->
+          Scheduler.worker_deaths s = 1);
+      Alcotest.(check int) "budget exhausted: no respawn" 0
+        (Scheduler.worker_restarts s);
+      Alcotest.(check int) "no workers left" 0 (Scheduler.live_workers s);
+      Scheduler.shutdown s)
 
-let test_taskq_injected_failure_abandons () =
-  (* an ordinary injected exception before the task body must not
-     leave the future dangling: the worker survives, the task is
-     abandoned *)
+let test_scheduler_pickup_failure_loses () =
+  (* an ordinary injected exception at pickup, before the job body,
+     must not leave the future dangling: the job is lost and the
+     worker survives *)
   with_faults (fun () ->
-      let t = Taskq.create ~workers:1 ~capacity:8 ~restart_budget:2 () in
+      let s = Scheduler.create ~workers:1 ~capacity:8 ~restart_budget:2 () in
       F.arm [ { F.tr_point = "taskq.worker"; tr_hit = 1; tr_action = F.Fail } ];
-      let abandoned = ref false in
-      ignore (Taskq.submit t ~on_abandon:(fun () -> abandoned := true) ignore);
-      eventually "the failed pickup to abandon" (fun () -> !abandoned);
-      Alcotest.(check int) "worker survived" 0 (Taskq.deaths t);
-      let second = ref false in
-      ignore (Taskq.submit t (fun () -> second := true));
-      eventually "the same worker to keep draining" (fun () -> !second);
-      Taskq.shutdown t)
+      Alcotest.(check string) "failed pickup is lost" "lost" (run_job s ignore);
+      Alcotest.(check string) "the same worker keeps draining" "done"
+        (run_job s ignore);
+      Alcotest.(check int) "worker survived" 0 (Scheduler.worker_deaths s);
+      Alcotest.(check int) "no respawn" 0 (Scheduler.worker_restarts s);
+      Alcotest.(check int) "still live" 1 (Scheduler.live_workers s);
+      Scheduler.shutdown s)
 
 let test_scheduler_lost () =
   with_faults (fun () ->
@@ -542,11 +548,10 @@ let test_server_lost_worker_degrades () =
       let j2 = parse_json "retry" (Server.handle_line t (tune_line ~id:2 "axpy")) in
       Alcotest.(check bool) "retry not degraded" true
         (jget "retry" j2 "degraded" = Json.Bool false);
-      ignore (Server.handle_line t {|{"id":3,"op":"stats"}|});
       let m = Server.metrics t in
-      Alcotest.(check int) "worker death gauge" 1 (Metrics.get m "worker_deaths");
-      Alcotest.(check int) "worker restart gauge" 1
-        (Metrics.get m "worker_restarts");
+      let sched = Server.scheduler t in
+      Alcotest.(check int) "worker death" 1 (Scheduler.worker_deaths sched);
+      Alcotest.(check int) "worker restart" 1 (Scheduler.worker_restarts sched);
       (* a lost plan sweep is served the baseline plan, which is
          fell-back: degraded and never cached *)
       arm_next "scheduler.job" F.Kill;
@@ -586,13 +591,12 @@ let test_server_breaker_serves_baseline () =
       let prov = jget "open" j2 "provenance" in
       Alcotest.(check bool) "annotated breaker_open" true
         (jget "open" prov "breaker_open" = Json.Bool true);
-      ignore (Server.handle_line t {|{"id":3,"op":"stats"}|});
       let m = Server.metrics t in
       Alcotest.(check int) "breaker-degraded counted" 1
         (Metrics.get m "degraded.breaker_open");
-      Alcotest.(check int) "open gauge" 1 (Metrics.get m "breaker_open");
-      Alcotest.(check int) "opened total gauge" 1
-        (Metrics.get m "breaker_open_total");
+      let b = Option.get (Registry.breaker (Server.registry t)) in
+      Alcotest.(check int) "open now" 1 (Breaker.open_now b);
+      Alcotest.(check int) "opened total" 1 (Breaker.opened_total b);
       (* after the cooldown, the probe runs a real sweep and closes it *)
       now := 11.;
       let j3 = parse_json "probe" (Server.handle_line t (tune_line ~id:4 "dot")) in
@@ -632,8 +636,11 @@ let test_server_recovers_cache_at_boot () =
             { base_config with cfg_cache_dir = Some dir; cfg_recover = true }
           ()
       in
-      Alcotest.(check int) "debris quarantined at boot" 1
-        (Metrics.get (Server.metrics t) "cache_quarantined");
+      Alcotest.(check bool) "debris quarantined at boot" true
+        (Sys.file_exists
+           (Filename.concat
+              (Filename.concat dir Cache.quarantine_dirname)
+              "augem-tune-0.tmp"));
       let stats =
         parse_json "stats" (Server.handle_line t {|{"id":1,"op":"stats"}|})
       in
@@ -675,12 +682,12 @@ let suite =
     Alcotest.test_case "retry: seeded schedule" `Quick test_retry_schedule;
     Alcotest.test_case "retry: classification and budget" `Quick
       test_retry_classification;
-    Alcotest.test_case "taskq: kill, respawn, drain" `Quick
-      test_taskq_kill_respawn;
-    Alcotest.test_case "taskq: restart budget exhausts" `Quick
-      test_taskq_restart_budget;
-    Alcotest.test_case "taskq: injected failure abandons the task" `Quick
-      test_taskq_injected_failure_abandons;
+    Alcotest.test_case "scheduler: kill, respawn, drain" `Quick
+      test_scheduler_kill_respawn;
+    Alcotest.test_case "scheduler: restart budget exhausts" `Quick
+      test_scheduler_restart_budget;
+    Alcotest.test_case "scheduler: pickup failure loses job" `Quick
+      test_scheduler_pickup_failure_loses;
     Alcotest.test_case "scheduler: lost jobs resolve" `Quick test_scheduler_lost;
     Alcotest.test_case "registry: leader death reaches every waiter" `Quick
       test_registry_leader_death_propagates;

@@ -1,10 +1,13 @@
 (* The kernel service runtime: wire protocol round-trips, the two-tier
    registry (bounded LRU + disk), single-flight coalescing, overload
-   rejection, deadline degradation and metrics consistency.
+   rejection, deadline degradation, the socket transport and the
+   [stats] layout.
 
    Every concurrency assertion is deterministic — gates (a mutex +
    condition the test opens explicitly) and an injectable clock stand
-   in for timing; there are no sleeps. *)
+   in for timing; there are no sleeps.  The one exception is the socket
+   transport, whose threads the test does not own: it polls, with a
+   bound. *)
 
 module A = Augem
 module Arch = A.Machine.Arch
@@ -523,46 +526,163 @@ let test_server_blocked_tiers () =
   Alcotest.(check string) "restart replays from disk" "disk" (jstr r "tier");
   Server.drain restarted
 
+(* --- socket transport ------------------------------------------------------ *)
+
+(* Wait at most 10 s for [pred]: the transport runs on its own threads,
+   so its progress can only be polled. *)
+let within_10s what pred =
+  let t0 = Unix.gettimeofday () in
+  while not (pred ()) do
+    if Unix.gettimeofday () -. t0 > 10. then
+      Alcotest.failf "timed out waiting for %s" what;
+    Thread.delay 0.001
+  done
+
+let connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd (Unix.ADDR_UNIX path)
+   with e ->
+     Unix.close fd;
+     raise e);
+  (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+
+let send (ic, oc) line =
+  output_string oc line;
+  output_char oc '\n';
+  flush oc;
+  match In_channel.input_line ic with
+  | Some reply -> reply_of reply
+  | None -> Alcotest.failf "no reply to %s" line
+
+let test_socket_transport () =
+  let dir = Filename.temp_dir "augem-sock" "" in
+  let path = Filename.concat dir "s" in
+  let server = Server.create () in
+  let returned = Atomic.make false in
+  ignore
+    (Thread.create
+       (fun () ->
+         Server.serve_socket server path;
+         Atomic.set returned true)
+       ());
+  (* the file appears at bind, a moment before listen *)
+  within_10s "the listener" (fun () ->
+      match connect path with
+      | c ->
+          close_in (fst c);
+          true
+      | exception Unix.Unix_error _ -> false);
+  for id = 1 to 100 do
+    let c = connect path in
+    let r = send c (Printf.sprintf {|{"id":%d,"op":"ping"}|} id) in
+    Alcotest.(check bool) "pong" true (jbool "ok" r);
+    close_in (fst c)
+  done;
+  (* connected before the shutdown request, so accepted before it *)
+  let idle = connect path in
+  let closer = connect path in
+  let r = send closer {|{"id":0,"op":"shutdown"}|} in
+  Alcotest.(check bool) "shutdown acknowledged" true (jbool "ok" r);
+  within_10s "serve_socket to return" (fun () -> Atomic.get returned);
+  Alcotest.(check (option string)) "idle client reads EOF" None
+    (In_channel.input_line (fst idle));
+  List.iter (fun (ic, _) -> close_in ic) [ idle; closer ];
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path);
+  Unix.rmdir dir;
+  Alcotest.(check int) "every ping counted" 100
+    (Metrics.get (Server.metrics server) "requests.ping")
+
 (* --- metrics --------------------------------------------------------------- *)
 
+(* The [stats] layout, pinned byte for byte: every counter, gauge and
+   histogram holds a distinct value, so a key that moves, changes type
+   or reads another key's value changes the string. *)
+let expected_snapshot =
+  String.concat ""
+    [
+      {|{"requests":{"bad":3,"ping":1,"tune":2},|};
+      {|"tiers":{"memory":4,"disk":5,"tuned":6,"coalesced":7},|};
+      {|"rejects":{"overload":8},|};
+      {|"degraded":{"deadline":9,"fell_back":10,"lost":11,"breaker_open":12},|};
+      {|"errors":13,|};
+      {|"cache":{"disk_corrupt":14,"stores":15,"store_errors":16},|};
+      {|"resilience":{"worker_live":17,"worker_deaths":18,"worker_restarts":19,|};
+      {|"breaker_open":20,"breaker_open_total":21,"breaker_rejected":22,|};
+      {|"cache_recovered":23,"cache_quarantined":24},|};
+      {|"uptime_ms":250.0,|};
+      {|"request_ms":{"count":3,"sum_ms":5002.75,"buckets":[|};
+      {|{"le_ms":0.10000000000000001,"n":0},{"le_ms":0.29999999999999999,"n":1},|};
+      {|{"le_ms":1.0,"n":0},{"le_ms":3.0,"n":1},{"le_ms":10.0,"n":0},|};
+      {|{"le_ms":30.0,"n":0},{"le_ms":100.0,"n":0},{"le_ms":300.0,"n":0},|};
+      {|{"le_ms":1000.0,"n":0},{"le_ms":3000.0,"n":0},{"le_ms":10000.0,"n":1},|};
+      {|{"le_ms":"inf","n":0}]},|};
+      {|"tuning_ms":{"count":2,"sum_ms":300.0,"buckets":[|};
+      {|{"le_ms":0.10000000000000001,"n":0},{"le_ms":0.29999999999999999,"n":0},|};
+      {|{"le_ms":1.0,"n":0},{"le_ms":3.0,"n":0},{"le_ms":10.0,"n":0},|};
+      {|{"le_ms":30.0,"n":0},{"le_ms":100.0,"n":1},{"le_ms":300.0,"n":1},|};
+      {|{"le_ms":1000.0,"n":0},{"le_ms":3000.0,"n":0},{"le_ms":10000.0,"n":0},|};
+      {|{"le_ms":"inf","n":0}]}}|};
+    ]
+
 let test_metrics_snapshot_consistency () =
-  let m = Metrics.create () in
-  Metrics.incr_request m "tune";
-  Metrics.incr_request m "tune";
-  Metrics.incr_tier m Proto.T_memory;
-  Metrics.incr_tier m Proto.T_tuned;
-  Metrics.incr_overload m;
-  Metrics.record_cache_event m
-    (Tuner.Ev_disk_corrupt
-       (A.Verify.Diag.make ~code:A.Verify.Diag.E_cache_corrupt
-          ~stage:A.Verify.Diag.S_cache ~kernel:"axpy" ~arch:"sandybridge"
-          ~config:"-" ~detail:"synthetic" ()));
-  Metrics.record_cache_event m Tuner.Ev_store;
-  Metrics.observe_request_ms m 0.05;
-  Metrics.observe_request_ms m 5000.;
+  let clock = ref 100. in
+  let m = Metrics.create ~now:(fun () -> !clock) () in
+  let feed n f = for _ = 1 to n do f () done in
+  feed 2 (fun () -> Metrics.incr m (Metrics.Request "tune"));
+  feed 1 (fun () -> Metrics.incr m (Metrics.Request "ping"));
+  feed 3 (fun () -> Metrics.incr m (Metrics.Request "bad"));
+  feed 4 (fun () -> Metrics.incr m (Metrics.Tier Proto.T_memory));
+  feed 5 (fun () -> Metrics.incr m (Metrics.Tier Proto.T_disk));
+  feed 6 (fun () -> Metrics.incr m (Metrics.Tier Proto.T_tuned));
+  feed 7 (fun () -> Metrics.incr m (Metrics.Tier Proto.T_coalesced));
+  feed 8 (fun () -> Metrics.incr m Metrics.Overload);
+  feed 9 (fun () -> Metrics.incr m Metrics.Degraded_deadline);
+  feed 10 (fun () -> Metrics.incr m Metrics.Degraded_fell_back);
+  feed 11 (fun () -> Metrics.incr m Metrics.Degraded_lost);
+  feed 12 (fun () -> Metrics.incr m Metrics.Degraded_breaker);
+  feed 13 (fun () -> Metrics.incr m Metrics.Errors);
+  let corrupt =
+    Tuner.Ev_disk_corrupt
+      (A.Verify.Diag.make ~code:A.Verify.Diag.E_cache_corrupt
+         ~stage:A.Verify.Diag.S_cache ~kernel:"axpy" ~arch:"sandybridge"
+         ~config:"-" ~detail:"synthetic" ())
+  in
+  let store_error =
+    Tuner.Ev_store_error
+      (A.Verify.Diag.make ~code:A.Verify.Diag.E_cache_corrupt
+         ~stage:A.Verify.Diag.S_cache ~kernel:"axpy" ~arch:"sandybridge"
+         ~config:"-" ~detail:"synthetic" ())
+  in
+  feed 14 (fun () -> Metrics.record_cache_event m corrupt);
+  feed 15 (fun () -> Metrics.record_cache_event m Tuner.Ev_store);
+  feed 16 (fun () -> Metrics.record_cache_event m store_error);
+  (* tier events are counted by [incr_tier], not by the event fold *)
+  Metrics.record_cache_event m Tuner.Ev_memory_hit;
+  (* the gauges belong to their owners; the server reads them at stats *)
+  let resilience =
+    [
+      ("worker_live", 17);
+      ("worker_deaths", 18);
+      ("worker_restarts", 19);
+      ("breaker_open", 20);
+      ("breaker_open_total", 21);
+      ("breaker_rejected", 22);
+      ("cache_recovered", 23);
+      ("cache_quarantined", 24);
+    ]
+  in
+  List.iter (Metrics.observe_request_ms m) [ 0.25; 2.5; 5000. ];
+  List.iter (Metrics.observe_tuning_ms m) [ 40.; 260. ];
+  clock := 100.25;
+  let j = Metrics.snapshot m ~resilience in
   Alcotest.(check int) "requests.tune" 2 (Metrics.get m "requests.tune");
-  Alcotest.(check int) "tiers.memory" 1 (Metrics.get m "tiers.memory");
-  Alcotest.(check int) "rejects.overload" 1 (Metrics.get m "rejects.overload");
-  Alcotest.(check int) "cache.disk_corrupt" 1 (Metrics.get m "cache.disk_corrupt");
-  Alcotest.(check int) "cache.stores" 1 (Metrics.get m "cache.stores");
-  let j = Metrics.snapshot m in
-  let hist = Option.get (Json.member "request_ms" j) in
-  (match Json.member "count" hist with
-  | Some (Json.Int 2) -> ()
-  | v ->
-      Alcotest.failf "histogram count: %s"
-        (match v with Some v -> Json.to_string v | None -> "missing"));
-  (* bucket counts are cumulative-style per-bucket: they sum to count *)
-  match Json.member "buckets" hist with
-  | Some (Json.List bs) ->
-      let total =
-        List.fold_left
-          (fun acc b ->
-            match Json.member "n" b with Some (Json.Int n) -> acc + n | _ -> acc)
-          0 bs
-      in
-      Alcotest.(check int) "buckets sum to count" 2 total
-  | _ -> Alcotest.fail "missing buckets"
+  Alcotest.(check int) "requests never seen" 0 (Metrics.get m "requests.stats");
+  Alcotest.(check int) "tiers.memory" 4 (Metrics.get m "tiers.memory");
+  Alcotest.(check int) "rejects.overload" 8 (Metrics.get m "rejects.overload");
+  Alcotest.(check int) "errors" 13 (Metrics.get m "errors");
+  Alcotest.(check int) "cache.disk_corrupt" 14 (Metrics.get m "cache.disk_corrupt");
+  Alcotest.(check int) "cache.stores" 15 (Metrics.get m "cache.stores");
+  Alcotest.(check string) "snapshot layout" expected_snapshot (Json.to_string j)
 
 let suite =
   [
@@ -591,5 +711,7 @@ let suite =
       test_plan_registry_bounded;
     Alcotest.test_case "server blocked: coalesce, memory, evict, disk" `Slow
       test_server_blocked_tiers;
+    Alcotest.test_case "socket transport: clients, shutdown" `Quick
+      test_socket_transport;
     Alcotest.test_case "metrics snapshot" `Quick test_metrics_snapshot_consistency;
   ]
