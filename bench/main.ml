@@ -330,15 +330,15 @@ module Clock = A.Jit.Clock
 
 (* Pick the first modelled architecture whose generated code this host
    can actually run (piledriver wants FMA4, which modern x86 lacks), and
-   return its plan loaded into executable memory. *)
+   return its model plan and that plan loaded into executable memory. *)
 let native_arch_for ~(et : Etype.t) :
-    (Native_blocked.native_plan, string) result =
+    (A.Blocked.plan * Native_blocked.native_plan, string) result =
   let rec go = function
     | [] -> Error "no modelled architecture is runnable on this host"
     | arch :: rest -> (
         let plan = A.Blocked.plan ~et ~jobs:!jobs_flag arch in
         match Native_blocked.load plan with
-        | Native_check.Ready np -> Ok np
+        | Native_check.Ready np -> Ok (plan, np)
         | Native_check.Unsupported _ | Native_check.Rejected _ -> go rest)
   in
   (* prefer the AVX2+FMA3 machine: it is the closest model of a modern
@@ -357,9 +357,36 @@ let native_precision ~(sizes : int list) (et : Etype.t) : Json.t =
   | Error m ->
       Fmt.pr "native %s: skipped (%s)@." gemm_name m;
       entry [ ("skipped", Json.Bool true); ("reason", Json.String m) ]
-  | Ok np ->
+  | Ok (model, np) ->
       let plan = np.Native_blocked.np_plan in
       let arch = plan.A.Blocked.pl_arch in
+      (* what ran: each kernel's configuration, kept by the clock from
+         the model's exact-tie set of the given size *)
+      let kernels =
+        List.map
+          (fun (name, cand, ties) ->
+            let config =
+              A.Transform.Pipeline.config_to_string cand.Tuner.cand_config
+            in
+            Fmt.pr "%s %-6s %s (of %d tied)@." gemm_name name config ties;
+            ( name,
+              Json.Obj
+                [ ("config", Json.String config); ("ties", Json.Int ties) ] ))
+          [
+            ( "micro",
+              plan.A.Blocked.pl_micro_config,
+              List.length model.A.Blocked.pl_micro_ties );
+            ( "pack_a",
+              fst (List.hd plan.A.Blocked.pl_pack_a_ties),
+              List.length model.A.Blocked.pl_pack_a_ties );
+            ( "pack_b",
+              fst (List.hd plan.A.Blocked.pl_pack_b_ties),
+              List.length model.A.Blocked.pl_pack_b_ties );
+            ( "scal",
+              fst (List.hd plan.A.Blocked.pl_scal_ties),
+              List.length model.A.Blocked.pl_scal_ties );
+          ]
+      in
       (* differential gate before any timing: the simulated gate's
          shapes and blocking, native vs simulated vs reference BLAS,
          with both scaling steps bypassed and taken *)
@@ -425,6 +452,7 @@ let native_precision ~(sizes : int list) (et : Etype.t) : Json.t =
           ("skipped", Json.Bool false);
           ("arch", Json.String arch.Arch.name);
           ("blocking", blocking_json plan.A.Blocked.pl_blocking);
+          ("kernels", Json.Obj kernels);
           ("differential", Json.List diffs);
           ("points", Json.List points);
         ]
@@ -545,7 +573,8 @@ let tuning_sweep (pairs : (Arch.t * Kernels.name) list) () : Json.t =
     if jobs > 1 then time (fun () -> run_all jobs)
     else (seq_results, seq_wall)
   in
-  (* determinism gate: identical winners, scores and histograms *)
+  (* determinism gate: identical winners, scores, tie sets and
+     histograms *)
   List.iteri
     (fun i (seq, par) ->
       let arch, k = List.nth pairs i in
@@ -553,6 +582,7 @@ let tuning_sweep (pairs : (Arch.t * Kernels.name) list) () : Json.t =
         not
           (seq.Tuner.best = par.Tuner.best
           && seq.Tuner.best_score = par.Tuner.best_score
+          && seq.Tuner.ties = par.Tuner.ties
           && seq.Tuner.failure_histogram = par.Tuner.failure_histogram)
       then begin
         Fmt.pr "DETERMINISM FAIL: %s/%s differs between jobs=1 and jobs=%d@."

@@ -53,6 +53,10 @@ type result = {
   best : candidate;
   best_program : Insn.program;
   best_score : float; (* predicted MFLOPS on the reference workload *)
+  ties : candidate list;
+      (* every candidate scoring exactly [best_score], in space order,
+         [best] first; no programs, since a result is cached and served
+         and only a plan's native load reads the set *)
   visited : int;
   discarded : int; (* register-pressure or generation failures *)
   fell_back : bool; (* the safe baseline was used (space fully discarded) *)
@@ -66,9 +70,14 @@ module Log = (val Logs.src_log log_src)
 
 (* --- search spaces ------------------------------------------------------ *)
 
-(* prefetching variants first: on a score tie (common for
-   compute-bound GEMM, where the model's memory leg is negligible) the
-   first-seen maximum wins, and hand-written kernels always prefetch *)
+(* Prefetching variants first, so the first-seen maximum picks one on a
+   score tie.  Ties are common: for compute-bound GEMM the model's
+   memory leg is negligible, and it scores the prefetch distances of
+   the streaming kernels alike.  The order is no claim about speed: on
+   an AVX-512 Xeon the prefetch-free GEMM micro-kernel and the wider
+   packing copies ran faster than these first picks, so the model's
+   exact ties are broken by the clock when a plan is loaded natively
+   (see [Native_blocked.load]). *)
 let prefetch_opts =
   [ Some { Prefetch.pf_distance = 8; pf_stores = true };
     Some { Prefetch.pf_distance = 4; pf_stores = true };
@@ -314,6 +323,17 @@ let evaluate_candidate (arch : Arch.t) ~max_insns (name : Kernels.name)
       | Error d -> Error d
       | Ok s -> Ok (prog, s))
 
+(* One step of the sweep's selection fold over [(score, members)],
+   members newest first: the first-seen maximum stays the answer, and
+   every later candidate with exactly its score joins its tie set.  A
+   NaN score equals nothing, so it replaces the answer as it always
+   has. *)
+let keep_ties best s member =
+  match best with
+  | Some (s', _) when s' > s -> best
+  | Some (s', ties) when s' = s -> Some (s', member :: ties)
+  | _ -> Some (s, [ member ])
+
 let tune ?(et = Etype.F64) ?(workload : Augem_sim.Perf.workload option)
     ?(space : candidate list option) ?(max_insns = default_max_insns)
     ?(jobs : int option) (arch : Arch.t) (name : Kernels.name) : result =
@@ -351,16 +371,16 @@ let tune ?(et = Etype.F64) ?(workload : Augem_sim.Perf.workload option)
                 (Kernels.name_to_string ?fp:(fp_of_et et) name)
                 (Pipeline.config_to_string cand.cand_config)
                 s);
-          (match !best with
-          | Some (_, _, s') when s' >= s -> ()
-          | _ -> best := Some (cand, prog, s)))
+          best := keep_ties !best s (cand, prog))
     space evaluated;
   let failures_list = List.rev !failures in
-  let finish ~fell_back (cand, prog, s) =
+  let finish ~fell_back (s, ties) =
+    let cand, prog = List.hd ties in
     {
       best = cand;
       best_program = prog;
       best_score = s;
+      ties = List.map fst ties;
       visited = !visited;
       discarded = List.length failures_list;
       fell_back;
@@ -369,7 +389,7 @@ let tune ?(et = Etype.F64) ?(workload : Augem_sim.Perf.workload option)
     }
   in
   match !best with
-  | Some b -> finish ~fell_back:false b
+  | Some (s, rev_ties) -> finish ~fell_back:false (s, List.rev rev_ties)
   | None -> (
       (* Graceful degradation: the whole space was discarded.  Fall
          back to the safe baseline rather than raising — a library
@@ -392,7 +412,7 @@ let tune ?(et = Etype.F64) ?(workload : Augem_sim.Perf.workload option)
             | Ok s -> s
             | Error _ -> 0.0
           in
-          finish ~fell_back:true (safe_baseline, prog, s)
+          finish ~fell_back:true (s, [ (safe_baseline, prog) ])
       | Error d ->
           (* even the baseline will not generate: a genuinely broken
              kernel/arch pair, the one case that still raises *)
@@ -402,6 +422,20 @@ let tune ?(et = Etype.F64) ?(workload : Augem_sim.Perf.workload option)
                   (Kernels.name_to_string ?fp:(fp_of_et et) name)
                   arch.Arch.name (Diag.to_string d))))
 
+(* The members of [r]'s exact-tie set with their programs: the answer's
+   own, and the others regenerated.  Generation is deterministic, so
+   each is the program the sweep scored. *)
+let tie_programs ?(et = Etype.F64) (arch : Arch.t) (name : Kernels.name)
+    (r : result) : (candidate * Insn.program) list =
+  let kernel = Kernels.kernel_of_name ?fp:(fp_of_et et) name in
+  (r.best, r.best_program)
+  :: List.filter_map
+       (fun c ->
+         generate_candidate_diag arch name kernel c
+         |> Result.to_option
+         |> Option.map (fun prog -> (c, prog)))
+       (List.tl r.ties)
+
 (* --- memoized tuning (in-memory L1 + persistent on-disk L2) ------------- *)
 
 (* Bump whenever the sweep's semantics or the marshalled result layout
@@ -410,8 +444,9 @@ let tune ?(et = Etype.F64) ?(workload : Augem_sim.Perf.workload option)
    marshalled [Blocked.plan] layout, which the service persists under
    the same addresses.  5: blocked-GEMM search dimensions and the
    E_strength_reduction diagnostic code (Diag is part of the
-   marshalled result). *)
-let tuner_version = "5"
+   marshalled result).  6: the exact-tie sets in [result] and in the
+   plan. *)
+let tuner_version = "6"
 
 let candidate_fingerprint (c : candidate) : string =
   let prefer =
@@ -622,12 +657,18 @@ let select_blocking ~(et : Etype.t) (arch : Arch.t) (c : candidate)
            ~config:(Pipeline.config_to_string c.cand_config)
            ~detail:"no blocking scored: hot loop not analyzable" ())
 
+type blocked_member = {
+  bm_candidate : candidate;
+  bm_program : Insn.program;  (** its generated micro-kernel *)
+  bm_blocking : Mem_model.blocking;  (** its best MC/KC/NC triple *)
+  bm_mr : int;
+  bm_nr : int;
+}
+
 type blocked_result = {
-  bb_candidate : candidate;  (** winning micro-kernel configuration *)
-  bb_program : Insn.program;  (** its generated micro-kernel *)
-  bb_blocking : Mem_model.blocking;  (** winning MC/KC/NC triple *)
-  bb_mr : int;
-  bb_nr : int;
+  bb_ties : blocked_member list;
+      (** every member scoring exactly [bb_blocked_score], in space
+          order, the first-seen maximum first *)
   bb_blocked_score : float;
   bb_streamed_score : float;
   bb_micro_visited : int;
@@ -655,10 +696,10 @@ let evaluate_blocked_candidate (arch : Arch.t) ~max_insns
    register tile admits — the MC/KC/NC dimensions of the search space
    the blocked driver adds.  Selection is the first-seen maximum over
    the cross-product in space order (bit-identical for every [?jobs]),
-   scored by {!Augem_sim.Perf.predict_blocked} on [workload]; the
-   result also carries the {!Augem_sim.Perf.predict_streamed} score of
-   the winner, the unblocked baseline the blocked driver is gated
-   against. *)
+   scored by {!Augem_sim.Perf.predict_blocked} on [workload], with its
+   exact-tie set; the result also carries the
+   {!Augem_sim.Perf.predict_streamed} score of the winner, the unblocked
+   baseline the blocked driver is gated against. *)
 let tune_blocked ?(et = Etype.F64)
     ?(workload : Augem_sim.Perf.workload option)
     ?(space : candidate list option) ?(max_insns = default_max_insns)
@@ -682,30 +723,37 @@ let tune_blocked ?(et = Etype.F64)
   let failures = ref [] in
   let best = ref None in
   let blockings_visited = ref 0 in
+  let member cand prog blocking =
+    let mr, nr = register_tile cand in
+    {
+      bm_candidate = cand;
+      bm_program = prog;
+      bm_blocking = blocking;
+      bm_mr = mr;
+      bm_nr = nr;
+    }
+  in
   List.iter2
     (fun cand outcome ->
       match outcome with
       | Error d -> failures := d :: !failures
-      | Ok (prog, b, s, visited) -> (
+      | Ok (prog, b, s, visited) ->
           blockings_visited := !blockings_visited + visited;
-          match !best with
-          | Some (_, _, _, s') when s' >= s -> ()
-          | _ -> best := Some (cand, prog, b, s)))
+          best := keep_ties !best s (member cand prog b))
     space evaluated;
   let failures_list = List.rev !failures in
-  let finish (cand, prog, blocking, s) =
-    let mr, nr = register_tile cand in
+  let finish (s, ties) =
+    let best = List.hd ties in
     let streamed =
-      match Augem_sim.Perf.predict_streamed ~et arch prog ~nr w with
+      match
+        Augem_sim.Perf.predict_streamed ~et arch best.bm_program ~nr:best.bm_nr
+          w
+      with
       | e -> e.Augem_sim.Perf.e_mflops
       | exception Augem_sim.Perf.No_hot_loop _ -> 0.0
     in
     {
-      bb_candidate = cand;
-      bb_program = prog;
-      bb_blocking = blocking;
-      bb_mr = mr;
-      bb_nr = nr;
+      bb_ties = ties;
       bb_blocked_score = s;
       bb_streamed_score = streamed;
       bb_micro_visited = List.length space;
@@ -716,7 +764,7 @@ let tune_blocked ?(et = Etype.F64)
     }
   in
   match !best with
-  | Some b -> finish b
+  | Some (s, rev_ties) -> finish (s, List.rev rev_ties)
   | None -> (
       (* same graceful degradation as [tune]: a discarded cross-product
          falls back to the safe baseline and the derived blocking *)
@@ -735,7 +783,7 @@ let tune_blocked ?(et = Etype.F64)
             | e -> e.Augem_sim.Perf.e_mflops
             | exception Augem_sim.Perf.No_hot_loop _ -> 0.0
           in
-          finish (safe_baseline, prog, blocking, s)
+          finish (s, [ member safe_baseline prog blocking ])
       | Error d ->
           raise
             (No_viable_configuration

@@ -24,6 +24,13 @@ type result = {
   best : candidate;
   best_program : Augem_machine.Insn.program;
   best_score : float;  (** predicted MFLOPS on the reference workload *)
+  ties : candidate list;
+      (** the exact-tie set of the answer: every candidate whose score
+          equals [best_score] to the last bit, in space order, [best]
+          first; a fell-back result's set is the baseline alone.  The
+          members' programs are not kept: results are cached and
+          served, and only a blocked-GEMM plan reads the set, which
+          regenerates them *)
   visited : int;
   discarded : int;
   fell_back : bool;
@@ -120,7 +127,8 @@ val jobs : unit -> int
     count: candidates are generated and scored in parallel, but the
     best-candidate selection (first-seen maximum, the tie-break the
     search-space ordering depends on) and the failure list are reduced
-    sequentially in candidate order.
+    sequentially in candidate order.  The same fold collects the
+    answer's exact-tie set ([ties]).
 
     [?et] selects the scalar precision (default f64): the kernel text
     is retyped to [float], the performance model counts f32 flops, and
@@ -134,6 +142,17 @@ val tune :
   Augem_machine.Arch.t ->
   Augem_ir.Kernels.name ->
   result
+
+(** [tie_programs ~et arch name r] pairs each member of [r.ties] with
+    its program: [r.best_program] for [r.best], the others regenerated
+    for [name] at [et] (default f64), which gives the programs the
+    sweep scored.  A member that does not generate is left out. *)
+val tie_programs :
+  ?et:Augem_machine.Etype.t ->
+  Augem_machine.Arch.t ->
+  Augem_ir.Kernels.name ->
+  result ->
+  (candidate * Augem_machine.Insn.program) list
 
 (** Cache-key version of the sweep semantics and of the marshalled
     layouts of {!result} and of the service's blocked-GEMM plans; part
@@ -234,14 +253,24 @@ val select_blocking :
   (Augem_sim.Mem_model.blocking * float * int, Augem_verify.Diag.t)
   Stdlib.result
 
+(** One candidate of the blocked cross-product with its best blocking. *)
+type blocked_member = {
+  bm_candidate : candidate;
+  bm_program : Augem_machine.Insn.program;  (** its micro-kernel *)
+  bm_blocking : Augem_sim.Mem_model.blocking;  (** its best MC/KC/NC *)
+  bm_mr : int;
+  bm_nr : int;  (** its register tile ({!register_tile}) *)
+}
+
 type blocked_result = {
-  bb_candidate : candidate;  (** winning micro-kernel configuration *)
-  bb_program : Augem_machine.Insn.program;  (** its micro-kernel *)
-  bb_blocking : Augem_sim.Mem_model.blocking;  (** winning MC/KC/NC *)
-  bb_mr : int;
-  bb_nr : int;
+  bb_ties : blocked_member list;
+      (** the first-seen maximum, then every other member whose blocked
+          score equals [bb_blocked_score] to the last bit, in space
+          order *)
   bb_blocked_score : float;  (** predicted MFLOPS, blocked driver *)
-  bb_streamed_score : float;  (** predicted MFLOPS, unblocked baseline *)
+  bb_streamed_score : float;
+      (** predicted MFLOPS of the first-seen maximum, unblocked
+          baseline *)
   bb_micro_visited : int;
   bb_blockings_visited : int;  (** total (candidate, blocking) pairs *)
   bb_discarded : int;

@@ -40,31 +40,71 @@ type plan = {
   pl_pack_a : Insn.program;
   pl_pack_b : Insn.program;
   pl_scal : Insn.program;  (* X := alpha * X, the native scaling steps *)
+  pl_micro_ties : Tuner.blocked_member list;  (* each set: its pick first *)
+  pl_pack_a_ties : (Tuner.candidate * Insn.program) list;
+  pl_pack_b_ties : (Tuner.candidate * Insn.program) list;
+  pl_scal_ties : (Tuner.candidate * Insn.program) list;
   pl_blocked_mflops : float; (* predicted, blocked driver, ref workload *)
   pl_streamed_mflops : float; (* predicted, unblocked baseline *)
   pl_fell_back : bool;  (* some sweep behind the plan fell back *)
 }
 
+(* The plan running [micro], [pack_a], [pack_b] and [scal], each set
+   cut down to its pick.  The predicted figures stay the plan's: every
+   member of the micro-kernel's set has its blocked score. *)
+let pick (p : plan) ~(micro : Tuner.blocked_member) ~pack_a ~pack_b ~scal :
+    plan =
+  {
+    p with
+    pl_blocking = micro.Tuner.bm_blocking;
+    pl_mr = micro.Tuner.bm_mr;
+    pl_nr = micro.Tuner.bm_nr;
+    pl_micro = micro.Tuner.bm_program;
+    pl_micro_config = micro.Tuner.bm_candidate;
+    pl_pack_a = snd pack_a;
+    pl_pack_b = snd pack_b;
+    pl_scal = snd scal;
+    pl_micro_ties = [ micro ];
+    pl_pack_a_ties = [ pack_a ];
+    pl_pack_b_ties = [ pack_b ];
+    pl_scal_ties = [ scal ];
+  }
+
+let drop_ties (p : plan) : plan =
+  pick p
+    ~micro:(List.hd p.pl_micro_ties)
+    ~pack_a:(List.hd p.pl_pack_a_ties)
+    ~pack_b:(List.hd p.pl_pack_b_ties)
+    ~scal:(List.hd p.pl_scal_ties)
+
 (* The one place a plan record is built: from the blocked sweep and a
-   way to obtain the two packing kernels and SCAL.  The plan fell back
-   when the micro x blocking cross-product was fully discarded or any
-   of the other three sweeps fell back to its safe baseline. *)
+   way to obtain the two packing kernels and SCAL, each the first-seen
+   maximum of its sweep, with that sweep's exact-tie set (the packing
+   and SCAL members' programs regenerated).  The plan fell back when
+   the micro x blocking cross-product was fully discarded or any of the
+   other three sweeps fell back to its safe baseline. *)
 let assemble ~et (arch : Arch.t) (bb : Tuner.blocked_result)
     (kernel : Kernels.name -> Tuner.result) : plan =
   let pa = kernel Kernels.Pack_a in
   let pb = kernel Kernels.Pack_b in
   let sc = kernel Kernels.Scal in
+  let micro = List.hd bb.Tuner.bb_ties in
+  let ties name r = Tuner.tie_programs ~et arch name r in
   {
     pl_arch = arch;
     pl_et = et;
-    pl_blocking = bb.Tuner.bb_blocking;
-    pl_mr = bb.Tuner.bb_mr;
-    pl_nr = bb.Tuner.bb_nr;
-    pl_micro = bb.Tuner.bb_program;
-    pl_micro_config = bb.Tuner.bb_candidate;
+    pl_blocking = micro.Tuner.bm_blocking;
+    pl_mr = micro.Tuner.bm_mr;
+    pl_nr = micro.Tuner.bm_nr;
+    pl_micro = micro.Tuner.bm_program;
+    pl_micro_config = micro.Tuner.bm_candidate;
     pl_pack_a = pa.Tuner.best_program;
     pl_pack_b = pb.Tuner.best_program;
     pl_scal = sc.Tuner.best_program;
+    pl_micro_ties = bb.Tuner.bb_ties;
+    pl_pack_a_ties = ties Kernels.Pack_a pa;
+    pl_pack_b_ties = ties Kernels.Pack_b pb;
+    pl_scal_ties = ties Kernels.Scal sc;
     pl_blocked_mflops = bb.Tuner.bb_blocked_score;
     pl_streamed_mflops = bb.Tuner.bb_streamed_score;
     pl_fell_back =

@@ -30,10 +30,25 @@ type plan = {
   pl_pack_b : Augem_machine.Insn.program;
   pl_scal : Augem_machine.Insn.program;
       (** X := alpha * X; the native executor's beta and alpha scaling *)
+  pl_micro_ties : Augem_autotune.Tuner.blocked_member list;
+      (** the micro-kernel's exact-tie set, in space order, the plan's
+          micro-kernel, blocking and register tile first *)
+  pl_pack_a_ties :
+    (Augem_autotune.Tuner.candidate * Augem_machine.Insn.program) list;
+  pl_pack_b_ties :
+    (Augem_autotune.Tuner.candidate * Augem_machine.Insn.program) list;
+  pl_scal_ties :
+    (Augem_autotune.Tuner.candidate * Augem_machine.Insn.program) list;
+      (** likewise for pack-A, pack-B and SCAL: every candidate the
+          cycle model scores exactly like the plan's kernel, which is
+          first.  [Native_blocked.load] times the members of each set
+          against each other *)
   pl_blocked_mflops : float;
-      (** predicted MFLOPS of the blocked driver on the tuning workload *)
+      (** predicted MFLOPS of the blocked driver on the tuning workload;
+          every member of [pl_micro_ties] has this score *)
   pl_streamed_mflops : float;
-      (** predicted MFLOPS of the unblocked (streaming) baseline *)
+      (** predicted MFLOPS of the unblocked (streaming) baseline, for
+          the sweep's own pick *)
   pl_fell_back : bool;
       (** the micro x blocking cross-product was fully discarded, or
           the pack-A, pack-B or SCAL sweep fell back to its safe
@@ -51,6 +66,23 @@ val plan :
   ?et:Augem_machine.Etype.t ->
   ?jobs:int -> ?workload:Augem_sim.Perf.workload -> Augem_machine.Arch.t ->
   plan
+
+(** [pick p ~micro ~pack_a ~pack_b ~scal] is [p] running these members
+    of its tie sets: the kernels, the micro-kernel's configuration,
+    blocking and register tile are theirs, and each set holds only its
+    pick.  The predicted figures stay [p]'s. *)
+val pick :
+  plan ->
+  micro:Augem_autotune.Tuner.blocked_member ->
+  pack_a:Augem_autotune.Tuner.candidate * Augem_machine.Insn.program ->
+  pack_b:Augem_autotune.Tuner.candidate * Augem_machine.Insn.program ->
+  scal:Augem_autotune.Tuner.candidate * Augem_machine.Insn.program ->
+  plan
+
+(** [drop_ties p] is [p] with each tie set cut to its first member, the
+    kernel [p] runs: the plan the model answered, without the members
+    only [Native_blocked.load] times. *)
+val drop_ties : plan -> plan
 
 (** The safe-baseline plan, generated without a sweep: the baseline
     micro-kernel with the analytically-derived blocking, and baseline

@@ -29,7 +29,13 @@
    are the plan's [Team], whose helper domains live until [release].
    The split moves no block boundary, so every row of C meets the
    micro-kernel's vector body or its scalar remainder exactly as in a
-   serial run, and the result is bit-identical to [~jobs:1]. *)
+   serial run, and the result is bit-identical to [~jobs:1].
+
+   Loading a plan lets the clock break the cycle model's exact ties:
+   every member of the plan's four tie sets goes through the gates, the
+   members of each set are timed against each other, and the fastest
+   runs.  [np_plan] is the plan that runs, so every check compares the
+   machine code against that plan's simulated run. *)
 
 module Exec = Augem_sim.Exec_sim
 module Mat = Augem_blas.Matrix
@@ -39,6 +45,8 @@ module Arch = Augem_machine.Arch
 module Et = Augem_machine.Etype
 module Kernels = Augem_ir.Kernels
 module Perf = Augem_sim.Perf
+module Mem_model = Augem_sim.Mem_model
+module Tuner = Augem_autotune.Tuner
 module Runtime = Augem_jit.Runtime
 module Abi = Augem_jit.Abi
 module Clock = Augem_jit.Clock
@@ -70,8 +78,12 @@ let page_aligned kind n =
   let off = Int64.(to_int (rem (Runtime.jit_ba_addr ba) (of_int page))) in
   Bigarray.Array1.sub ba ((page - off) mod page / bytes) n
 
-let tensor (et : Et.t) (n : int) : tensor =
+(* [n] elements, zero but for a prefix copied from [init] (at most [n]
+   long).  At f32 a store narrows, as the simulator's typed memory
+   does. *)
+let tensor ?(init = [||]) (et : Et.t) (n : int) : tensor =
   let n' = max 1 n + Abi.pad_elements in
+  if Array.length init > n then invalid_arg "Native_blocked.tensor";
   (* user-space addresses fit in an OCaml int *)
   let addresses ba =
     let base = Int64.to_int (Runtime.jit_ba_addr ba)
@@ -83,6 +95,9 @@ let tensor (et : Et.t) (n : int) : tensor =
   | Et.F64 ->
       let ba = page_aligned Bigarray.float64 n' in
       Bigarray.Array1.fill ba 0.0;
+      for i = 0 to Array.length init - 1 do
+        Bigarray.Array1.unsafe_set ba i (Array.unsafe_get init i)
+      done;
       let t_at, t_addr = addresses ba in
       {
         t_len = n;
@@ -94,21 +109,21 @@ let tensor (et : Et.t) (n : int) : tensor =
   | Et.F32 ->
       let ba = page_aligned Bigarray.float32 n' in
       Bigarray.Array1.fill ba 0.0;
+      for i = 0 to Array.length init - 1 do
+        Bigarray.Array1.unsafe_set ba i (Array.unsafe_get init i)
+      done;
       let t_at, t_addr = addresses ba in
       {
         t_len = n;
-        (* float32 storage narrows on set, exactly like the simulator's
-           typed memory *)
         t_get = Bigarray.Array1.get ba;
         t_set = Bigarray.Array1.set ba;
         t_addr;
         t_at;
       }
 
+(* A tensor holding [data]. *)
 let stage (et : Et.t) (data : float array) : tensor =
-  let t = tensor et (Array.length data) in
-  Array.iteri t.t_set data;
-  t
+  tensor ~init:data et (Array.length data)
 
 let read_back (t : tensor) (data : float array) : unit =
   for i = 0 to Array.length data - 1 do
@@ -134,68 +149,25 @@ let release (np : native_plan) =
   Runtime.Exec_buf.release np.np_pack_b;
   Runtime.Exec_buf.release np.np_scal
 
-(* Push all four of the plan's programs through the guarded gates
-   (lints, host capability, encoder).  All-or-nothing: a plan whose
-   packing or scaling kernels cannot run natively is not a native
-   plan. *)
-let load (p : Blocked.plan) : native_plan Native_check.gated =
-  let avx = p.Blocked.pl_arch.Arch.simd = Arch.AVX in
-  let et = p.Blocked.pl_et in
-  let rec go acc = function
-    | [] -> (
-        match List.rev acc with
-        | [ micro; pa; pb; scal ] ->
-            Native_check.Ready
-              {
-                np_plan = p;
-                np_micro = micro;
-                np_pack_a = pa;
-                np_pack_b = pb;
-                np_scal = scal;
-                np_team = Team.create (Pool.default_jobs ());
-              }
-        | _ -> assert false)
-    | (label, prog) :: rest -> (
-        match Native_check.load ~avx ~et prog with
-        | Native_check.Ready buf -> go (buf :: acc) rest
-        | (Native_check.Unsupported m | Native_check.Rejected m) as g ->
-            List.iter Runtime.Exec_buf.release acc;
-            let m = label ^ ": " ^ m in
-            (match g with
-            | Native_check.Unsupported _ -> Native_check.Unsupported m
-            | _ -> Native_check.Rejected m))
-  in
-  go []
-    [
-      ("micro", p.Blocked.pl_micro);
-      ("pack_a", p.Blocked.pl_pack_a);
-      ("pack_b", p.Blocked.pl_pack_b);
-      ("scal", p.Blocked.pl_scal);
-    ]
-
 (* --- the native executor ------------------------------------------------ *)
 
-(* Stage C := alpha*A*B + beta*C over resident buffers and return
-   [run] (one full blocked pass; repeatable, each pass re-applies beta
-   and accumulates) and [finish] (copy C back into [c] and return it).
-   Argument staging happens once, outside the timed region, and a pass
-   allocates nothing on one worker.
+(* C := alpha*A*B + beta*C over [ta], [tb] and [tc], resident copies of
+   [a], [b] and [c]: returns [run] (one full blocked pass; repeatable,
+   each pass re-applies beta and accumulates) and [finish] (copy C back
+   into [c] and return it).  A pass allocates nothing on one worker.
 
    [jobs] (default: every core) caps the workers; there are never more
    than the team's size or than C has ic blocks.  Packed B and each
    worker's packed A are sized to the problem ([Level3.packed_sizes]). *)
-let gemm_runner ?(jobs = Pool.default_jobs ()) ?blocking ?(alpha = 1.0)
-    ?(beta = 1.0) (np : native_plan) (a : Mat.t) (b : Mat.t) (c : Mat.t) :
-    (unit -> unit) * (unit -> unit) =
+let staged_runner ?(jobs = Pool.default_jobs ()) ?blocking ?(alpha = 1.0)
+    ?(beta = 1.0) (np : native_plan) (a : Mat.t) (b : Mat.t) (c : Mat.t)
+    (ta, tb, tc) : (unit -> unit) * (unit -> unit) =
   let p = np.np_plan in
   let et = p.Blocked.pl_et in
   let alpha = Et.round et alpha and beta = Et.round et beta in
   let blocking = Blocked.nest_blocking ?blocking p in
   let nest = L3.nest ~who:"Native_blocked.gemm" ~blocking ~alpha ~beta a b c in
   let pa_len, pb_len = L3.packed_sizes blocking a b in
-  let ta = stage et a.Mat.data in
-  let tb = stage et b.Mat.data in
-  let tc = stage et c.Mat.data in
   let tpb = tensor et pb_len in
   let fp32 = et = Et.F32 in
   let call buf i0 i1 i2 i3 i4 i5 i6 =
@@ -247,6 +219,14 @@ let gemm_runner ?(jobs = Pool.default_jobs ()) ?blocking ?(alpha = 1.0)
   let run () = nest ex in
   let finish () = read_back tc c.Mat.data in
   (run, finish)
+
+(* [staged_runner] on operands staged here, once, outside the timed
+   region. *)
+let gemm_runner ?jobs ?blocking ?alpha ?beta (np : native_plan) (a : Mat.t)
+    (b : Mat.t) (c : Mat.t) : (unit -> unit) * (unit -> unit) =
+  let et = np.np_plan.Blocked.pl_et in
+  staged_runner ?jobs ?blocking ?alpha ?beta np a b c
+    (stage et a.Mat.data, stage et b.Mat.data, stage et c.Mat.data)
 
 (* One native C := alpha*A*B + beta*C, in place in [c]. *)
 let gemm ?jobs ?blocking ?alpha ?beta (np : native_plan) (a : Mat.t)
@@ -336,7 +316,8 @@ let clamp_workload (w : Perf.workload) : Perf.workload =
 let workload_args (et : Et.t) (kernel : Kernels.name) (w : Perf.workload) :
     (int64 array * float array * tensor list * float) option =
   let i64 = Int64.of_int in
-  let data seed n = stage et (Array.map (Et.round et) (Harness.fill seed n)) in
+  (* at f32 staging narrows, as [Et.round] would *)
+  let data seed n = stage et (Harness.fill seed n) in
   let flops = max (Perf.workload_flops w) (Perf.workload_elements w) in
   match (kernel, w) with
   | Kernels.Gemm, Perf.W_gemm { m; n; k } ->
@@ -398,6 +379,20 @@ let workload_args (et : Et.t) (kernel : Kernels.name) (w : Perf.workload) :
           float_of_int (kc * nc) )
   | _ -> None
 
+(* [once] repeated until one run spans [span_s] seconds, keeping a timed
+   sample above timer and call-overhead noise; with the repeat count. *)
+let batched ~span_s (once : unit -> unit) : (unit -> unit) * int =
+  let probe = Clock.measure ~warmup:1 ~repeats:1 once in
+  let batch =
+    if probe.Clock.t_min_s >= span_s then 1
+    else int_of_float (ceil (span_s /. max 1e-9 probe.Clock.t_min_s))
+  in
+  ((fun () ->
+     for _ = 1 to batch do
+       once ()
+     done),
+   batch)
+
 (* Wall-clock MFLOPS of one generated kernel on this host, or [None]
    when the program cannot run here (missing ISA extension) or the
    kernel/workload pair has no native harness shape.  Short kernels are
@@ -416,20 +411,9 @@ let measure_kernel ?(repeats = 3) ~(arch : Arch.t) ~(et : Et.t)
           Runtime.Exec_buf.release buf;
           None
       | Some (iargs, dargs, keepalive, flops) ->
-          let fp32 = et = Et.F32 in
-          let once () =
-            Runtime.Exec_buf.invoke buf ~iargs ~dargs ~fp32
-          in
-          let probe = Clock.measure ~warmup:1 ~repeats:1 once in
-          let batch =
-            if probe.Clock.t_min_s >= 1e-4 then 1
-            else
-              int_of_float (ceil (1e-4 /. max 1e-9 probe.Clock.t_min_s))
-          in
-          let f () =
-            for _ = 1 to batch do
-              once ()
-            done
+          let f, batch =
+            batched ~span_s:1e-4 (fun () ->
+                Runtime.Exec_buf.invoke buf ~iargs ~dargs ~fp32:(et = Et.F32))
           in
           let t = Clock.measure ~warmup:1 ~repeats f in
           ignore (Sys.opaque_identity keepalive);
@@ -438,5 +422,179 @@ let measure_kernel ?(repeats = 3) ~(arch : Arch.t) ~(et : Et.t)
 
 (* The [Tuner.native_measure] this module provides.  [Skip]-class
    programs return [None] and keep their model score. *)
-let tuner_measure : Augem_autotune.Tuner.native_measure =
+let tuner_measure : Tuner.native_measure =
  fun ~et arch kernel prog w -> measure_kernel ~arch ~et kernel prog w
+
+(* --- loading: the gates, then the clock breaks the model's ties ---------- *)
+
+(* Push every member of the plan's four tie sets through the guarded
+   gates (lints, host capability, encoder), in set order.
+   All-or-nothing: a plan with a member that cannot run natively is not
+   a native plan, and what did load is released. *)
+let gate_all ~avx ~et (progs : (string * Insn.program) list) :
+    Runtime.Exec_buf.t list Native_check.gated =
+  let rec go acc = function
+    | [] -> Native_check.Ready (List.rev acc)
+    | (label, prog) :: rest -> (
+        match Native_check.load ~avx ~et prog with
+        | Native_check.Ready buf -> go (buf :: acc) rest
+        | Native_check.Unsupported m ->
+            List.iter Runtime.Exec_buf.release acc;
+            Native_check.Unsupported (label ^ ": " ^ m)
+        | Native_check.Rejected m ->
+            List.iter Runtime.Exec_buf.release acc;
+            Native_check.Rejected (label ^ ": " ^ m))
+  in
+  go [] progs
+
+(* Timed rounds over a tie set, after one untimed round. *)
+let tie_rounds = 4
+
+(* The fastest member of a tie set whose members' code is loaded.
+   [sample member buf] stages one timed run of a member and returns it
+   with the work it does.  Every round runs each member once, in set
+   order, so a burst on a shared host slows every member alike; each
+   member keeps its fastest round, and the highest work per time wins
+   (the earlier member on equal rates).  The other members' code is
+   released.  A one-member set is returned untimed. *)
+let fastest ~sample (members : ('m * Runtime.Exec_buf.t) list) :
+    'm * Runtime.Exec_buf.t =
+  match members with
+  | [ only ] -> only
+  | _ ->
+      let runs =
+        Array.of_list (List.map (fun (m, buf) -> sample m buf) members)
+      in
+      let best = Array.make (Array.length runs) infinity in
+      for round = 0 to tie_rounds do
+        Array.iteri
+          (fun i (run, _work) ->
+            let t0 = Clock.now_ns () in
+            run ();
+            let dt = Int64.to_float (Int64.sub (Clock.now_ns ()) t0) in
+            if round > 0 then best.(i) <- Float.min best.(i) dt)
+          runs
+      done;
+      let rate i = snd runs.(i) /. best.(i) in
+      let win = ref 0 in
+      Array.iteri (fun i _ -> if rate i > rate !win then win := i) runs;
+      List.iteri
+        (fun i (_, buf) -> if i <> !win then Runtime.Exec_buf.release buf)
+        members;
+      List.nth members !win
+
+(* A packing or SCAL member at the native harness shape of its kernel
+   ([workload_args] at the clamped reference workload), staged on the
+   first sample and shared by every member; the work is elements moved.
+   A sample spans ~50 us: the members of these sets differ by up to 5x,
+   and a load times some twenty of them. *)
+let kernel_sample (et : Et.t) (kernel : Kernels.name) :
+    'm -> Runtime.Exec_buf.t -> (unit -> unit) * float =
+  let args =
+    lazy
+      (match
+         workload_args et kernel
+           (clamp_workload (Tuner.reference_workload kernel))
+       with
+      | Some args -> args
+      | None -> invalid_arg "Native_blocked.kernel_sample: no harness shape")
+  in
+  fun _member buf ->
+    let iargs, dargs, keepalive, work = Lazy.force args in
+    let run, batch =
+      batched ~span_s:5e-5 (fun () ->
+          Runtime.Exec_buf.invoke buf ~iargs ~dargs ~fp32:(et = Et.F32);
+          ignore (Sys.opaque_identity keepalive))
+    in
+    (run, work *. float_of_int batch)
+
+(* A micro-kernel member as a one-worker blocked pass under its own
+   blocking, in the native plan [native member buf]: two ic blocks, one
+   full kc panel and at most 64 columns; the work is flops.  Members
+   with one blocking share their staged operands. *)
+let micro_sample native : Tuner.blocked_member -> Runtime.Exec_buf.t ->
+    (unit -> unit) * float =
+  let operands = ref [] in
+  fun member buf ->
+    let np = native member buf in
+    let et = np.np_plan.Blocked.pl_et in
+    let bl = member.Tuner.bm_blocking in
+    let m = 2 * bl.Mem_model.bl_mc
+    and n = min bl.Mem_model.bl_nc 64
+    and k = bl.Mem_model.bl_kc in
+    let (a, b, c), staged =
+      match List.assoc_opt (m, n, k) !operands with
+      | Some o -> o
+      | None ->
+          let ((a, b, c) as abc) = Blocked.operands ~et ~seed:1 ~m ~n ~k in
+          let o =
+            ( abc,
+              (stage et a.Mat.data, stage et b.Mat.data, stage et c.Mat.data) )
+          in
+          operands := ((m, n, k), o) :: !operands;
+          o
+    in
+    let run, _finish = staged_runner ~jobs:1 np a b c staged in
+    (run, 2.0 *. float_of_int (m * n * k))
+
+(* The first [List.length set] buffers paired with [set]'s members, and
+   the rest. *)
+let rec claim set bufs =
+  match (set, bufs) with
+  | [], rest -> ([], rest)
+  | m :: ms, b :: bs ->
+      let claimed, rest = claim ms bs in
+      ((m, b) :: claimed, rest)
+  | _ :: _, [] -> invalid_arg "Native_blocked.claim"
+
+(* Gate every member of the plan's four tie sets, then keep the fastest
+   member of each: pack-A, pack-B and SCAL first, then the micro-kernel
+   with those three.  [np_plan] is the plan the machine code runs, each
+   set cut to its kept member; the timings go nowhere else.  A plan
+   whose sets each hold one member, like the fell-back baseline, loads
+   untimed. *)
+let load (p : Blocked.plan) : native_plan Native_check.gated =
+  let avx = p.Blocked.pl_arch.Arch.simd = Arch.AVX in
+  let et = p.Blocked.pl_et in
+  let labelled kernel =
+    List.map (fun ((c : Tuner.candidate), prog) ->
+        ( kernel ^ " "
+          ^ Augem_transform.Pipeline.config_to_string c.Tuner.cand_config,
+          prog ))
+  in
+  let programs =
+    labelled "micro"
+      (List.map
+         (fun m -> (m.Tuner.bm_candidate, m.Tuner.bm_program))
+         p.Blocked.pl_micro_ties)
+    @ labelled "pack_a" p.Blocked.pl_pack_a_ties
+    @ labelled "pack_b" p.Blocked.pl_pack_b_ties
+    @ labelled "scal" p.Blocked.pl_scal_ties
+  in
+  match gate_all ~avx ~et programs with
+  | Native_check.Unsupported m -> Native_check.Unsupported m
+  | Native_check.Rejected m -> Native_check.Rejected m
+  | Native_check.Ready bufs ->
+      let micro, rest = claim p.Blocked.pl_micro_ties bufs in
+      let pack_a, rest = claim p.Blocked.pl_pack_a_ties rest in
+      let pack_b, rest = claim p.Blocked.pl_pack_b_ties rest in
+      let scal, _ = claim p.Blocked.pl_scal_ties rest in
+      let pick kernel set = fastest ~sample:(kernel_sample et kernel) set in
+      let pack_a = pick Kernels.Pack_a pack_a in
+      let pack_b = pick Kernels.Pack_b pack_b in
+      let scal = pick Kernels.Scal scal in
+      let team = Team.create (Pool.default_jobs ()) in
+      let native micro buf =
+        {
+          np_plan =
+            Blocked.pick p ~micro ~pack_a:(fst pack_a) ~pack_b:(fst pack_b)
+              ~scal:(fst scal);
+          np_micro = buf;
+          np_pack_a = snd pack_a;
+          np_pack_b = snd pack_b;
+          np_scal = snd scal;
+          np_team = team;
+        }
+      in
+      let micro, buf = fastest ~sample:(micro_sample native) micro in
+      Native_check.Ready (native micro buf)

@@ -327,7 +327,10 @@ let handle_blocked (t : t) (id : Json.t) (bq : Proto.blocked_request) :
   handle_cached t id t.plans (plan_key ~et arch ~m ~n ~k)
     ~deadline_ms:bq.Proto.bq_deadline_ms
     ~sweep:(fun () ->
-      A.Blocked.plan ~et ~jobs:t.cfg.cfg_tune_jobs ~workload arch)
+      (* a served plan is never loaded natively, so the registry keeps
+         none of the tie sets a native load times *)
+      A.Blocked.drop_ties
+        (A.Blocked.plan ~et ~jobs:t.cfg.cfg_tune_jobs ~workload arch))
     ~baseline:(fun () -> A.Blocked.baseline_plan ~et ~workload arch)
     ~reply
 

@@ -163,12 +163,17 @@ let sweep =
 
 let host_features = [ "sse2"; "avx"; "fma3"; "fma4" ]
 
+(* the kernel that ran, and the size of the model's exact-tie set the
+   clock kept it from *)
+let picked = Obj [ ("config", str); ("ties", int_ge 1) ]
+
 let native_gemm ~name ~precision =
   skipped_or
     ~common:[ ("name", str_is name); ("precision", str_is precision) ]
     [
       ("arch", str);
       ("blocking", blocking);
+      ("kernels", Map ([ "micro"; "pack_a"; "pack_b"; "scal" ], picked));
       ("differential", List (Obj (("alpha", num) :: ("beta", num) :: shape)));
       ( "points",
         List

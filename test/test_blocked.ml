@@ -131,7 +131,20 @@ let test_plan_shape () =
     (bl.Mem_model.bl_mc > 0 && bl.Mem_model.bl_kc > 0 && bl.Mem_model.bl_nc > 0);
   Alcotest.(check bool) "register tile" true (p.Blocked.pl_mr >= 1 && p.Blocked.pl_nr >= 1);
   Alcotest.(check bool) "blocked >= streamed on tuning workload" true
-    (p.Blocked.pl_blocked_mflops >= p.Blocked.pl_streamed_mflops)
+    (p.Blocked.pl_blocked_mflops >= p.Blocked.pl_streamed_mflops);
+  (* what the service keeps: the same kernels, each set cut to the
+     plan's own *)
+  let d = Blocked.drop_ties p in
+  Alcotest.(check bool) "sets to drop" true
+    (List.length p.Blocked.pl_pack_a_ties > 1);
+  Alcotest.(check bool) "drop_ties keeps the plan's kernels, one per set" true
+    (d.Blocked.pl_micro_config = p.Blocked.pl_micro_config
+    && d.Blocked.pl_blocking = p.Blocked.pl_blocking
+    && List.map (fun m -> m.A.Tuner.bm_program) d.Blocked.pl_micro_ties
+       = [ p.Blocked.pl_micro ]
+    && List.map snd d.Blocked.pl_pack_a_ties = [ p.Blocked.pl_pack_a ]
+    && List.map snd d.Blocked.pl_pack_b_ties = [ p.Blocked.pl_pack_b ]
+    && List.map snd d.Blocked.pl_scal_ties = [ p.Blocked.pl_scal ])
 
 (* A swept plan is not fell-back; the sweep-free baseline plan always
    is, so the service never caches it. *)
@@ -149,6 +162,14 @@ module NB = A.Native_blocked
 module Runtime = A.Jit.Runtime
 
 let plan_f32 = lazy (Blocked.plan ~et:Et.F32 ~jobs:1 arch)
+
+(* The plans the benchmark and the bench's native experiment load on an
+   FMA3 host. *)
+let haswell_plans =
+  [
+    (Et.F64, lazy (Blocked.plan ~jobs:1 Arch.haswell));
+    (Et.F32, lazy (Blocked.plan ~et:Et.F32 ~jobs:1 Arch.haswell));
+  ]
 
 (* Operands like [Blocked.operands], but every leading dimension is the
    row count + 3, and C's padding rows hold a sentinel. *)
@@ -172,8 +193,8 @@ let padded_operands ~et ~seed ~m ~n ~k =
    back bit-unchanged. *)
 let bits (c : Mat.t) = Array.map Int64.bits_of_float c.Mat.data
 
-let native_case et p np label (a, b, c0) (alpha, beta) =
-  let k = a.Mat.cols in
+let native_case et np label (a, b, c0) (alpha, beta) =
+  let p = np.NB.np_plan and k = a.Mat.cols in
   let c_nat = Mat.copy c0 and c_one = Mat.copy c0 in
   let c_sim = Mat.copy c0 and c_ref = Mat.copy c0 in
   NB.gemm ~jobs:2 ~blocking:tiny ~alpha ~beta np a b c_nat;
@@ -200,6 +221,16 @@ let native_case et p np label (a, b, c0) (alpha, beta) =
           (Et.name et) label alpha beta)
     c_nat.Mat.data
 
+(* [f np] on the loaded native plan [p]; skipped where the host cannot
+   run it. *)
+let with_native et p f =
+  match NB.load p with
+  | A.Native_check.Ready np ->
+      Fun.protect ~finally:(fun () -> NB.release np) (fun () -> f np)
+  | A.Native_check.Unsupported m ->
+      Printf.printf "%s: skipped (%s)\n" (Et.name et) m
+  | A.Native_check.Rejected m -> Alcotest.failf "%s: %s" (Et.name et) m
+
 (* [f et p np] on the loaded native plan of each precision; skipped
    where the host cannot run it. *)
 let on_native_plans f =
@@ -209,12 +240,7 @@ let on_native_plans f =
     List.iter
       (fun (et, plan) ->
         let p = Lazy.force plan in
-        match NB.load p with
-        | A.Native_check.Ready np ->
-            Fun.protect ~finally:(fun () -> NB.release np) (fun () -> f et p np)
-        | A.Native_check.Unsupported m ->
-            Printf.printf "%s: skipped (%s)\n" (Et.name et) m
-        | A.Native_check.Rejected m -> Alcotest.failf "%s: %s" (Et.name et) m)
+        with_native et p (f et p))
       [ (Et.F64, plan); (Et.F32, plan_f32) ]
 
 (* Multi-block trips and remainders natively: every difficult shape,
@@ -223,16 +249,115 @@ let on_native_plans f =
    row count, which scales C one column at a time; at both
    precisions. *)
 let test_native_differential () =
-  on_native_plans (fun et p np ->
+  on_native_plans (fun et _p np ->
       List.iter
         (fun (label, m, n, k) ->
           List.iter
-            (native_case et p np label (Blocked.operands ~et ~seed:m ~m ~n ~k))
+            (native_case et np label (Blocked.operands ~et ~seed:m ~m ~n ~k))
             [ (1.0, 1.0); (2.5, -0.5); (0.0, 2.0) ];
-          native_case et p np (label ^ ", ld = rows + 3")
+          native_case et np (label ^ ", ld = rows + 3")
             (padded_operands ~et ~seed:m ~m ~n ~k)
             (2.5, -0.5))
         difficult_shapes)
+
+(* [load] breaks the model's exact ties by the clock, so every member of
+   every tie set must be as correct as the model's pick.  Each member,
+   with the plan's picks for the other three kernels, loads as a plan
+   whose sets hold only it, and goes through [NB.check] on every
+   difficult shape under the tiny blocking: bit-exact against the
+   simulator at f64, within [Et.tol] at f32, and within [Et.tol] of
+   [dgemm_naive].  The haswell plans are skipped where the host lacks
+   FMA3. *)
+let test_native_tie_members () =
+  if not (A.Native_check.host_supported ()) then
+    print_endline "skipped: host CPU lacks SSE2+AVX"
+  else
+    List.iter
+      (fun (et, plan) ->
+        let p = Lazy.force plan in
+        let first = List.hd in
+        let pick ?(micro = first p.Blocked.pl_micro_ties)
+            ?(pack_a = first p.Blocked.pl_pack_a_ties)
+            ?(pack_b = first p.Blocked.pl_pack_b_ties)
+            ?(scal = first p.Blocked.pl_scal_ties) () =
+          Blocked.pick p ~micro ~pack_a ~pack_b ~scal
+        in
+        let config c =
+          A.Transform.Pipeline.config_to_string c.A.Tuner.cand_config
+        in
+        let members =
+          List.map
+            (fun m ->
+              ("micro " ^ config m.A.Tuner.bm_candidate, pick ~micro:m ()))
+            p.Blocked.pl_micro_ties
+          @ List.map
+              (fun m -> ("pack_a " ^ config (fst m), pick ~pack_a:m ()))
+              p.Blocked.pl_pack_a_ties
+          @ List.map
+              (fun m -> ("pack_b " ^ config (fst m), pick ~pack_b:m ()))
+              p.Blocked.pl_pack_b_ties
+          @ List.map
+              (fun m -> ("scal " ^ config (fst m), pick ~scal:m ()))
+              p.Blocked.pl_scal_ties
+        in
+        List.iter
+          (fun (member, q) ->
+            with_native et q (fun np ->
+                if np.NB.np_plan <> q then
+                  Alcotest.failf "%s %s: a one-member plan was re-picked"
+                    (Et.name et) member;
+                List.iter
+                  (fun (label, m, n, k) ->
+                    List.iter
+                      (fun (alpha, beta) ->
+                        match
+                          NB.check ~blocking:tiny ~seed:m ~alpha ~beta np ~m
+                            ~n ~k ()
+                        with
+                        | Ok () -> ()
+                        | Error e ->
+                            Alcotest.failf "%s %s, %s: %s" (Et.name et) member
+                              label e)
+                      [ (1.0, 1.0); (2.5, -0.5) ])
+                  difficult_shapes))
+          members)
+      ((Et.F64, plan) :: (Et.F32, plan_f32) :: haswell_plans)
+
+(* What [load] keeps is a member of each set, and [np_plan] is the plan
+   that runs: its kernels, configuration, blocking and register tile
+   are the kept members', each set cut to its member. *)
+let test_native_load_picks_members () =
+  on_native_plans (fun et p np ->
+      let q = np.NB.np_plan in
+      let what = Et.name et in
+      let kept name set picked =
+        match set with
+        | [ m ] when List.mem m picked -> m
+        | _ -> Alcotest.failf "%s %s: not one member of the set" what name
+      in
+      let micro =
+        kept "micro" q.Blocked.pl_micro_ties p.Blocked.pl_micro_ties
+      in
+      Alcotest.(check bool) (what ^ " micro-kernel is its member's") true
+        (q.Blocked.pl_micro = micro.A.Tuner.bm_program
+        && q.Blocked.pl_micro_config = micro.A.Tuner.bm_candidate);
+      Alcotest.(check bool) (what ^ " blocking is its micro member's") true
+        (q.Blocked.pl_blocking = micro.A.Tuner.bm_blocking
+        && (q.Blocked.pl_mr, q.Blocked.pl_nr)
+           = (micro.A.Tuner.bm_mr, micro.A.Tuner.bm_nr));
+      List.iter
+        (fun (name, set, picked, prog) ->
+          let _, member_prog = kept name set picked in
+          Alcotest.(check bool) (what ^ " " ^ name ^ " is its member's") true
+            (prog = member_prog))
+        [
+          ("pack_a", q.Blocked.pl_pack_a_ties, p.Blocked.pl_pack_a_ties,
+           q.Blocked.pl_pack_a);
+          ("pack_b", q.Blocked.pl_pack_b_ties, p.Blocked.pl_pack_b_ties,
+           q.Blocked.pl_pack_b);
+          ("scal", q.Blocked.pl_scal_ties, p.Blocked.pl_scal_ties,
+           q.Blocked.pl_scal);
+        ])
 
 (* The packing buffers are sized to the problem, not to the blocking:
    shapes smaller than the plan's tuned blocking in every dimension,
@@ -262,7 +387,7 @@ let test_native_small_shapes () =
    TRSM cross their 64-row diagonal block; SYRK and SYR2K take alpha,
    beta != 1.  Each routine must call the GEMM it is given. *)
 let test_native_level3 () =
-  on_native_plans (fun et p np ->
+  on_native_plans (fun et _p np ->
       if et = Et.F64 then begin
         let calls = ref 0 in
         let native : L3.gemm =
@@ -272,7 +397,8 @@ let test_native_level3 () =
         in
         let simulated : L3.gemm =
          fun ~alpha ~beta a b c ->
-          ignore (Blocked.gemm ~blocking:tiny ~alpha ~beta p a b c)
+          ignore
+            (Blocked.gemm ~blocking:tiny ~alpha ~beta np.NB.np_plan a b c)
         in
         let sym = Mat.random ~seed:1 13 13 and sq = Mat.random ~seed:2 13 13 in
         let a = Mat.random ~seed:3 13 9 and b = Mat.random ~seed:4 13 9 in
@@ -332,7 +458,8 @@ let test_native_no_allocation () =
         Alcotest.failf "%s: %g minor words over one pass, %g over fifty"
           (Et.name et) one many)
 
-(* The plan's generated SCAL against OCaml scaling, bit for bit:
+(* Every member of the plan's SCAL tie set against OCaml scaling, bit
+   for bit:
    [beta *. x] at f64 and [Et.round (beta *. x)] at f32, where the
    product of two f32 values is exact in double.  The native executor's
    scaling steps rely on this to stay bit-identical to the simulated
@@ -348,6 +475,38 @@ let specials =
     Int32.float_of_bits 0x00800000l; 3e38; -1e308;
   |]
 
+let check_scal et buf =
+  List.iter
+    (fun n ->
+      let noise = Mat.random ~seed:n 1 n in
+      let x =
+        Array.init (n + 2) (fun i ->
+            if i >= n then 13.0
+            else if i mod 3 = 0 then
+              Et.round et specials.(i / 3 mod Array.length specials)
+            else Et.round et noise.Mat.data.(i))
+      in
+      List.iter
+        (fun beta ->
+          let t = NB.stage et x in
+          Runtime.Exec_buf.invoke buf
+            ~iargs:[| Int64.of_int n; t.NB.t_addr 0 |]
+            ~dargs:[| beta |] ~fp32:(et = Et.F32);
+          Array.iteri
+            (fun i xi ->
+              let want = if i >= n then xi else Et.round et (beta *. xi)
+              and got = t.NB.t_get i in
+              let same =
+                if Float.is_nan want then Float.is_nan got
+                else Int64.bits_of_float got = Int64.bits_of_float want
+              in
+              if not same then
+                Alcotest.failf "%s n=%d beta=%g x[%d]=%h: SCAL %h, OCaml %h"
+                  (Et.name et) n beta i xi got want)
+            x)
+        [ 0.0; -1.0; 0.5; 2.5; -0.75 ])
+    (List.init 38 Fun.id @ [ 64; 1001 ])
+
 let test_native_scal () =
   if not (A.Native_check.host_supported ()) then
     print_endline "skipped: host CPU lacks SSE2+AVX"
@@ -356,45 +515,17 @@ let test_native_scal () =
       (fun (et, plan) ->
         let p = Lazy.force plan in
         let avx = p.Blocked.pl_arch.Arch.simd = Arch.AVX in
-        match A.Native_check.load ~avx ~et p.Blocked.pl_scal with
-        | A.Native_check.Ready buf ->
-            List.iter
-              (fun n ->
-                let noise = Mat.random ~seed:n 1 n in
-                let x =
-                  Array.init (n + 2) (fun i ->
-                      if i >= n then 13.0
-                      else if i mod 3 = 0 then
-                        Et.round et specials.(i / 3 mod Array.length specials)
-                      else Et.round et noise.Mat.data.(i))
-                in
-                List.iter
-                  (fun beta ->
-                    let t = NB.stage et x in
-                    Runtime.Exec_buf.invoke buf
-                      ~iargs:[| Int64.of_int n; t.NB.t_addr 0 |]
-                      ~dargs:[| beta |] ~fp32:(et = Et.F32);
-                    Array.iteri
-                      (fun i xi ->
-                        let want =
-                          if i >= n then xi else Et.round et (beta *. xi)
-                        and got = t.NB.t_get i in
-                        let same =
-                          if Float.is_nan want then Float.is_nan got
-                          else
-                            Int64.bits_of_float got = Int64.bits_of_float want
-                        in
-                        if not same then
-                          Alcotest.failf
-                            "%s n=%d beta=%g x[%d]=%h: SCAL %h, OCaml %h"
-                            (Et.name et) n beta i xi got want)
-                      x)
-                  [ 0.0; -1.0; 0.5; 2.5; -0.75 ])
-              (List.init 38 Fun.id @ [ 64; 1001 ]);
-            Runtime.Exec_buf.release buf
-        | A.Native_check.Unsupported m ->
-            Printf.printf "%s: skipped (%s)\n" (Et.name et) m
-        | A.Native_check.Rejected m -> Alcotest.failf "%s: %s" (Et.name et) m)
+        List.iter
+          (fun (_, scal) ->
+            match A.Native_check.load ~avx ~et scal with
+            | A.Native_check.Ready buf ->
+                check_scal et buf;
+                Runtime.Exec_buf.release buf
+            | A.Native_check.Unsupported m ->
+                Printf.printf "%s: skipped (%s)\n" (Et.name et) m
+            | A.Native_check.Rejected m ->
+                Alcotest.failf "%s: %s" (Et.name et) m)
+          p.Blocked.pl_scal_ties)
       [ (Et.F64, plan); (Et.F32, plan_f32) ]
 
 (* Resident operands start on a page boundary whatever the allocation
@@ -427,6 +558,10 @@ let suite =
         `Slow test_native_small_shapes;
       Alcotest.test_case "Table 6 routines on the native GEMM" `Slow
         test_native_level3;
+      Alcotest.test_case "every tie member checks natively" `Slow
+        test_native_tie_members;
+      Alcotest.test_case "load keeps one member of each tie set" `Slow
+        test_native_load_picks_members;
       Alcotest.test_case "native pass allocates nothing at jobs:1" `Quick
         test_native_no_allocation;
       Alcotest.test_case "native SCAL bit-identical to OCaml scaling" `Slow

@@ -2,10 +2,12 @@
 
    The contract under test: [Pool.map] returns results in item order
    whatever the job count, and [Tuner.tune ~jobs:n] is bit-identical to
-   [~jobs:1] — same winner, same score, same failure histogram, same
-   sweep-ordered failure list — for every kernel on every modelled
-   architecture.  The first-seen-maximum tie-break (which the
-   prefetch_opts ordering depends on) is exactly what a naive parallel
+   [~jobs:1] — same winner, same score, same exact-tie set, same
+   failure histogram, same sweep-ordered failure list — for every
+   kernel on every modelled architecture, and so is
+   [Tuner.tune_blocked ~jobs:n].  The first-seen-maximum
+   tie-break (which the prefetch_opts ordering depends on) and the
+   space order of the tie set are exactly what a naive parallel
    reduction would break. *)
 
 module A = Augem
@@ -169,6 +171,10 @@ let check_identical ~what (seq : Tuner.result) (par : Tuner.result) =
     (what ^ ": best program identical")
     true
     (seq.Tuner.best_program = par.Tuner.best_program);
+  Alcotest.(check bool)
+    (what ^ ": tie set identical, in space order")
+    true
+    (seq.Tuner.ties = par.Tuner.ties);
   Alcotest.(check int) (what ^ ": visited") seq.Tuner.visited par.Tuner.visited;
   Alcotest.(check int)
     (what ^ ": discarded")
@@ -197,6 +203,36 @@ let test_tune_deterministic_all_kernels () =
           check_identical ~what seq par)
         all_kernels)
     archs
+
+(* The blocked sweep's tie set is the one [Native_blocked.load] times:
+   configurations, programs, blockings and register tiles must match
+   member for member, in space order. *)
+let test_tune_blocked_deterministic () =
+  List.iter
+    (fun et ->
+      let what = "haswell blocked " ^ A.Machine.Etype.name et in
+      let seq = Tuner.tune_blocked ~et ~jobs:1 Arch.haswell in
+      let par = Tuner.tune_blocked ~et ~jobs:4 Arch.haswell in
+      Alcotest.(check bool) (what ^ ": several members") true
+        (List.length seq.Tuner.bb_ties > 1);
+      Alcotest.(check bool)
+        (what ^ ": tie set identical, in space order")
+        true
+        (seq.Tuner.bb_ties = par.Tuner.bb_ties);
+      Alcotest.(check (float 0.0))
+        (what ^ ": blocked score bit-identical")
+        seq.Tuner.bb_blocked_score par.Tuner.bb_blocked_score;
+      Alcotest.(check (float 0.0))
+        (what ^ ": streamed score bit-identical")
+        seq.Tuner.bb_streamed_score par.Tuner.bb_streamed_score;
+      Alcotest.(check int)
+        (what ^ ": blockings visited")
+        seq.Tuner.bb_blockings_visited par.Tuner.bb_blockings_visited;
+      Alcotest.(check (list string))
+        (what ^ ": failure list identical")
+        (List.map Diag.to_string seq.Tuner.bb_failures)
+        (List.map Diag.to_string par.Tuner.bb_failures))
+    A.Machine.Etype.[ F64; F32 ]
 
 let test_tune_deterministic_hostile_space () =
   (* a space where most candidates die: the failure list ordering is
@@ -241,4 +277,6 @@ let suite =
       test_tune_deterministic_all_kernels;
     Alcotest.test_case "tune determinism on a mostly-hostile space" `Quick
       test_tune_deterministic_hostile_space;
+    Alcotest.test_case "tune_blocked jobs:4 == jobs:1, haswell f64 and f32"
+      `Slow test_tune_blocked_deterministic;
   ]
