@@ -220,6 +220,11 @@ let full_matrix (et : Etype.t) (sizes : int list) () : Json.t =
     List.map
       (fun (arch : Arch.t) ->
         let plan = A.Blocked.plan ~et ~jobs:!jobs_flag arch in
+        let micro = A.Blocked.micro plan in
+        let micro_config =
+          A.Transform.Pipeline.config_to_string
+            micro.Tuner.bm_candidate.Tuner.cand_config
+        in
         (* correctness first: the generated blocked driver on the
            simulator vs the reference BLAS, remainder shapes included *)
         let diffs =
@@ -276,21 +281,15 @@ let full_matrix (et : Etype.t) (sizes : int list) () : Json.t =
           "blocking %s (mr=%d nr=%d, %s); blocked/streamed at m=n=k=%d: \
            %.1fx@.@."
           (Mem_model.blocking_to_string plan.A.Blocked.pl_blocking)
-          plan.A.Blocked.pl_mr plan.A.Blocked.pl_nr
-          (A.Transform.Pipeline.config_to_string
-             plan.A.Blocked.pl_micro_config.Tuner.cand_config)
-          largest ratio;
+          micro.Tuner.bm_mr micro.Tuner.bm_nr micro_config largest ratio;
         Json.Obj
           [
             ("arch", Json.String arch.Arch.name);
             ("model", Json.String arch.Arch.model);
             ("blocking", blocking_json plan.A.Blocked.pl_blocking);
-            ("mr", Json.Int plan.A.Blocked.pl_mr);
-            ("nr", Json.Int plan.A.Blocked.pl_nr);
-            ( "micro_config",
-              Json.String
-                (A.Transform.Pipeline.config_to_string
-                   plan.A.Blocked.pl_micro_config.Tuner.cand_config) );
+            ("mr", Json.Int micro.Tuner.bm_mr);
+            ("nr", Json.Int micro.Tuner.bm_nr);
+            ("micro_config", Json.String micro_config);
             ("series", Json.List (List.map json_of_series series));
             ("speedup_at_largest", Json.Float ratio);
             ("differential", Json.List diffs);
@@ -345,18 +344,16 @@ let native_arch_for ~(et : Etype.t) :
      host and exercises the widest encoder surface *)
   go (Arch.haswell :: archs)
 
-let native_precision ~(sizes : int list) (et : Etype.t) : Json.t =
-  let gemm_name = String.uppercase_ascii (Etype.blas_prefix et) ^ "GEMM" in
-  let entry fields =
-    Json.Obj
-      (("precision", Json.String (Etype.name et))
-      :: ("name", Json.String gemm_name)
-      :: fields)
-  in
+let native_name (et : Etype.t) =
+  String.uppercase_ascii (Etype.blas_prefix et) ^ "GEMM"
+
+(* One precision's plan, loaded and checked before anything is timed:
+   the loaded plan and its entry's fields, or why it is skipped. *)
+let native_load (et : Etype.t) :
+    (Native_blocked.native_plan * (string * Json.t) list, string) result =
+  let gemm_name = native_name et in
   match native_arch_for ~et with
-  | Error m ->
-      Fmt.pr "native %s: skipped (%s)@." gemm_name m;
-      entry [ ("skipped", Json.Bool true); ("reason", Json.String m) ]
+  | Error m -> Error m
   | Ok (model, np) ->
       let plan = np.Native_blocked.np_plan in
       let arch = plan.A.Blocked.pl_arch in
@@ -374,17 +371,17 @@ let native_precision ~(sizes : int list) (et : Etype.t) : Json.t =
                 [ ("config", Json.String config); ("ties", Json.Int ties) ] ))
           [
             ( "micro",
-              plan.A.Blocked.pl_micro_config,
-              List.length model.A.Blocked.pl_micro_ties );
+              (A.Blocked.micro plan).Tuner.bm_candidate,
+              List.length model.A.Blocked.pl_micro );
             ( "pack_a",
-              fst (List.hd plan.A.Blocked.pl_pack_a_ties),
-              List.length model.A.Blocked.pl_pack_a_ties );
+              plan.A.Blocked.pl_pack_a.Tuner.best,
+              List.length model.A.Blocked.pl_pack_a.Tuner.ties );
             ( "pack_b",
-              fst (List.hd plan.A.Blocked.pl_pack_b_ties),
-              List.length model.A.Blocked.pl_pack_b_ties );
+              plan.A.Blocked.pl_pack_b.Tuner.best,
+              List.length model.A.Blocked.pl_pack_b.Tuner.ties );
             ( "scal",
-              fst (List.hd plan.A.Blocked.pl_scal_ties),
-              List.length model.A.Blocked.pl_scal_ties );
+              plan.A.Blocked.pl_scal.Tuner.best,
+              List.length model.A.Blocked.pl_scal.Tuner.ties );
           ]
       in
       (* differential gate before any timing: the simulated gate's
@@ -413,49 +410,73 @@ let native_precision ~(sizes : int list) (et : Etype.t) : Json.t =
               [ (1.0, 1.0); (2.5, -0.5) ])
           full_check_shapes
       in
-      (* every size on one core, the figure the per-core model
-         predicts, and on the whole team *)
-      let team = A.Pool.default_jobs () in
-      let points =
-        List.concat_map
-          (fun s ->
-            let predicted =
-              (A.Blocked.predict plan (Perf.W_gemm { m = s; n = s; k = s }))
-                .Perf.e_mflops
-            in
-            List.map
-              (fun jobs ->
-                let b = Native_blocked.time_gemm ~jobs np ~m:s ~n:s ~k:s () in
-                let t = b.Native_blocked.nb_timing in
-                Fmt.pr
-                  "%-6s %6d  jobs %d  measured %9.0f MFLOPS  (model %9.0f per \
-                   core; min %.4g s over %d)@."
-                  gemm_name s jobs b.Native_blocked.nb_mflops predicted
-                  t.Clock.t_min_s t.Clock.t_runs;
-                Json.Obj
-                  [
-                    ("size", Json.Int s);
-                    ("jobs", Json.Int jobs);
-                    ("mflops", Json.Float b.Native_blocked.nb_mflops);
-                    ("predicted_mflops", Json.Float predicted);
-                    ("runs", Json.Int t.Clock.t_runs);
-                    ("min_s", Json.Float t.Clock.t_min_s);
-                    ("mean_s", Json.Float t.Clock.t_mean_s);
-                    ("max_s", Json.Float t.Clock.t_max_s);
-                  ])
-              (List.sort_uniq compare [ 1; team ]))
-          sizes
+      Ok
+        ( np,
+          [
+            ("arch", Json.String arch.Arch.name);
+            ("blocking", blocking_json plan.A.Blocked.pl_blocking);
+            ("kernels", Json.Obj kernels);
+            ("differential", Json.List diffs);
+          ] )
+
+(* Timed rounds at each (size, jobs) point, after one untimed run. *)
+let native_rounds = 5
+
+(* The loaded plans' GEMMs at one (size, jobs) point, timed together,
+   staging excluded: every round runs each plan once, and which goes
+   first alternates, so a burst on a shared host slows both
+   precisions alike.  Each keeps its own statistics and gets its own
+   point.  Repeated passes accumulate into C (beta = 1), which keeps
+   every pass's memory traffic identical. *)
+let native_point (nps : Native_blocked.native_plan list) ~size ~jobs :
+    (Native_blocked.native_plan * Json.t) list =
+  let timed =
+    List.map
+      (fun np ->
+        let et = np.Native_blocked.np_plan.A.Blocked.pl_et in
+        let a, b, c = A.Blocked.operands ~et ~seed:42 ~m:size ~n:size ~k:size in
+        let run, _finish = Native_blocked.gemm_runner ~jobs np a b c in
+        run ();
+        (np, run, Clock.Stat.create ()))
+      nps
+  in
+  for round = 1 to native_rounds do
+    List.iter
+      (fun (_, run, st) ->
+        let t0 = Clock.now_ns () in
+        run ();
+        let dt = Int64.sub (Clock.now_ns ()) t0 in
+        Clock.Stat.push st (Int64.to_float dt /. 1e9))
+      (if round mod 2 = 1 then timed else List.rev timed)
+  done;
+  List.map
+    (fun (np, _, st) ->
+      let plan = np.Native_blocked.np_plan in
+      let predicted =
+        (A.Blocked.predict plan (Perf.W_gemm { m = size; n = size; k = size }))
+          .Perf.e_mflops
       in
-      Native_blocked.release np;
-      entry
-        [
-          ("skipped", Json.Bool false);
-          ("arch", Json.String arch.Arch.name);
-          ("blocking", blocking_json plan.A.Blocked.pl_blocking);
-          ("kernels", Json.Obj kernels);
-          ("differential", Json.List diffs);
-          ("points", Json.List points);
-        ]
+      let min_s = Clock.Stat.min st in
+      let n = float_of_int size in
+      let mflops = 2.0 *. n *. n *. n /. min_s /. 1e6 in
+      Fmt.pr
+        "%-6s %6d  jobs %d  measured %9.0f MFLOPS  (model %9.0f per core; min \
+         %.4g s over %d)@."
+        (native_name plan.A.Blocked.pl_et) size jobs mflops predicted min_s
+        (Clock.Stat.count st);
+      ( np,
+        Json.Obj
+          [
+            ("size", Json.Int size);
+            ("jobs", Json.Int jobs);
+            ("mflops", Json.Float mflops);
+            ("predicted_mflops", Json.Float predicted);
+            ("runs", Json.Int (Clock.Stat.count st));
+            ("min_s", Json.Float min_s);
+            ("mean_s", Json.Float (Clock.Stat.mean st));
+            ("max_s", Json.Float (Clock.Stat.max st));
+          ] ))
+    timed
 
 let native_bench (sizes : int list) () : Json.t =
   Fmt.pr "== Native blocked GEMM: measured wall-clock MFLOPS ==@.";
@@ -477,8 +498,40 @@ let native_bench (sizes : int list) () : Json.t =
       ]
   end
   else begin
+    let loaded =
+      List.map (fun et -> (et, native_load et)) [ Etype.F64; Etype.F32 ]
+    in
+    let nps =
+      List.filter_map (function _, Ok (np, _) -> Some np | _ -> None) loaded
+    in
+    (* every size on one core, the figure the per-core model predicts,
+       and on the whole team *)
+    let points =
+      List.concat_map
+        (fun size ->
+          List.map
+            (fun jobs -> native_point nps ~size ~jobs)
+            (List.sort_uniq compare [ 1; A.Pool.default_jobs () ]))
+        sizes
+    in
+    List.iter Native_blocked.release nps;
     let precisions =
-      List.map (native_precision ~sizes) [ Etype.F64; Etype.F32 ]
+      List.map
+        (fun (et, r) ->
+          let fields =
+            match r with
+            | Error m ->
+                Fmt.pr "native %s: skipped (%s)@." (native_name et) m;
+                [ ("skipped", Json.Bool true); ("reason", Json.String m) ]
+            | Ok (np, fields) ->
+                (("skipped", Json.Bool false) :: fields)
+                @ [ ("points", Json.List (List.map (List.assq np) points)) ]
+          in
+          Json.Obj
+            (("precision", Json.String (Etype.name et))
+            :: ("name", Json.String (native_name et))
+            :: fields))
+        loaded
     in
     Fmt.pr "@.";
     Json.Obj

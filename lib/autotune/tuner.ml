@@ -56,7 +56,7 @@ type result = {
   ties : candidate list;
       (* every candidate scoring exactly [best_score], in space order,
          [best] first; no programs, since a result is cached and served
-         and only a plan's native load reads the set *)
+         and only [Native_blocked.load] builds them ([tie_programs]) *)
   visited : int;
   discarded : int; (* register-pressure or generation failures *)
   fell_back : bool; (* the safe baseline was used (space fully discarded) *)
@@ -424,7 +424,8 @@ let tune ?(et = Etype.F64) ?(workload : Augem_sim.Perf.workload option)
 
 (* The members of [r]'s exact-tie set with their programs: the answer's
    own, and the others regenerated.  Generation is deterministic, so
-   each is the program the sweep scored. *)
+   each is the program the sweep scored.  [Native_blocked.load], which
+   times the members, is the one place that builds them. *)
 let tie_programs ?(et = Etype.F64) (arch : Arch.t) (name : Kernels.name)
     (r : result) : (candidate * Insn.program) list =
   let kernel = Kernels.kernel_of_name ?fp:(fp_of_et et) name in
@@ -445,8 +446,9 @@ let tie_programs ?(et = Etype.F64) (arch : Arch.t) (name : Kernels.name)
    the same addresses.  5: blocked-GEMM search dimensions and the
    E_strength_reduction diagnostic code (Diag is part of the
    marshalled result).  6: the exact-tie sets in [result] and in the
-   plan. *)
-let tuner_version = "6"
+   plan.  7: the plan holds its packing and SCAL kernels as their
+   sweeps' results. *)
+let tuner_version = "7"
 
 let candidate_fingerprint (c : candidate) : string =
   let prefer =

@@ -29,8 +29,8 @@ type result = {
           equals [best_score] to the last bit, in space order, [best]
           first; a fell-back result's set is the baseline alone.  The
           members' programs are not kept: results are cached and
-          served, and only a blocked-GEMM plan reads the set, which
-          regenerates them *)
+          served, and [Native_blocked.load], the one reader that runs
+          them, builds them with {!tie_programs} *)
   visited : int;
   discarded : int;
   fell_back : bool;
@@ -146,7 +146,9 @@ val tune :
 (** [tie_programs ~et arch name r] pairs each member of [r.ties] with
     its program: [r.best_program] for [r.best], the others regenerated
     for [name] at [et] (default f64), which gives the programs the
-    sweep scored.  A member that does not generate is left out. *)
+    sweep scored.  A member that does not generate is left out.
+    [Native_blocked.load] is the one place that builds a plan's
+    packing and SCAL members this way, when it times them. *)
 val tie_programs :
   ?et:Augem_machine.Etype.t ->
   Augem_machine.Arch.t ->

@@ -56,15 +56,6 @@ let pack_b (b : t) ~l0 ~j0 ~kc ~nc (buf : float array) =
     done
   done
 
-(* Pack the same block in the interleaved layout B[l*nc + j] that the
-   Shuf vectorization method requires. *)
-let pack_b_interleaved (b : t) ~l0 ~j0 ~kc ~nc (buf : float array) =
-  for l = 0 to kc - 1 do
-    for j = 0 to nc - 1 do
-      buf.((l * nc) + j) <- get b (l0 + l) (j0 + j)
-    done
-  done
-
 (* The reference micro-kernel: C(mc x nc) += packed_A * packed_B with
    the packed layouts above and C at leading dimension ldc, starting at
    element [c_off] of [c_data].  Matches the semantics of the paper's

@@ -26,11 +26,6 @@ val pack_a :
 val pack_b :
   Matrix.t -> l0:int -> j0:int -> kc:int -> nc:int -> float array -> unit
 
-(** Same block in the interleaved layout B[l*nc + j] required by the
-    Shuf vectorization method. *)
-val pack_b_interleaved :
-  Matrix.t -> l0:int -> j0:int -> kc:int -> nc:int -> float array -> unit
-
 (** The reference micro-kernel over packed operands (the semantics of
     the paper's Figure 12 kernel). *)
 val micro_kernel_ref :

@@ -20,91 +20,67 @@
 module Exec = Augem_sim.Exec_sim
 module Mat = Augem_blas.Matrix
 module L3 = Augem_blas.Level3
-module Insn = Augem_machine.Insn
 module Arch = Augem_machine.Arch
 module Tuner = Augem_autotune.Tuner
 module Mem_model = Augem_sim.Mem_model
 module Perf = Augem_sim.Perf
 module Kernels = Augem_ir.Kernels
-module Pipeline = Augem_transform.Pipeline
 module Et = Augem_machine.Etype
 
 type plan = {
   pl_arch : Arch.t;
   pl_et : Et.t;  (* scalar precision the plan's kernels compute in *)
-  pl_blocking : Mem_model.blocking;  (* tuned MC/KC/NC *)
-  pl_mr : int;
-  pl_nr : int;
-  pl_micro : Insn.program;
-  pl_micro_config : Tuner.candidate;
-  pl_pack_a : Insn.program;
-  pl_pack_b : Insn.program;
-  pl_scal : Insn.program;  (* X := alpha * X, the native scaling steps *)
-  pl_micro_ties : Tuner.blocked_member list;  (* each set: its pick first *)
-  pl_pack_a_ties : (Tuner.candidate * Insn.program) list;
-  pl_pack_b_ties : (Tuner.candidate * Insn.program) list;
-  pl_scal_ties : (Tuner.candidate * Insn.program) list;
+  pl_blocking : Mem_model.blocking;  (* the micro-kernel pick's MC/KC/NC *)
+  pl_micro : Tuner.blocked_member list;  (* the blocked sweep's set *)
+  pl_pack_a : Tuner.result;
+  pl_pack_b : Tuner.result;
+  pl_scal : Tuner.result;  (* X := alpha * X, the native scaling steps *)
   pl_blocked_mflops : float; (* predicted, blocked driver, ref workload *)
   pl_streamed_mflops : float; (* predicted, unblocked baseline *)
   pl_fell_back : bool;  (* some sweep behind the plan fell back *)
 }
 
+let micro (p : plan) : Tuner.blocked_member = List.hd p.pl_micro
+
 (* The plan running [micro], [pack_a], [pack_b] and [scal], each set
-   cut down to its pick.  The predicted figures stay the plan's: every
-   member of the micro-kernel's set has its blocked score. *)
+   cut down to its pick.  A packing or SCAL member answers for its
+   sweep: it scores the sweep's [best_score] to the last bit.  The
+   predicted figures stay the plan's: every member of the micro-kernel's
+   set has its blocked score. *)
 let pick (p : plan) ~(micro : Tuner.blocked_member) ~pack_a ~pack_b ~scal :
     plan =
+  let chosen (r : Tuner.result) (c, prog) =
+    { r with Tuner.best = c; best_program = prog; ties = [ c ] }
+  in
   {
     p with
     pl_blocking = micro.Tuner.bm_blocking;
-    pl_mr = micro.Tuner.bm_mr;
-    pl_nr = micro.Tuner.bm_nr;
-    pl_micro = micro.Tuner.bm_program;
-    pl_micro_config = micro.Tuner.bm_candidate;
-    pl_pack_a = snd pack_a;
-    pl_pack_b = snd pack_b;
-    pl_scal = snd scal;
-    pl_micro_ties = [ micro ];
-    pl_pack_a_ties = [ pack_a ];
-    pl_pack_b_ties = [ pack_b ];
-    pl_scal_ties = [ scal ];
+    pl_micro = [ micro ];
+    pl_pack_a = chosen p.pl_pack_a pack_a;
+    pl_pack_b = chosen p.pl_pack_b pack_b;
+    pl_scal = chosen p.pl_scal scal;
   }
 
-let drop_ties (p : plan) : plan =
-  pick p
-    ~micro:(List.hd p.pl_micro_ties)
-    ~pack_a:(List.hd p.pl_pack_a_ties)
-    ~pack_b:(List.hd p.pl_pack_b_ties)
-    ~scal:(List.hd p.pl_scal_ties)
+let drop_ties (p : plan) : plan = { p with pl_micro = [ micro p ] }
 
-(* The one place a plan record is built: from the blocked sweep and a
-   way to obtain the two packing kernels and SCAL, each the first-seen
-   maximum of its sweep, with that sweep's exact-tie set (the packing
-   and SCAL members' programs regenerated).  The plan fell back when
-   the micro x blocking cross-product was fully discarded or any of the
-   other three sweeps fell back to its safe baseline. *)
+(* The one place a plan record is built: from the blocked sweep and the
+   two packing kernels' and SCAL's sweeps, each held as the tuner
+   answered it.  The plan fell back when the micro x blocking
+   cross-product was fully discarded or any of the other three sweeps
+   fell back to its safe baseline. *)
 let assemble ~et (arch : Arch.t) (bb : Tuner.blocked_result)
     (kernel : Kernels.name -> Tuner.result) : plan =
   let pa = kernel Kernels.Pack_a in
   let pb = kernel Kernels.Pack_b in
   let sc = kernel Kernels.Scal in
-  let micro = List.hd bb.Tuner.bb_ties in
-  let ties name r = Tuner.tie_programs ~et arch name r in
   {
     pl_arch = arch;
     pl_et = et;
-    pl_blocking = micro.Tuner.bm_blocking;
-    pl_mr = micro.Tuner.bm_mr;
-    pl_nr = micro.Tuner.bm_nr;
-    pl_micro = micro.Tuner.bm_program;
-    pl_micro_config = micro.Tuner.bm_candidate;
-    pl_pack_a = pa.Tuner.best_program;
-    pl_pack_b = pb.Tuner.best_program;
-    pl_scal = sc.Tuner.best_program;
-    pl_micro_ties = bb.Tuner.bb_ties;
-    pl_pack_a_ties = ties Kernels.Pack_a pa;
-    pl_pack_b_ties = ties Kernels.Pack_b pb;
-    pl_scal_ties = ties Kernels.Scal sc;
+    pl_blocking = (List.hd bb.Tuner.bb_ties).Tuner.bm_blocking;
+    pl_micro = bb.Tuner.bb_ties;
+    pl_pack_a = pa;
+    pl_pack_b = pb;
+    pl_scal = sc;
     pl_blocked_mflops = bb.Tuner.bb_blocked_score;
     pl_streamed_mflops = bb.Tuner.bb_streamed_score;
     pl_fell_back =
@@ -157,7 +133,7 @@ let sim_micro ~fuel ~count (p : plan) : L3.micro_kernel =
  fun ~mc ~kc ~nc ~pa ~pb ~c_data ~c_off ~ldc ->
   let tile = view c_data ~ld:ldc ~off:c_off ~rows:mc ~cols:nc in
   count
-    (Exec.call ~et:p.pl_et ~fuel p.pl_micro
+    (Exec.call ~et:p.pl_et ~fuel (micro p).Tuner.bm_program
        Exec.[ Aint mc; Aint kc; Aint nc; Aint ldc; Abuf pa; Abuf pb;
               Abuf tile ]);
   Array.blit tile 0 c_data c_off (Array.length tile)
@@ -199,7 +175,7 @@ let gemm ?(fuel = default_fuel) ?blocking ?(alpha = 1.0) ?(beta = 1.0)
             view b.Mat.data ~ld ~off:((j0 * ld) + l0) ~rows:kc ~cols:nc
           in
           count pack_b_calls
-            (Exec.call ~et ~fuel p.pl_pack_b
+            (Exec.call ~et ~fuel p.pl_pack_b.Tuner.best_program
                Exec.[ Aint kc; Aint nc; Aint ld; Abuf panel; Abuf pbbuf ]));
       scale_b =
         (fun alpha ~kc ~nc ->
@@ -216,7 +192,7 @@ let gemm ?(fuel = default_fuel) ?blocking ?(alpha = 1.0) ?(beta = 1.0)
                   view a.Mat.data ~ld ~off:((l0 * ld) + i0) ~rows:mc ~cols:kc
                 in
                 count pack_a_calls
-                  (Exec.call ~et ~fuel p.pl_pack_a
+                  (Exec.call ~et ~fuel p.pl_pack_a.Tuner.best_program
                      Exec.[ Aint mc; Aint kc; Aint ld; Abuf block; Abuf pabuf ]));
             micro =
               (fun ~i0 ~j0 ~mc ~kc ~nc ->
@@ -236,11 +212,13 @@ let gemm ?(fuel = default_fuel) ?blocking ?(alpha = 1.0) ?(beta = 1.0)
 (* Predicted MFLOPS of the plan's blocked driver / unblocked baseline
    on an arbitrary problem size (the cycle model, not simulation). *)
 let predict (p : plan) (w : Perf.workload) : Perf.estimate =
-  Perf.predict_blocked ~et:p.pl_et p.pl_arch p.pl_micro
+  Perf.predict_blocked ~et:p.pl_et p.pl_arch (micro p).Tuner.bm_program
     ~blocking:p.pl_blocking w
 
 let predict_streamed (p : plan) (w : Perf.workload) : Perf.estimate =
-  Perf.predict_streamed ~et:p.pl_et p.pl_arch p.pl_micro ~nr:p.pl_nr w
+  let m = micro p in
+  Perf.predict_streamed ~et:p.pl_et p.pl_arch m.Tuner.bm_program
+    ~nr:m.Tuner.bm_nr w
 
 (* Seeded random A (m x k), B (k x n) and C0 (m x n), narrowed to [et]
    so reference and generated kernels start from identical representable

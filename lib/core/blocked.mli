@@ -21,31 +21,24 @@ type plan = {
   pl_arch : Augem_machine.Arch.t;
   pl_et : Augem_machine.Etype.t;
       (** scalar precision the plan's kernels compute in *)
-  pl_blocking : Augem_sim.Mem_model.blocking;  (** tuned MC/KC/NC *)
-  pl_mr : int;
-  pl_nr : int;
-  pl_micro : Augem_machine.Insn.program;
-  pl_micro_config : Augem_autotune.Tuner.candidate;
-  pl_pack_a : Augem_machine.Insn.program;
-  pl_pack_b : Augem_machine.Insn.program;
-  pl_scal : Augem_machine.Insn.program;
-      (** X := alpha * X; the native executor's beta and alpha scaling *)
-  pl_micro_ties : Augem_autotune.Tuner.blocked_member list;
-      (** the micro-kernel's exact-tie set, in space order, the plan's
-          micro-kernel, blocking and register tile first *)
-  pl_pack_a_ties :
-    (Augem_autotune.Tuner.candidate * Augem_machine.Insn.program) list;
-  pl_pack_b_ties :
-    (Augem_autotune.Tuner.candidate * Augem_machine.Insn.program) list;
-  pl_scal_ties :
-    (Augem_autotune.Tuner.candidate * Augem_machine.Insn.program) list;
-      (** likewise for pack-A, pack-B and SCAL: every candidate the
-          cycle model scores exactly like the plan's kernel, which is
-          first.  [Native_blocked.load] times the members of each set
-          against each other *)
+  pl_blocking : Augem_sim.Mem_model.blocking;
+      (** the tuned MC/KC/NC: the {!micro} pick's own *)
+  pl_micro : Augem_autotune.Tuner.blocked_member list;
+      (** the micro-kernel's exact-tie set from the blocked sweep
+          ([bb_ties]), in space order, the plan's pick first; each
+          member keeps its program, blocking and register tile *)
+  pl_pack_a : Augem_autotune.Tuner.result;
+  pl_pack_b : Augem_autotune.Tuner.result;
+  pl_scal : Augem_autotune.Tuner.result;
+      (** X := alpha * X, the native executor's beta and alpha scaling.
+          The packing kernels and SCAL are their sweeps' results: the
+          plan runs each [best_program], and each [ties] holds the
+          candidates the cycle model scores exactly like it.
+          [Native_blocked.load] builds those members' programs and
+          times them against each other *)
   pl_blocked_mflops : float;
       (** predicted MFLOPS of the blocked driver on the tuning workload;
-          every member of [pl_micro_ties] has this score *)
+          every member of [pl_micro] has this score *)
   pl_streamed_mflops : float;
       (** predicted MFLOPS of the unblocked (streaming) baseline, for
           the sweep's own pick *)
@@ -54,6 +47,9 @@ type plan = {
           the pack-A, pack-B or SCAL sweep fell back to its safe
           baseline: a degraded plan, never cached by the service *)
 }
+
+(** The micro-kernel the plan runs: the head of [pl_micro]. *)
+val micro : plan -> Augem_autotune.Tuner.blocked_member
 
 (** Tune the micro-kernel jointly with its blocking triple
     ({!Augem_autotune.Tuner.tune_blocked}), then the two packing kernels
@@ -68,9 +64,10 @@ val plan :
   plan
 
 (** [pick p ~micro ~pack_a ~pack_b ~scal] is [p] running these members
-    of its tie sets: the kernels, the micro-kernel's configuration,
-    blocking and register tile are theirs, and each set holds only its
-    pick.  The predicted figures stay [p]'s. *)
+    of its tie sets, each set cut to its pick: the micro-kernel's
+    blocking is [micro]'s, and each packing or SCAL result answers with
+    its member, candidate and program.  The predicted figures stay
+    [p]'s. *)
 val pick :
   plan ->
   micro:Augem_autotune.Tuner.blocked_member ->
@@ -79,9 +76,9 @@ val pick :
   scal:Augem_autotune.Tuner.candidate * Augem_machine.Insn.program ->
   plan
 
-(** [drop_ties p] is [p] with each tie set cut to its first member, the
-    kernel [p] runs: the plan the model answered, without the members
-    only [Native_blocked.load] times. *)
+(** [drop_ties p] is [p] with [pl_micro] cut to its pick, the only set
+    that holds programs: the plan the model answered, without the
+    micro-kernel members only [Native_blocked.load] times. *)
 val drop_ties : plan -> plan
 
 (** The safe-baseline plan, generated without a sweep: the baseline

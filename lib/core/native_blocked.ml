@@ -267,34 +267,6 @@ let check ?blocking ?(seed = 42) ?(alpha = 1.0) ?(beta = 1.0)
               Blocked.agree ~problem ~tol c_naive c_native
                 ~what:"native result off dgemm_naive"))
 
-(* --- wall-clock benchmark ----------------------------------------------- *)
-
-type bench = {
-  nb_m : int;
-  nb_n : int;
-  nb_k : int;
-  nb_timing : Clock.timing;
-  nb_mflops : float;  (* 2mnk / min time *)
-}
-
-(* Time the staged loop nest (staging excluded).  Repeated passes
-   accumulate into C (beta = 1), which is harmless for timing and
-   keeps every pass's memory traffic identical. *)
-let time_gemm ?(repeats = 5) ?(warmup = 1) ?jobs ?blocking ?(seed = 42)
-    (np : native_plan) ~m ~n ~k () : bench =
-  let et = np.np_plan.Blocked.pl_et in
-  let a, b, c = Blocked.operands ~et ~seed ~m ~n ~k in
-  let run, _finish = gemm_runner ?jobs ?blocking np a b c in
-  let t = Clock.measure ~warmup ~repeats run in
-  let flops = 2.0 *. float_of_int m *. float_of_int n *. float_of_int k in
-  {
-    nb_m = m;
-    nb_n = n;
-    nb_k = k;
-    nb_timing = t;
-    nb_mflops = flops /. t.Clock.t_min_s /. 1e6;
-  }
-
 (* --- single-kernel wall-clock measurement (the tuner hook) -------------- *)
 
 (* The reference workloads are sized for the paper's evaluation sweep
@@ -427,26 +399,6 @@ let tuner_measure : Tuner.native_measure =
 
 (* --- loading: the gates, then the clock breaks the model's ties ---------- *)
 
-(* Push every member of the plan's four tie sets through the guarded
-   gates (lints, host capability, encoder), in set order.
-   All-or-nothing: a plan with a member that cannot run natively is not
-   a native plan, and what did load is released. *)
-let gate_all ~avx ~et (progs : (string * Insn.program) list) :
-    Runtime.Exec_buf.t list Native_check.gated =
-  let rec go acc = function
-    | [] -> Native_check.Ready (List.rev acc)
-    | (label, prog) :: rest -> (
-        match Native_check.load ~avx ~et prog with
-        | Native_check.Ready buf -> go (buf :: acc) rest
-        | Native_check.Unsupported m ->
-            List.iter Runtime.Exec_buf.release acc;
-            Native_check.Unsupported (label ^ ": " ^ m)
-        | Native_check.Rejected m ->
-            List.iter Runtime.Exec_buf.release acc;
-            Native_check.Rejected (label ^ ": " ^ m))
-  in
-  go [] progs
-
 (* Timed rounds over a tie set, after one untimed round. *)
 let tie_rounds = 4
 
@@ -537,48 +489,57 @@ let micro_sample native : Tuner.blocked_member -> Runtime.Exec_buf.t ->
     let run, _finish = staged_runner ~jobs:1 np a b c staged in
     (run, 2.0 *. float_of_int (m * n * k))
 
-(* The first [List.length set] buffers paired with [set]'s members, and
-   the rest. *)
-let rec claim set bufs =
-  match (set, bufs) with
-  | [], rest -> ([], rest)
-  | m :: ms, b :: bs ->
-      let claimed, rest = claim ms bs in
-      ((m, b) :: claimed, rest)
-  | _ :: _, [] -> invalid_arg "Native_blocked.claim"
-
-(* Gate every member of the plan's four tie sets, then keep the fastest
-   member of each: pack-A, pack-B and SCAL first, then the micro-kernel
-   with those three.  [np_plan] is the plan the machine code runs, each
-   set cut to its kept member; the timings go nowhere else.  A plan
-   whose sets each hold one member, like the fell-back baseline, loads
-   untimed. *)
+(* Gate every member of the plan's four tie sets where it stands, the
+   micro-kernel's first, then keep the fastest member of each: pack-A,
+   pack-B and SCAL first, then the micro-kernel with those three.  The
+   packing and SCAL members' programs are built here
+   ([Tuner.tie_programs]), the one place they are needed.  All or
+   nothing: a plan with a member that cannot run natively is not a
+   native plan, and what did load is released.  [np_plan] is the plan
+   the machine code runs, each set cut to its kept member; the timings
+   go nowhere else.  A plan whose sets each hold one member, like the
+   fell-back baseline, loads untimed. *)
 let load (p : Blocked.plan) : native_plan Native_check.gated =
-  let avx = p.Blocked.pl_arch.Arch.simd = Arch.AVX in
-  let et = p.Blocked.pl_et in
-  let labelled kernel =
-    List.map (fun ((c : Tuner.candidate), prog) ->
-        ( kernel ^ " "
-          ^ Augem_transform.Pipeline.config_to_string c.Tuner.cand_config,
-          prog ))
+  let arch = p.Blocked.pl_arch and et = p.Blocked.pl_et in
+  let avx = arch.Arch.simd = Arch.AVX in
+  let loaded = ref [] in
+  let exception Refused of native_plan Native_check.gated in
+  (* each member paired with its loaded code; [parts m] is the
+     member's candidate and program *)
+  let gate kernel parts =
+    List.map (fun m ->
+        let (c : Tuner.candidate), prog = parts m in
+        let refused msg =
+          Printf.sprintf "%s %s: %s" kernel
+            (Augem_transform.Pipeline.config_to_string c.Tuner.cand_config)
+            msg
+        in
+        match Native_check.load ~avx ~et prog with
+        | Native_check.Ready buf ->
+            loaded := buf :: !loaded;
+            (m, buf)
+        | Native_check.Unsupported msg ->
+            raise (Refused (Native_check.Unsupported (refused msg)))
+        | Native_check.Rejected msg ->
+            raise (Refused (Native_check.Rejected (refused msg))))
   in
-  let programs =
-    labelled "micro"
-      (List.map
-         (fun m -> (m.Tuner.bm_candidate, m.Tuner.bm_program))
-         p.Blocked.pl_micro_ties)
-    @ labelled "pack_a" p.Blocked.pl_pack_a_ties
-    @ labelled "pack_b" p.Blocked.pl_pack_b_ties
-    @ labelled "scal" p.Blocked.pl_scal_ties
+  let members kernel name r =
+    gate kernel Fun.id (Tuner.tie_programs ~et arch name r)
   in
-  match gate_all ~avx ~et programs with
-  | Native_check.Unsupported m -> Native_check.Unsupported m
-  | Native_check.Rejected m -> Native_check.Rejected m
-  | Native_check.Ready bufs ->
-      let micro, rest = claim p.Blocked.pl_micro_ties bufs in
-      let pack_a, rest = claim p.Blocked.pl_pack_a_ties rest in
-      let pack_b, rest = claim p.Blocked.pl_pack_b_ties rest in
-      let scal, _ = claim p.Blocked.pl_scal_ties rest in
+  match
+    let micro =
+      gate "micro"
+        (fun m -> (m.Tuner.bm_candidate, m.Tuner.bm_program))
+        p.Blocked.pl_micro
+    in
+    let pack_a = members "pack_a" Kernels.Pack_a p.Blocked.pl_pack_a in
+    let pack_b = members "pack_b" Kernels.Pack_b p.Blocked.pl_pack_b in
+    (micro, pack_a, pack_b, members "scal" Kernels.Scal p.Blocked.pl_scal)
+  with
+  | exception Refused refusal ->
+      List.iter Runtime.Exec_buf.release !loaded;
+      refusal
+  | micro, pack_a, pack_b, scal ->
       let pick kernel set = fastest ~sample:(kernel_sample et kernel) set in
       let pack_a = pick Kernels.Pack_a pack_a in
       let pack_b = pick Kernels.Pack_b pack_b in

@@ -298,23 +298,24 @@ let handle_blocked (t : t) (id : Json.t) (bq : Proto.blocked_request) :
     let p = o.Registry.o_result in
     let avx = arch.Arch.simd = Arch.AVX in
     let bl = p.A.Blocked.pl_blocking in
+    let micro = A.Blocked.micro p in
+    let listing prog = Att.program_to_string ~et ~avx prog in
     Proto.R_blocked
       {
         rb_arch = arch.Arch.name;
         rb_mc = bl.Mem_model.bl_mc;
         rb_kc = bl.Mem_model.bl_kc;
         rb_nc = bl.Mem_model.bl_nc;
-        rb_mr = p.A.Blocked.pl_mr;
-        rb_nr = p.A.Blocked.pl_nr;
+        rb_mr = micro.Tuner.bm_mr;
+        rb_nr = micro.Tuner.bm_nr;
         rb_micro_config =
           A.Transform.Pipeline.config_to_string
-            p.A.Blocked.pl_micro_config.Tuner.cand_config;
-        rb_micro_assembly =
-          Att.program_to_string ~et ~avx p.A.Blocked.pl_micro;
+            micro.Tuner.bm_candidate.Tuner.cand_config;
+        rb_micro_assembly = listing micro.Tuner.bm_program;
         rb_pack_a_assembly =
-          Att.program_to_string ~et ~avx p.A.Blocked.pl_pack_a;
+          listing p.A.Blocked.pl_pack_a.Tuner.best_program;
         rb_pack_b_assembly =
-          Att.program_to_string ~et ~avx p.A.Blocked.pl_pack_b;
+          listing p.A.Blocked.pl_pack_b.Tuner.best_program;
         rb_blocked_mflops =
           (A.Blocked.predict p workload).Perf.e_mflops;
         rb_streamed_mflops =
@@ -328,7 +329,7 @@ let handle_blocked (t : t) (id : Json.t) (bq : Proto.blocked_request) :
     ~deadline_ms:bq.Proto.bq_deadline_ms
     ~sweep:(fun () ->
       (* a served plan is never loaded natively, so the registry keeps
-         none of the tie sets a native load times *)
+         none of the micro-kernel members a native load times *)
       A.Blocked.drop_ties
         (A.Blocked.plan ~et ~jobs:t.cfg.cfg_tune_jobs ~workload arch))
     ~baseline:(fun () -> A.Blocked.baseline_plan ~et ~workload arch)

@@ -226,6 +226,49 @@ let test_singleton_ties () =
     (List.map (fun m -> m.Tuner.bm_candidate) bb.Tuner.bb_ties
     = [ Tuner.safe_baseline ])
 
+(* --- measured scores stay out of the cache tiers ------------------------- *)
+
+(* With the native hook installed ([augem tune --native]), [tuned] runs
+   a fresh measured sweep: no tier is consulted or written, so no event
+   is reported and the cache dir stays empty.  Without it, the same call
+   is an ordinary miss that sweeps and stores the model's answer. *)
+let test_measured_scores_uncached () =
+  if not (A.Native_check.host_supported ()) then
+    print_endline "skipped: host CPU lacks SSE2+AVX"
+  else
+    let dir = Filename.temp_dir "augem-measured" "" in
+    let events = ref [] in
+    Fun.protect
+      ~finally:(fun () ->
+        Tuner.set_native_measure None;
+        Tuner.set_cache_observer None;
+        ignore (A.Tuning_cache.clear ~dir);
+        try Sys.rmdir dir with Sys_error _ -> ())
+    @@ fun () ->
+    Tuner.set_cache_observer
+      (Some (fun ~arch:_ ~kernel:_ ev -> events := ev :: !events));
+    let space =
+      List.filteri (fun i _ -> i < 2) (Tuner.space_for Kernels.Scal)
+    in
+    let tuned () =
+      events := [];
+      Tuner.tuned ~cache_dir:dir ~space Arch.sandy_bridge Kernels.Scal
+    in
+    Tuner.set_native_measure (Some A.Native_blocked.tuner_measure);
+    ignore (tuned ());
+    Alcotest.(check (list string)) "measured: no tier event" []
+      (List.rev_map Tuner.cache_event_to_string !events);
+    Alcotest.(check int) "measured: nothing written" 0
+      (Array.length (Sys.readdir dir));
+    Tuner.set_native_measure None;
+    let r = tuned () in
+    Alcotest.(check (list string)) "model: miss, sweep, store"
+      [ "disk-miss"; "swept"; "store" ]
+      (List.rev_map Tuner.cache_event_to_string !events);
+    Alcotest.(check (float 0.0)) "model: the sweep's score"
+      (Tuner.tune ~space Arch.sandy_bridge Kernels.Scal).Tuner.best_score
+      r.Tuner.best_score
+
 let suite =
   [
     Alcotest.test_case "tuner finds configurations" `Slow
@@ -244,4 +287,6 @@ let suite =
     Alcotest.test_case "haswell f64 prefetch variants tie" `Quick
       test_prefetch_variants_tie;
     Alcotest.test_case "one-member tie sets" `Quick test_singleton_ties;
+    Alcotest.test_case "measured scores never reach a cache tier" `Quick
+      test_measured_scores_uncached;
   ]

@@ -127,24 +127,21 @@ let test_shape_mismatch () =
 let test_plan_shape () =
   let p = Lazy.force plan in
   let bl = p.Blocked.pl_blocking in
+  let micro = Blocked.micro p in
   Alcotest.(check bool) "positive blocking" true
     (bl.Mem_model.bl_mc > 0 && bl.Mem_model.bl_kc > 0 && bl.Mem_model.bl_nc > 0);
-  Alcotest.(check bool) "register tile" true (p.Blocked.pl_mr >= 1 && p.Blocked.pl_nr >= 1);
+  Alcotest.(check bool) "blocking is the micro-kernel's" true
+    (bl = micro.A.Tuner.bm_blocking);
+  Alcotest.(check bool) "register tile" true
+    (micro.A.Tuner.bm_mr >= 1 && micro.A.Tuner.bm_nr >= 1);
   Alcotest.(check bool) "blocked >= streamed on tuning workload" true
     (p.Blocked.pl_blocked_mflops >= p.Blocked.pl_streamed_mflops);
-  (* what the service keeps: the same kernels, each set cut to the
-     plan's own *)
-  let d = Blocked.drop_ties p in
-  Alcotest.(check bool) "sets to drop" true
-    (List.length p.Blocked.pl_pack_a_ties > 1);
-  Alcotest.(check bool) "drop_ties keeps the plan's kernels, one per set" true
-    (d.Blocked.pl_micro_config = p.Blocked.pl_micro_config
-    && d.Blocked.pl_blocking = p.Blocked.pl_blocking
-    && List.map (fun m -> m.A.Tuner.bm_program) d.Blocked.pl_micro_ties
-       = [ p.Blocked.pl_micro ]
-    && List.map snd d.Blocked.pl_pack_a_ties = [ p.Blocked.pl_pack_a ]
-    && List.map snd d.Blocked.pl_pack_b_ties = [ p.Blocked.pl_pack_b ]
-    && List.map snd d.Blocked.pl_scal_ties = [ p.Blocked.pl_scal ])
+  (* what the service keeps: the same kernels, the micro-kernel's set
+     cut to the plan's own *)
+  Alcotest.(check bool) "a set to drop" true
+    (List.length p.Blocked.pl_micro > 1);
+  Alcotest.(check bool) "drop_ties keeps the plan's kernels" true
+    (Blocked.drop_ties p = { p with Blocked.pl_micro = [ micro ] })
 
 (* A swept plan is not fell-back; the sweep-free baseline plan always
    is, so the service never caches it. *)
@@ -153,12 +150,13 @@ let test_plan_fell_back () =
   let b = Blocked.baseline_plan arch in
   Alcotest.(check bool) "baseline plan" true b.Blocked.pl_fell_back;
   Alcotest.(check bool) "baseline micro-kernel is the safe one" true
-    (b.Blocked.pl_micro_config = A.Tuner.safe_baseline)
+    ((Blocked.micro b).A.Tuner.bm_candidate = A.Tuner.safe_baseline)
 
 (* --- natively executed (host-gated) -------------------------------------- *)
 
 module Et = A.Machine.Etype
 module NB = A.Native_blocked
+module Kernels = A.Ir.Kernels
 module Runtime = A.Jit.Runtime
 
 let plan_f32 = lazy (Blocked.plan ~et:Et.F32 ~jobs:1 arch)
@@ -275,11 +273,13 @@ let test_native_tie_members () =
     List.iter
       (fun (et, plan) ->
         let p = Lazy.force plan in
+        let set name r = A.Tuner.tie_programs ~et p.Blocked.pl_arch name r in
+        let pack_a_set = set Kernels.Pack_a p.Blocked.pl_pack_a in
+        let pack_b_set = set Kernels.Pack_b p.Blocked.pl_pack_b in
+        let scal_set = set Kernels.Scal p.Blocked.pl_scal in
         let first = List.hd in
-        let pick ?(micro = first p.Blocked.pl_micro_ties)
-            ?(pack_a = first p.Blocked.pl_pack_a_ties)
-            ?(pack_b = first p.Blocked.pl_pack_b_ties)
-            ?(scal = first p.Blocked.pl_scal_ties) () =
+        let pick ?(micro = Blocked.micro p) ?(pack_a = first pack_a_set)
+            ?(pack_b = first pack_b_set) ?(scal = first scal_set) () =
           Blocked.pick p ~micro ~pack_a ~pack_b ~scal
         in
         let config c =
@@ -289,16 +289,16 @@ let test_native_tie_members () =
           List.map
             (fun m ->
               ("micro " ^ config m.A.Tuner.bm_candidate, pick ~micro:m ()))
-            p.Blocked.pl_micro_ties
+            p.Blocked.pl_micro
           @ List.map
               (fun m -> ("pack_a " ^ config (fst m), pick ~pack_a:m ()))
-              p.Blocked.pl_pack_a_ties
+              pack_a_set
           @ List.map
               (fun m -> ("pack_b " ^ config (fst m), pick ~pack_b:m ()))
-              p.Blocked.pl_pack_b_ties
+              pack_b_set
           @ List.map
               (fun m -> ("scal " ^ config (fst m), pick ~scal:m ()))
-              p.Blocked.pl_scal_ties
+              scal_set
         in
         List.iter
           (fun (member, q) ->
@@ -330,33 +330,28 @@ let test_native_load_picks_members () =
   on_native_plans (fun et p np ->
       let q = np.NB.np_plan in
       let what = Et.name et in
-      let kept name set picked =
-        match set with
-        | [ m ] when List.mem m picked -> m
-        | _ -> Alcotest.failf "%s %s: not one member of the set" what name
-      in
       let micro =
-        kept "micro" q.Blocked.pl_micro_ties p.Blocked.pl_micro_ties
+        match q.Blocked.pl_micro with
+        | [ m ] when List.mem m p.Blocked.pl_micro -> m
+        | _ -> Alcotest.failf "%s micro: not one member of the set" what
       in
-      Alcotest.(check bool) (what ^ " micro-kernel is its member's") true
-        (q.Blocked.pl_micro = micro.A.Tuner.bm_program
-        && q.Blocked.pl_micro_config = micro.A.Tuner.bm_candidate);
       Alcotest.(check bool) (what ^ " blocking is its micro member's") true
-        (q.Blocked.pl_blocking = micro.A.Tuner.bm_blocking
-        && (q.Blocked.pl_mr, q.Blocked.pl_nr)
-           = (micro.A.Tuner.bm_mr, micro.A.Tuner.bm_nr));
+        (q.Blocked.pl_blocking = micro.A.Tuner.bm_blocking);
       List.iter
-        (fun (name, set, picked, prog) ->
-          let _, member_prog = kept name set picked in
-          Alcotest.(check bool) (what ^ " " ^ name ^ " is its member's") true
-            (prog = member_prog))
+        (fun (name, kernel, kept, r) ->
+          let member (c, prog) =
+            kept
+            = { r with A.Tuner.best = c; best_program = prog; ties = [ c ] }
+          in
+          if
+            not
+              (List.exists member
+                 (A.Tuner.tie_programs ~et p.Blocked.pl_arch kernel r))
+          then Alcotest.failf "%s %s: not one member of the set" what name)
         [
-          ("pack_a", q.Blocked.pl_pack_a_ties, p.Blocked.pl_pack_a_ties,
-           q.Blocked.pl_pack_a);
-          ("pack_b", q.Blocked.pl_pack_b_ties, p.Blocked.pl_pack_b_ties,
-           q.Blocked.pl_pack_b);
-          ("scal", q.Blocked.pl_scal_ties, p.Blocked.pl_scal_ties,
-           q.Blocked.pl_scal);
+          ("pack_a", Kernels.Pack_a, q.Blocked.pl_pack_a, p.Blocked.pl_pack_a);
+          ("pack_b", Kernels.Pack_b, q.Blocked.pl_pack_b, p.Blocked.pl_pack_b);
+          ("scal", Kernels.Scal, q.Blocked.pl_scal, p.Blocked.pl_scal);
         ])
 
 (* The packing buffers are sized to the problem, not to the blocking:
@@ -525,7 +520,8 @@ let test_native_scal () =
                 Printf.printf "%s: skipped (%s)\n" (Et.name et) m
             | A.Native_check.Rejected m ->
                 Alcotest.failf "%s: %s" (Et.name et) m)
-          p.Blocked.pl_scal_ties)
+          (A.Tuner.tie_programs ~et p.Blocked.pl_arch Kernels.Scal
+             p.Blocked.pl_scal))
       [ (Et.F64, plan); (Et.F32, plan_f32) ]
 
 (* Resident operands start on a page boundary whatever the allocation

@@ -684,6 +684,35 @@ let test_metrics_snapshot_consistency () =
   Alcotest.(check int) "cache.stores" 15 (Metrics.get m "cache.stores");
   Alcotest.(check string) "snapshot layout" expected_snapshot (Json.to_string j)
 
+(* --- the served plan, pinned ---------------------------------------------- *)
+
+(* One f64 and one f32 [blocked] reply from a fresh server, each without
+   its [tuning_ms], digested together: every served byte of a plan (the
+   blocking, register tile, micro configuration, the three listings and
+   the predicted figures) is pinned, however the plan holds its
+   kernels. *)
+let test_server_blocked_reply_pinned () =
+  let server = Server.create () in
+  let untimed line =
+    match reply_of (Server.handle_line server line) with
+    | Json.Obj fields ->
+        Json.to_string
+          (Json.Obj (List.filter (fun (k, _) -> k <> "tuning_ms") fields))
+    | j -> Alcotest.failf "not an object: %s" (Json.to_string j)
+  in
+  let replies =
+    [
+      untimed (blocked_line ~id:1 64);
+      untimed
+        ({|{"id":2,"op":"blocked","arch":"haswell","m":64,"n":64,"k":64,|}
+        ^ {|"precision":"f32"}|});
+    ]
+  in
+  Server.drain server;
+  Alcotest.(check string) "served replies, tuning_ms dropped"
+    "02c14c96a9dcd146c0ce6e6b87955f94"
+    (Digest.to_hex (Digest.string (String.concat "\n" replies)))
+
 let suite =
   [
     Alcotest.test_case "proto round-trip" `Quick test_proto_round_trip;
@@ -714,4 +743,6 @@ let suite =
     Alcotest.test_case "socket transport: clients, shutdown" `Quick
       test_socket_transport;
     Alcotest.test_case "metrics snapshot" `Quick test_metrics_snapshot_consistency;
+    Alcotest.test_case "server blocked: replies pinned, f64 and f32" `Slow
+      test_server_blocked_reply_pinned;
   ]
