@@ -14,7 +14,8 @@
      full          blocked vs streamed DGEMM (BENCH_full.json)
      full_f32      the same at f32 (BENCH_full_f32.json)
      table6        SYMM/SYRK/SYR2K/TRMM/TRSM/GER average MFLOPS
-     sweep         the tuning sweep's wall-clock at jobs 1 and --jobs N
+     sweep         the tuning sweep's wall-clock at jobs 1 and --jobs N,
+                   and one blocked-GEMM sweep per precision at jobs 1
      native        measured wall-clock blocked DGEMM/SGEMM
      ablations     each design choice switched off in isolation
      portability   tuned DGEMM across architectures
@@ -606,8 +607,13 @@ let table6 () : Json.t =
    jobs=1 and at the requested job count: the ROADMAP's perf
    trajectory for the tuner itself.  Results are checked identical
    across job counts — the parallel sweep's determinism contract,
-   enforced here on every bench run, not just in the test suite. *)
-let tuning_sweep (pairs : (Arch.t * Kernels.name) list) () : Json.t =
+   enforced here on every bench run, not just in the test suite.  Then
+   one fresh blocked-GEMM sweep per [blocked] entry (arch, precision,
+   space) at jobs 1: what a cold [Blocked.plan] spends choosing its
+   micro-kernel and blocking. *)
+let tuning_sweep
+    ~(blocked : (Arch.t * Etype.t * Tuner.candidate list option) list)
+    (pairs : (Arch.t * Kernels.name) list) () : Json.t =
   let jobs = !jobs_flag in
   Fmt.pr "== Tuning sweep: wall-clock and candidates/sec ==@.";
   let time f =
@@ -673,6 +679,23 @@ let tuning_sweep (pairs : (Arch.t * Kernels.name) list) () : Json.t =
   if jobs > 1 then
     Fmt.pr "parallel sweep speedup (jobs=%d over jobs=1): %.2fx@." jobs
       speedup;
+  let blocked_run (arch, et, space) =
+    let bb, wall =
+      time (fun () -> Tuner.tune_blocked ~et ?space ~jobs:1 arch)
+    in
+    Fmt.pr "blocked %s %s: %d candidates, %d blockings in %.3f s@."
+      arch.Arch.name (Etype.name et) bb.Tuner.bb_micro_visited
+      bb.Tuner.bb_blockings_visited wall;
+    Json.Obj
+      [
+        ("arch", Json.String arch.Arch.name);
+        ("precision", Json.String (Etype.name et));
+        ("candidates", Json.Int bb.Tuner.bb_micro_visited);
+        ("blockings", Json.Int bb.Tuner.bb_blockings_visited);
+        ("wall_s", Json.Float wall);
+      ]
+  in
+  let blocked = List.map blocked_run blocked in
   Fmt.pr "@.";
   Json.Obj
     [
@@ -698,6 +721,7 @@ let tuning_sweep (pairs : (Arch.t * Kernels.name) list) () : Json.t =
              pairs seq_results) );
       ("timings", Json.List timings);
       ("speedup", Json.Float speedup);
+      ("blocked", Json.List blocked);
     ]
 
 let all_pairs =
@@ -998,9 +1022,22 @@ let experiments =
       (full_matrix Etype.F32 blocked_sizes)
       ~smoke:(full_matrix Etype.F32 blocked_smoke_sizes);
     artifact "table6" table6;
-    artifact "sweep" (tuning_sweep all_pairs)
+    artifact "sweep"
+      (tuning_sweep
+         ~blocked:
+           [ (Arch.haswell, Etype.F64, None); (Arch.haswell, Etype.F32, None) ]
+         all_pairs)
       ~smoke:
         (tuning_sweep
+           ~blocked:
+             [
+               ( Arch.sandy_bridge,
+                 Etype.F64,
+                 Some
+                   (List.filteri
+                      (fun i _ -> i < 4)
+                      (Tuner.space_for Kernels.Gemm)) );
+             ]
            [
              (Arch.sandy_bridge, Kernels.Axpy); (Arch.piledriver, Kernels.Dot);
            ]);

@@ -650,7 +650,7 @@ let explain_cmd =
       Fmt.pr "lowering %s on %s [%s] (%s): %d stages@.@."
         trace.A.Driver.Trace.tr_kernel trace.A.Driver.Trace.tr_arch
         (A.Machine.Etype.name trace.A.Driver.Trace.tr_et)
-        (Option.value ~default:"-" trace.A.Driver.Trace.tr_config)
+        trace.A.Driver.Trace.tr_config
         (List.length trace.A.Driver.Trace.tr_stages);
       List.iter
         (fun (r : A.Driver.Trace.stage_record) ->

@@ -75,17 +75,99 @@ and live_block (stmts : stmt list) ~(live_out : SS.t) : SS.t =
 (* [annotate stmts ~live_out] pairs each statement with the set of
    variables live *after* it. *)
 let annotate (stmts : stmt list) ~(live_out : SS.t) : (stmt * SS.t) list =
-  let rec go = function
-    | [] -> (live_out, [])
-    | s :: rest ->
-        let after, annotated = go rest in
-        let before = live_stmt s ~live_out:after in
-        ignore before;
-        (live_stmt s ~live_out:after, (s, after) :: annotated)
-  in
-  snd (go stmts)
+  snd
+    (List.fold_right
+       (fun s (after, annotated) ->
+         (live_stmt s ~live_out:after, (s, after) :: annotated))
+       stmts (live_out, []))
 
-(* Live-out sets relevant to a kernel body: nothing is live at function
-   exit except memory, so scalar live_out is empty. *)
-let kernel_live_annotations (k : kernel) : (stmt * SS.t) list =
-  annotate k.k_body ~live_out:SS.empty
+(* --- one pass over a statement tree ------------------------------------ *)
+
+(* Each statement's effect is a gen/kill transfer, live_in = gen ∪
+   (live_out \ kill), and so is a block's, a branch's and a loop's:
+   [live_stmt]'s loop fixpoint settles after one trip round the back
+   edge, at body_in = gen_b ∪ ((live_out ∪ header uses) \ kill_b), so
+   a loop's transfer has a closed form.  Summarising every statement
+   once, bottom-up, and then walking each block backward with the
+   concrete set gives every statement the live-after set [annotate]
+   gives it, without re-running a loop's fixpoint at each enclosing
+   level. *)
+type transfer = { gen : SS.t; kill : SS.t }
+
+let through t live_out = SS.union t.gen (SS.diff live_out t.kill)
+
+(* the transfer of [a] followed by [b] *)
+let seq a b =
+  { gen = SS.union a.gen (SS.diff b.gen a.kill); kill = SS.union a.kill b.kill }
+
+type annotated = {
+  an_stmt : stmt;
+  an_after : SS.t;
+  an_nested : annotated list list;
+}
+
+(* A statement's transfer, and the function that annotates it and its
+   nested blocks once its live-after set is known. *)
+let rec summarize (s : stmt) : transfer * (SS.t -> annotated) =
+  let node nested after =
+    { an_stmt = s; an_after = after; an_nested = nested }
+  in
+  let leaf gen kill = ({ gen; kill }, node []) in
+  match s with
+  | Decl (_, v, init) ->
+      leaf
+        (match init with Some e -> reads_expr e | None -> SS.empty)
+        (SS.singleton v)
+  | Assign (Lvar v, e) -> leaf (reads_expr e) (SS.singleton v)
+  | Assign (Lindex (a, i), e) ->
+      leaf (SS.add a (SS.union (reads_expr i) (reads_expr e))) SS.empty
+  | Prefetch (_, base, off) -> leaf (SS.add base (reads_expr off)) SS.empty
+  | Comment _ -> leaf SS.empty SS.empty
+  | Tagged (_, body) ->
+      let t, body_at = summarize_block body in
+      (t, fun after -> node [ body_at after ] after)
+  | If (a, _, b, th, el) ->
+      let tt, then_at = summarize_block th
+      and tf, else_at = summarize_block el in
+      ( {
+          gen =
+            SS.union (SS.union tt.gen tf.gen)
+              (SS.union (reads_expr a) (reads_expr b));
+          kill = SS.inter tt.kill tf.kill;
+        },
+        fun after -> node [ then_at after; else_at after ] after )
+  | For (h, body) ->
+      let tb, body_at = summarize_block body in
+      let header =
+        SS.union (reads_expr h.loop_bound) (reads_expr h.loop_step)
+      in
+      let gen =
+        SS.union
+          (SS.remove h.loop_var (SS.union header tb.gen))
+          (reads_expr h.loop_init)
+      in
+      (* zero trips pass everything but the counter through; the body's
+         live-out is the conservative one the matcher has always used,
+         the loop's live-after ∪ its live-in *)
+      ( { gen; kill = SS.singleton h.loop_var },
+        fun after -> node [ body_at (SS.union after gen) ] after )
+
+and summarize_block (stmts : stmt list) : transfer * (SS.t -> annotated list) =
+  let parts = List.map summarize stmts in
+  ( List.fold_right
+      (fun (t, _) acc -> seq t acc)
+      parts
+      { gen = SS.empty; kill = SS.empty },
+    fun live_out ->
+      snd
+        (List.fold_right
+           (fun (t, at) (after, annotated) ->
+             (through t after, at after :: annotated))
+           parts (live_out, [])) )
+
+(* [annotate_tree stmts ~live_out]: every statement with the scalars
+   live after it, nested blocks annotated in place — a loop body at the
+   loop's live-after ∪ its live-in, an [If]'s arms and a [Tagged] body
+   at the statement's live-after.  Nothing outlives the call. *)
+let annotate_tree (stmts : stmt list) ~(live_out : SS.t) : annotated list =
+  snd (summarize_block stmts) live_out

@@ -29,6 +29,22 @@ val annotate :
   live_out:SS.t ->
   (Augem_ir.Ast.stmt * SS.t) list
 
-(** {!annotate} over a kernel body with empty live-out. *)
-val kernel_live_annotations :
-  Augem_ir.Ast.kernel -> (Augem_ir.Ast.stmt * SS.t) list
+(** A statement, the scalars live after it, and its nested blocks
+    annotated the same way: a loop's body (one list), an [If]'s then and
+    else arms (two), a [Tagged] region's body (one); no list for any
+    other statement. *)
+type annotated = {
+  an_stmt : Augem_ir.Ast.stmt;
+  an_after : SS.t;
+  an_nested : annotated list list;
+}
+
+(** [annotate_tree stmts ~live_out] annotates a whole statement tree in
+    one pass: each statement is summarised once and each loop's
+    fixpoint is taken once, in closed form.  Every statement gets the
+    live-after set {!annotate} gives it within its block, where a loop
+    body's live-out is the loop's live-after ∪ its live-in (a
+    conservative cover of the back edge), an [If]'s arms' is the
+    [If]'s live-after and a [Tagged] body's is the region's
+    live-after.  It keeps no state between calls. *)
+val annotate_tree : Augem_ir.Ast.stmt list -> live_out:SS.t -> annotated list

@@ -194,7 +194,10 @@ let diag_of_generation_exn (exn : exn) : Diag.code * string =
 
 (* Generate one candidate, classifying every failure — including
    exceptions nobody anticipated — instead of letting them abort the
-   sweep. *)
+   sweep.  [Lower.program] folds [Lower.run]'s stage list with its
+   checks (type check, instruction budget after emit-frame, the lint
+   gate on schedule) but builds no trace: a sweep reads only the
+   program or the failing stage's name. *)
 let generate_candidate_diag (arch : Arch.t) ?(max_insns = default_max_insns)
     (kname : Kernels.name) (kernel : Ast.kernel) (c : candidate) :
     (Insn.program, Diag.t) Stdlib.result =
@@ -217,9 +220,9 @@ let generate_candidate_diag (arch : Arch.t) ?(max_insns = default_max_insns)
     }
   in
   match
-    Augem_driver.Lower.run ~opts ~arch ~config:c.cand_config kernel
+    Augem_driver.Lower.program ~opts ~arch ~config:c.cand_config kernel
   with
-  | trace -> Ok (Augem_driver.Trace.program trace)
+  | prog -> Ok prog
   | exception Augem_driver.Lower.Budget_exceeded { stage; len; budget } ->
       Error
         (mk ~stage_name:stage Diag.E_budget_exceeded Diag.S_codegen

@@ -169,10 +169,7 @@ let generate ?(et = Machine.Etype.F64)
     g_et = et;
     g_config = config;
     g_source = source;
-    g_optimized =
-      (match Driver.Trace.optimized trace with
-      | Some k -> k
-      | None -> assert false (* full runs always record it *));
+    g_optimized = Driver.Trace.optimized trace;
     g_tagged = Templates.Matcher.to_tagged_kernel (Driver.Trace.annotated trace);
     g_program = Driver.Trace.program trace;
   }
@@ -213,10 +210,7 @@ let trace_to_json (t : Driver.Trace.t) : Json.t =
       ("kernel", Json.String t.Driver.Trace.tr_kernel);
       ("arch", Json.String t.Driver.Trace.tr_arch);
       ("etype", Json.String (Machine.Etype.name t.Driver.Trace.tr_et));
-      ( "config",
-        match t.Driver.Trace.tr_config with
-        | Some c -> Json.String c
-        | None -> Json.Null );
+      ("config", Json.String t.Driver.Trace.tr_config);
       ("stages", Json.List (List.map stage t.Driver.Trace.tr_stages));
     ]
 

@@ -1,7 +1,7 @@
 (* Back-compatible [Emit] API over the staged-lowering driver.  The
    historical entry points of the assembly generator — unscheduled
    generation from low-level C or from an annotated kernel — are thin
-   wrappers over {!Lower.run_annotated}; exceptions raised inside a
+   wrappers over {!Lower.program_of_annotated}; exceptions raised inside a
    stage propagate unwrapped, exactly as the monolith raised them. *)
 
 open Augem_ir
@@ -29,8 +29,8 @@ let lower_opts (opts : options) : Lower.opts =
    template-annotated kernel. *)
 let generate_annotated ~(arch : Arch.t) ?(opts = default_options)
     (ak : M.akernel) : Insn.program =
-  match Lower.run_annotated ~opts:(lower_opts opts) ~arch ak with
-  | trace -> Trace.program trace
+  match Lower.program_of_annotated ~opts:(lower_opts opts) ~arch ak with
+  | prog -> prog
   | exception Lower.Stage_failed (_, exn) -> raise exn
 
 (* Convenience: identify + generate from low-level C. *)

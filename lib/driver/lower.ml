@@ -1,10 +1,12 @@
 (* The staged-lowering driver: builds the full stage list for a kernel
    — the configured C passes, template identification, vectorization
    planning, parameter binding, body emission, frame emission, and
-   (optionally) scheduling — and folds it, recording a
-   {!Trace.stage_record} per stage.  One entry point, [run], is what
-   the tuner, the oracle and the CLI call; [run_annotated] is the
-   backend-only variant the [Emit] compatibility wrappers use.
+   (optionally) scheduling — and folds it.  [run] records a
+   {!Trace.stage_record} per stage, for the oracle, `augem explain` and
+   the CLI; [program] folds the same list with the same checks but no
+   record, for the tuner, which lowers every candidate of a sweep and
+   reads only the program or the failure; [program_of_annotated] is the
+   untraced backend-only variant the [Emit] compatibility wrappers use.
 
    Behaviour is bit-for-bit identical to the pre-refactor monolith:
    the stages execute exactly the statements the old
@@ -173,39 +175,40 @@ let backend_stages (opts : opts) (arch : Arch.t) ~(params : Ast.param list) :
 
 (* --- the fold ----------------------------------------------------------- *)
 
+(* One stage: run it, validate its output, and hold the unscheduled
+   program to the instruction budget.  A failure names the stage. *)
+let step ~(opts : opts) (st : Stage.t) (art : Stage.artifact) : Stage.artifact
+    =
+  let art' =
+    try st.Stage.run art
+    with exn -> raise (Stage_failed (st.Stage.name, exn))
+  in
+  (match st.Stage.validate with
+  | None -> ()
+  | Some v -> (
+      try v art' with exn -> raise (Stage_failed (st.Stage.name, exn))));
+  (match (art', opts.max_insns) with
+  | Stage.A_program p, Some budget
+    when String.equal st.Stage.name "emit-frame" ->
+      let len = List.length p.Insn.prog_insns in
+      if len > budget then
+        raise (Budget_exceeded { stage = st.Stage.name; len; budget })
+  | _ -> ());
+  art'
+
 (* Fold a stage list, timing and recording each stage.  Returns the
-   records and every stage's output artifact, both in execution
-   order. *)
-let run_stages ~(avx : bool) ~(et : Etype.t) ~(opts : opts) ~(idx0 : int)
+   records and every stage's output artifact, both in execution order,
+   and the last artifact. *)
+let run_stages ~(avx : bool) ~(et : Etype.t) ~(opts : opts)
     (stages : Stage.t list) (init : Stage.artifact) :
-    Trace.stage_record list * Stage.artifact list =
-  let records = ref [] in
-  let arts = ref [] in
-  let _ =
-    List.fold_left
+    Trace.stage_record list * Stage.artifact list * Stage.artifact =
+  let (_, last), steps =
+    List.fold_left_map
       (fun (idx, art) (st : Stage.t) ->
         let t0 = Unix.gettimeofday () in
-        let art' =
-          try st.Stage.run art
-          with exn -> raise (Stage_failed (st.Stage.name, exn))
-        in
-        (match st.Stage.validate with
-        | None -> ()
-        | Some v -> (
-            try v art' with exn -> raise (Stage_failed (st.Stage.name, exn))));
+        let art' = step ~opts st art in
         let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-        (* the instruction budget applies to the unscheduled program *)
-        (match art' with
-        | Stage.A_program p when String.equal st.Stage.name "emit-frame" -> (
-            match opts.max_insns with
-            | Some budget ->
-                let len = List.length p.Insn.prog_insns in
-                if len > budget then
-                  raise
-                    (Budget_exceeded { stage = st.Stage.name; len; budget })
-            | None -> ())
-        | _ -> ());
-        records :=
+        let record =
           {
             Trace.sr_index = idx;
             sr_name = st.Stage.name;
@@ -217,63 +220,71 @@ let run_stages ~(avx : bool) ~(et : Etype.t) ~(opts : opts) ~(idx0 : int)
               (if opts.snapshots then Some (Stage.to_string ~et ~avx art')
                else None);
           }
-          :: !records;
-        arts := art' :: !arts;
-        (idx + 1, art'))
-      (idx0, init) stages
+        in
+        ((idx + 1, art'), (record, art')))
+      (0, init) stages
   in
-  (List.rev !records, List.rev !arts)
+  let records, arts = List.split steps in
+  (records, arts, last)
 
-let final_program (arts : Stage.artifact list) ~(who : string) : Insn.program =
-  match List.rev arts with
-  | Stage.A_program p :: _ -> p
+(* Fold a stage list with no trace: every check [run_stages] makes,
+   but no stage is timed, rendered, fingerprinted or counted. *)
+let fold ~(opts : opts) (stages : Stage.t list) (init : Stage.artifact) :
+    Stage.artifact =
+  List.fold_left (fun art st -> step ~opts st art) init stages
+
+let final_program (art : Stage.artifact) ~(who : string) : Insn.program =
+  match art with
+  | Stage.A_program p -> p
   | _ -> invalid_arg (who ^ ": lowering produced no program")
+
+(* The full stage list: C passes, template identification, the
+   backend, optional scheduling and lint. *)
+let stages (opts : opts) (arch : Arch.t) (config : Pipeline.config)
+    (kernel : Ast.kernel) : Stage.t list =
+  c_stages opts config @ backend_stages opts arch ~params:kernel.Ast.k_params
 
 (* --- entry points ------------------------------------------------------- *)
 
-(* Backend-only lowering: from a template-annotated kernel to a
-   program, exactly the old [Emit.generate_annotated] (plus optional
-   scheduling).  Used by the [Emit] compatibility wrappers. *)
-let run_annotated ?(opts = default_opts) ~(arch : Arch.t) (ak : M.akernel) :
-    Trace.t =
-  let avx = arch.Arch.simd = Arch.AVX in
-  let et = etype_of_params ak.M.ak_params in
+(* Backend-only lowering, untraced: from a template-annotated kernel
+   to a program, exactly the old [Emit.generate_annotated] (plus
+   optional scheduling).  Used by the [Emit] compatibility wrappers. *)
+let program_of_annotated ?(opts = default_opts) ~(arch : Arch.t)
+    (ak : M.akernel) : Insn.program =
   let stages =
     (* skip identify-templates: the input is already annotated *)
     List.filter
       (fun s -> not (String.equal s.Stage.name "identify-templates"))
       (backend_stages opts arch ~params:ak.M.ak_params)
   in
-  let records, arts =
-    run_stages ~avx ~et ~opts ~idx0:0 stages (Stage.A_annotated ak)
-  in
-  {
-    Trace.tr_kernel = ak.M.ak_name;
-    tr_arch = arch.Arch.name;
-    tr_et = et;
-    tr_config = None;
-    tr_stages = records;
-    tr_optimized = None;
-    tr_annotated = ak;
-    tr_program = final_program arts ~who:"Lower.run_annotated";
-  }
+  final_program
+    (fold ~opts stages (Stage.A_annotated ak))
+    ~who:"Lower.program_of_annotated"
 
-(* The single full-pipeline entry point: C passes, template
-   identification, the backend, optional scheduling and lint. *)
+(* The full pipeline, untraced: the same stages, checks and failures as
+   [run], for callers that want only the program.  The tuner lowers
+   every candidate of a sweep this way. *)
+let program ?(opts = default_opts) ~(arch : Arch.t)
+    ~(config : Pipeline.config) (kernel : Ast.kernel) : Insn.program =
+  final_program
+    (fold ~opts (stages opts arch config kernel) (Stage.A_kernel kernel))
+    ~who:"Lower.program"
+
+(* The full pipeline, traced: one record per stage, for `augem
+   explain`, the per-pass oracle and the CLI. *)
 let run ?(opts = default_opts) ~(arch : Arch.t) ~(config : Pipeline.config)
     (kernel : Ast.kernel) : Trace.t =
   let avx = arch.Arch.simd = Arch.AVX in
   let et = etype_of_params kernel.Ast.k_params in
-  let stages =
-    c_stages opts config @ backend_stages opts arch ~params:kernel.Ast.k_params
-  in
-  let records, arts =
-    run_stages ~avx ~et ~opts ~idx0:0 stages (Stage.A_kernel kernel)
+  let records, arts, last =
+    run_stages ~avx ~et ~opts
+      (stages opts arch config kernel)
+      (Stage.A_kernel kernel)
   in
   let optimized =
     List.fold_left
-      (fun acc -> function Stage.A_kernel k -> Some k | _ -> acc)
-      None arts
+      (fun acc -> function Stage.A_kernel k -> k | _ -> acc)
+      kernel arts
   in
   let annotated =
     match
@@ -286,9 +297,9 @@ let run ?(opts = default_opts) ~(arch : Arch.t) ~(config : Pipeline.config)
     Trace.tr_kernel = kernel.Ast.k_name;
     tr_arch = arch.Arch.name;
     tr_et = et;
-    tr_config = Some (Pipeline.config_to_string config);
+    tr_config = Pipeline.config_to_string config;
     tr_stages = records;
     tr_optimized = optimized;
     tr_annotated = annotated;
-    tr_program = final_program arts ~who:"Lower.run";
+    tr_program = final_program last ~who:"Lower.run";
   }

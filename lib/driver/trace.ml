@@ -1,9 +1,10 @@
-(* The record a staged lowering leaves behind: one [stage_record] per
-   stage (name, artifact kind, wall time, fingerprint, size counters,
-   optional snapshot) plus the final artifacts the callers need.  The
-   tuner reads stage names out of failures, `augem explain` renders the
-   whole trace, and the determinism suite compares two traces
-   field-by-field (timings excluded). *)
+(* The record a traced lowering ([Lower.run]) leaves behind: one
+   [stage_record] per stage (name, artifact kind, wall time,
+   fingerprint, size counters, optional snapshot) plus the final
+   artifacts the callers need.  `augem explain` renders the whole
+   trace, and the determinism suite compares two traces field-by-field
+   (timings excluded).  The tuner builds none: it lowers through
+   [Lower.program] and reads stage names out of failures. *)
 
 open Augem_ir
 open Augem_machine
@@ -13,7 +14,8 @@ type stage_record = {
   sr_index : int;  (** position in the stage list, 0-based *)
   sr_name : string;
   sr_kind : string;  (** artifact kind, see {!Stage.kind} *)
-  sr_ms : float;  (** wall-clock milliseconds for run + validate *)
+  sr_ms : float;
+      (** wall-clock milliseconds for run, validate and budget check *)
   sr_fingerprint : string;
   sr_stats : (string * int) list;  (** artifact-size counters *)
   sr_artifact : string option;  (** snapshot, when requested *)
@@ -23,16 +25,14 @@ type t = {
   tr_kernel : string;  (** kernel (function) name *)
   tr_arch : string;  (** architecture name *)
   tr_et : Etype.t;  (** scalar precision the lowering ran under *)
-  tr_config : string option;
-      (** rendered tuning configuration; [None] for backend-only runs *)
+  tr_config : string;  (** rendered tuning configuration *)
   tr_stages : stage_record list;  (** in execution order *)
-  tr_optimized : Ast.kernel option;
-      (** after the last C pass; [None] for backend-only runs *)
+  tr_optimized : Ast.kernel;  (** after the last C pass *)
   tr_annotated : Matcher.akernel;
   tr_program : Insn.program;  (** the final program *)
 }
 
 let program (t : t) : Insn.program = t.tr_program
 let annotated (t : t) : Matcher.akernel = t.tr_annotated
-let optimized (t : t) : Ast.kernel option = t.tr_optimized
+let optimized (t : t) : Ast.kernel = t.tr_optimized
 let stage_names (t : t) : string list = List.map (fun r -> r.sr_name) t.tr_stages

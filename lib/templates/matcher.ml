@@ -34,16 +34,20 @@ type akernel = {
 let distinct names =
   List.length (List.sort_uniq String.compare names) = List.length names
 
-(* --- unit template matchers over (stmt * live_after) suffixes ------- *)
+(* --- unit template matchers over live-annotated suffixes ----------- *)
 
-type 'a unit_match = 'a * SS.t * (stmt * SS.t) list
+(* a block's statements from some point on, each with the scalars live
+   after it (see {!Liveness.annotate_tree}) *)
+type suffix = Liveness.annotated list
+type 'a unit_match = 'a * SS.t * suffix
 
-let match_mm_comp (suffix : (stmt * SS.t) list) : mm_comp unit_match option =
+let match_mm_comp (suffix : suffix) : mm_comp unit_match option =
   match suffix with
-  | (Assign (Lvar t0, Index (a, i1)), _)
-    :: (Assign (Lvar t1, Index (b, i2)), _)
-    :: (Assign (Lvar t2, Binop (Mul, Var t0', Var t1')), _)
-    :: (Assign (Lvar r, Binop (Add, Var r', Var t2')), la)
+  | { an_stmt = Assign (Lvar t0, Index (a, i1)); _ }
+    :: { an_stmt = Assign (Lvar t1, Index (b, i2)); _ }
+    :: { an_stmt = Assign (Lvar t2, Binop (Mul, Var t0', Var t1')); _ }
+    :: { an_stmt = Assign (Lvar r, Binop (Add, Var r', Var t2'));
+         an_after = la; _ }
     :: rest
     when String.equal t0 t0' && String.equal t1 t1' && String.equal t2 t2'
          && String.equal r r'
@@ -55,11 +59,11 @@ let match_mm_comp (suffix : (stmt * SS.t) list) : mm_comp unit_match option =
           rest )
   | _ -> None
 
-let match_mm_store (suffix : (stmt * SS.t) list) : mm_store unit_match option =
+let match_mm_store (suffix : suffix) : mm_store unit_match option =
   match suffix with
-  | (Assign (Lvar t0, Index (c, idx)), _)
-    :: (Assign (Lvar r, Binop (Add, Var r', Var t0')), _)
-    :: (Assign (Lindex (c', idx'), Var r''), la)
+  | { an_stmt = Assign (Lvar t0, Index (c, idx)); _ }
+    :: { an_stmt = Assign (Lvar r, Binop (Add, Var r', Var t0')); _ }
+    :: { an_stmt = Assign (Lindex (c', idx'), Var r''); an_after = la; _ }
     :: rest
     when String.equal t0 t0' && String.equal r r' && String.equal r r''
          && String.equal c c' && idx = idx'
@@ -67,13 +71,13 @@ let match_mm_store (suffix : (stmt * SS.t) list) : mm_store unit_match option =
       Some ({ ms_c = c; ms_idx = idx; ms_res = r; ms_t0 = t0 }, la, rest)
   | _ -> None
 
-let match_mv_comp (suffix : (stmt * SS.t) list) : mv_comp unit_match option =
+let match_mv_comp (suffix : suffix) : mv_comp unit_match option =
   match suffix with
-  | (Assign (Lvar t0, Index (a, i1)), _)
-    :: (Assign (Lvar t1, Index (b, i2)), _)
-    :: (Assign (Lvar t0', Binop (Mul, Var t0'', Var s)), _)
-    :: (Assign (Lvar t1', Binop (Add, Var t1'', Var t0''')), _)
-    :: (Assign (Lindex (b', i2'), Var t1'''), la)
+  | { an_stmt = Assign (Lvar t0, Index (a, i1)); _ }
+    :: { an_stmt = Assign (Lvar t1, Index (b, i2)); _ }
+    :: { an_stmt = Assign (Lvar t0', Binop (Mul, Var t0'', Var s)); _ }
+    :: { an_stmt = Assign (Lvar t1', Binop (Add, Var t1'', Var t0''')); _ }
+    :: { an_stmt = Assign (Lindex (b', i2'), Var t1'''); an_after = la; _ }
     :: rest
     when String.equal t0 t0' && String.equal t0 t0'' && String.equal t0 t0'''
          && String.equal t1 t1' && String.equal t1 t1''
@@ -90,11 +94,11 @@ let match_mv_comp (suffix : (stmt * SS.t) list) : mv_comp unit_match option =
           rest )
   | _ -> None
 
-let match_sv_scal (suffix : (stmt * SS.t) list) : sv_scal unit_match option =
+let match_sv_scal (suffix : suffix) : sv_scal unit_match option =
   match suffix with
-  | (Assign (Lvar t0, Index (b, idx)), _)
-    :: (Assign (Lvar t0', Binop (Mul, Var t0'', Var s)), _)
-    :: (Assign (Lindex (b', idx'), Var t0'''), la)
+  | { an_stmt = Assign (Lvar t0, Index (b, idx)); _ }
+    :: { an_stmt = Assign (Lvar t0', Binop (Mul, Var t0'', Var s)); _ }
+    :: { an_stmt = Assign (Lindex (b', idx'), Var t0'''); an_after = la; _ }
     :: rest
     when String.equal t0 t0' && String.equal t0 t0''
          && String.equal t0 t0''' && String.equal b b' && idx = idx'
@@ -102,10 +106,10 @@ let match_sv_scal (suffix : (stmt * SS.t) list) : sv_scal unit_match option =
       Some ({ ss_b = b; ss_idx = idx; ss_scal = s; ss_t0 = t0 }, la, rest)
   | _ -> None
 
-let match_sv_copy (suffix : (stmt * SS.t) list) : sv_copy unit_match option =
+let match_sv_copy (suffix : suffix) : sv_copy unit_match option =
   match suffix with
-  | (Assign (Lvar t0, Index (a, i1)), _)
-    :: (Assign (Lindex (b, i2), Var t0'), la)
+  | { an_stmt = Assign (Lvar t0, Index (a, i1)); _ }
+    :: { an_stmt = Assign (Lindex (b, i2), Var t0'); an_after = la; _ }
     :: rest
     when String.equal t0 t0'
          (* distinct streams: folding a self-copy would reorder a
@@ -175,9 +179,9 @@ let sv_copy_compatible (group : sv_copy list) (next : sv_copy) =
       | _ -> false)
 
 (* Collect a maximal group of one kind starting at [suffix]. *)
-let collect_group (type a) (match_unit : (stmt * SS.t) list -> a unit_match option)
-    (compatible : a list -> a -> bool) (suffix : (stmt * SS.t) list) :
-    (a list * SS.t * (stmt * SS.t) list) option =
+let collect_group (type a) (match_unit : suffix -> a unit_match option)
+    (compatible : a list -> a -> bool) (suffix : suffix) :
+    (a list * SS.t * suffix) option =
   match match_unit suffix with
   | None -> None
   | Some (first, la, rest) ->
@@ -204,8 +208,7 @@ let region_temps = function
 let temps_dead region live_after =
   List.for_all (fun t -> not (SS.mem t live_after)) (region_temps region)
 
-let try_region (suffix : (stmt * SS.t) list) :
-    (region * SS.t * (stmt * SS.t) list) option =
+let try_region (suffix : suffix) : (region * SS.t * suffix) option =
   let candidates =
     [
       (fun s ->
@@ -240,44 +243,36 @@ let try_region (suffix : (stmt * SS.t) list) :
 
 (* --- the traversal ---------------------------------------------------- *)
 
-let rec match_block (stmts : stmt list) ~(live_out : SS.t) : astmt list =
-  let annotated = Liveness.annotate stmts ~live_out in
-  let rec go suffix acc =
+(* One block, its liveness already computed: the whole kernel is
+   annotated once, by {!Liveness.annotate_tree}, before matching. *)
+let rec match_block (block : suffix) : astmt list =
+  let rec go (suffix : suffix) acc =
     match suffix with
     | [] -> List.rev acc
-    | (s, live_after) :: rest -> (
+    | { an_stmt = s; an_after = live_after; an_nested } :: rest -> (
         match try_region suffix with
         | Some (region, la, rest') -> go rest' (A_region (region, la) :: acc)
         | None -> (
-            match s with
-            | For (h, body) ->
-                (* conservative live-out for the body: everything live
-                   before the loop (covers the back edge) plus after it *)
-                let body_lo =
-                  SS.union live_after
-                    (Liveness.live_stmt s ~live_out:live_after)
-                in
-                go rest (A_for (h, match_block body ~live_out:body_lo) :: acc)
-            | If (a, c, b, t, f) ->
-                go rest
-                  (A_if
-                     ( a, c, b,
-                       match_block t ~live_out:live_after,
-                       match_block f ~live_out:live_after )
-                  :: acc)
-            | Tagged (_, body) ->
+            match (s, an_nested) with
+            | For (h, _), [ body ] ->
+                (* the body is annotated at a conservative live-out:
+                   everything live before the loop (covers the back
+                   edge) plus after it *)
+                go rest (A_for (h, match_block body) :: acc)
+            | If (a, c, b, _, _), [ t; f ] ->
+                go rest (A_if (a, c, b, match_block t, match_block f) :: acc)
+            | Tagged _, [ body ] ->
                 (* re-identify pre-tagged regions from scratch *)
-                go (Liveness.annotate body ~live_out:live_after @ rest) acc
-            | Decl _ | Assign _ | Prefetch _ | Comment _ ->
-                go rest (A_plain (s, live_after) :: acc)))
+                go (body @ rest) acc
+            | _ -> go rest (A_plain (s, live_after) :: acc)))
   in
-  go annotated []
+  go block []
 
 let identify (k : kernel) : akernel =
   {
     ak_name = k.k_name;
     ak_params = k.k_params;
-    ak_body = match_block k.k_body ~live_out:SS.empty;
+    ak_body = match_block (Liveness.annotate_tree k.k_body ~live_out:SS.empty);
   }
 
 (* --- views ------------------------------------------------------------ *)

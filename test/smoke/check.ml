@@ -159,6 +159,16 @@ let sweep =
                ("candidates_per_sec", num);
              ]) );
       ("speedup", num);
+      ( "blocked",
+        List
+          (Obj
+             [
+               ("arch", str);
+               ("precision", str);
+               ("candidates", int_ge 1);
+               ("blockings", int_ge 0);
+               ("wall_s", positive);
+             ]) );
     ]
 
 let host_features = [ "sse2"; "avx"; "fma3"; "fma4" ]

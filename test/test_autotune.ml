@@ -269,6 +269,45 @@ let test_measured_scores_uncached () =
       (Tuner.tune ~space Arch.sandy_bridge Kernels.Scal).Tuner.best_score
       r.Tuner.best_score
 
+(* --- the corpus the sweeps lower ----------------------------------------- *)
+
+(* Every candidate of every default space, on every modelled arch at
+   both precisions, exactly as [generate_candidate_diag] answers it: the
+   program's AT&T text or the discard's diagnostic, concatenated in
+   sweep order.  Pins what a sweep sees, so a change to how candidates
+   are lowered cannot change one byte of a program or a diagnostic. *)
+let test_corpus_pinned () =
+  let buf = Buffer.create (1 lsl 20) in
+  let programs = ref 0 and diagnostics = ref 0 in
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun et ->
+          List.iter
+            (fun name ->
+              let kernel =
+                Kernels.kernel_of_name ?fp:(A.fp_of_et et) name
+              in
+              List.iter
+                (fun c ->
+                  match Tuner.generate_candidate_diag arch name kernel c with
+                  | Ok prog ->
+                      incr programs;
+                      Buffer.add_string buf
+                        (A.Machine.Att.program_to_string ~et
+                           ~avx:(arch.Arch.simd = Arch.AVX) prog)
+                  | Error d ->
+                      incr diagnostics;
+                      Buffer.add_string buf (A.Verify.Diag.to_string d))
+                (Tuner.space_for name))
+            Kernels.names)
+        [ Et.F64; Et.F32 ])
+    Arch.extended;
+  Alcotest.(check int) "programs" 822 !programs;
+  Alcotest.(check int) "diagnostics" 42 !diagnostics;
+  Alcotest.(check string) "digest" "37630dc658f9f27967a687015f919ea2"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     Alcotest.test_case "tuner finds configurations" `Slow
@@ -289,4 +328,5 @@ let suite =
     Alcotest.test_case "one-member tie sets" `Quick test_singleton_ties;
     Alcotest.test_case "measured scores never reach a cache tier" `Quick
       test_measured_scores_uncached;
+    Alcotest.test_case "sweep corpus pinned" `Slow test_corpus_pinned;
   ]

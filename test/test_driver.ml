@@ -155,14 +155,11 @@ let test_explain_trace_contract () =
           | None -> Alcotest.failf "%s: snapshot missing" swhere)
         t.Trace.tr_stages;
       (* the trace carries the endpoints the CLI renders *)
-      (match Trace.optimized t with
-      | Some _ -> ()
-      | None -> Alcotest.failf "%s: optimized kernel missing" where);
       if (Trace.program t).A.Machine.Insn.prog_insns = [] then
         Alcotest.failf "%s: empty final program" where)
 
-(* Without snapshots (the tuner path), traces must not retain rendered
-   artifacts — they are per-candidate and would dominate memory. *)
+(* Without snapshots, traces must not retain rendered artifacts — they
+   are per-lowering and would dominate memory. *)
 let test_no_snapshots_by_default () =
   let t =
     A.explain ~arch:Arch.sandy_bridge
