@@ -177,6 +177,18 @@ let host_features = [ "sse2"; "avx"; "fma3"; "fma4" ]
    clock kept it from *)
 let picked = Obj [ ("config", str); ("ties", int_ge 1) ]
 
+(* one timed (shape, jobs) point *)
+let timed =
+  [
+    ("jobs", int_ge 1);
+    ("mflops", positive);
+    ("predicted_mflops", positive);
+    ("runs", int_ge 1);
+    ("min_s", positive);
+    ("mean_s", positive);
+    ("max_s", positive);
+  ]
+
 let native_gemm ~name ~precision =
   skipped_or
     ~common:[ ("name", str_is name); ("precision", str_is precision) ]
@@ -185,19 +197,12 @@ let native_gemm ~name ~precision =
       ("blocking", blocking);
       ("kernels", Map ([ "micro"; "pack_a"; "pack_b"; "scal" ], picked));
       ("differential", List (Obj (("alpha", num) :: ("beta", num) :: shape)));
-      ( "points",
+      ("points", List (Obj (("size", int_ge 1) :: timed)));
+      (* the rank-k update whose columns the workers share *)
+      ( "rank_k",
         List
-          (Obj
-             [
-               ("size", int_ge 1);
-               ("jobs", int_ge 1);
-               ("mflops", positive);
-               ("predicted_mflops", positive);
-               ("runs", int_ge 1);
-               ("min_s", positive);
-               ("mean_s", positive);
-               ("max_s", positive);
-             ]) );
+          (Obj (("m", int_ge 1) :: ("n", int_ge 1) :: ("k", int_ge 1) :: timed))
+      );
     ]
 
 (* exactly one DGEMM and one SGEMM entry, each skipped or measured *)
