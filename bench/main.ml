@@ -50,7 +50,7 @@ let archs = [ Arch.sandy_bridge; Arch.piledriver ]
 (* --- flags --------------------------------------------------------------- *)
 
 let json_out = ref "."
-let jobs_flag = ref (A.Pool.default_jobs ())
+let jobs_flag = ref (A.Team.default_jobs ())
 
 let write_json name (v : Json.t) =
   let path = Filename.concat !json_out ("BENCH_" ^ name ^ ".json") in
@@ -523,7 +523,9 @@ let native_bench ~rank_k (sizes : int list) () : Json.t =
     in
     (* every size on one core, the figure the per-core model predicts,
        and on the whole team; then a rank-k update of side [rank_k] *)
-    let job_counts = List.sort_uniq compare [ 1; A.Pool.default_jobs () ] in
+    let job_counts =
+      List.sort_uniq compare [ 1; A.Team.size Native_blocked.team ]
+    in
     (* per job count, each plan's point: [shape]'s fields, then its
        timing's *)
     let timed shape ~m ~n ~k =

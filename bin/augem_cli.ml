@@ -247,7 +247,7 @@ let tune_native_arg =
 
 let tune_cmd =
   let run arch kernel et jobs cache_dir json_out native =
-    let jobs = if jobs <= 0 then A.Pool.default_jobs () else jobs in
+    let jobs = if jobs <= 0 then A.Team.default_jobs () else jobs in
     let jobs = if native then 1 else jobs in
     if native then
       A.Tuner.set_native_measure (Some A.Native_blocked.tuner_measure);

@@ -23,7 +23,7 @@ module Arch = Augem_machine.Arch
 module Insn = Augem_machine.Insn
 module Etype = Augem_machine.Etype
 module Diag = Augem_verify.Diag
-module Pool = Augem_parallel.Pool
+module Team = Augem_parallel.Team
 
 type candidate = {
   cand_config : Pipeline.config;
@@ -354,13 +354,13 @@ let tune ?(et = Etype.F64) ?(workload : Augem_sim.Perf.workload option)
     Log.debug (fun m -> m "discard: %s" (Diag.to_string d))
   in
   (* Shard the embarrassingly-parallel part (candidate evaluation)
-     across domains; Pool.map returns per-candidate outcomes in
+     across domains; Team.map returns per-candidate outcomes in
      candidate order.  The order-sensitive part — the first-seen-
      maximum tie-break the prefetch_opts ordering depends on, and the
      sweep-ordered failure list — stays a sequential fold over that
      ordered list, so ~jobs:n is bit-identical to ~jobs:1. *)
   let evaluated =
-    Pool.map ~jobs (evaluate_candidate arch ~max_insns name kernel workload)
+    Team.map ~jobs (evaluate_candidate arch ~max_insns name kernel workload)
       space
   in
   List.iter2
@@ -723,7 +723,7 @@ let tune_blocked ?(et = Etype.F64)
   in
   let jobs = match jobs with Some j -> max 1 j | None -> !default_jobs_ref in
   let evaluated =
-    Pool.map ~jobs (evaluate_blocked_candidate arch ~max_insns kernel w) space
+    Team.map ~jobs (evaluate_blocked_candidate arch ~max_insns kernel w) space
   in
   let failures = ref [] in
   let best = ref None in

@@ -105,7 +105,6 @@ end
 
 module Tuner = Augem_autotune.Tuner
 module Tuning_cache = Augem_autotune.Cache
-module Pool = Augem_parallel.Pool
 module Team = Augem_parallel.Team
 module Library = Augem_baselines.Library
 module Harness = Harness

@@ -29,11 +29,11 @@
    own packed-A buffer and runs the micro-kernel on them.  Under columns
    each worker scales, packs and multiplies its own chunks of C's
    columns, with its own packed-B buffer too, and packs A's ic blocks
-   once a pass.  The workers are the plan's [Team], whose helper
-   domains live until [release].  Neither split moves a row block
-   boundary or cuts a register tile, so every element of C meets the
-   micro-kernel's code exactly as in a serial run, and the result is
-   bit-identical to [~jobs:1].
+   once a pass.  The workers are [team]'s, one per core, shared by every
+   loaded plan.  Neither split moves a row block boundary or cuts a
+   register tile, so every element of C meets the micro-kernel's code
+   exactly as in a serial run, and the result is bit-identical to
+   [~jobs:1].
 
    Loading a plan lets the clock break the cycle model's exact ties:
    every member of the plan's four tie sets goes through the gates, the
@@ -54,7 +54,6 @@ module Tuner = Augem_autotune.Tuner
 module Runtime = Augem_jit.Runtime
 module Abi = Augem_jit.Abi
 module Clock = Augem_jit.Clock
-module Pool = Augem_parallel.Pool
 module Team = Augem_parallel.Team
 
 (* --- element-typed resident buffers ------------------------------------ *)
@@ -142,12 +141,16 @@ type native_plan = {
   np_pack_a : Runtime.Exec_buf.t;
   np_pack_b : Runtime.Exec_buf.t;
   np_scal : Runtime.Exec_buf.t;
-  np_team : Team.t;  (* one worker per core; helpers start on first use *)
 }
 
-(* Joins the team's helper domains and unmaps the code. *)
+(* The process's GEMM workers, one per core, whichever plan runs: its
+   helpers start on a split pass and stop at [release], and the next
+   split pass of any loaded plan starts them again. *)
+let team = Team.create (Team.default_jobs ())
+
+(* Stops [team]'s helper domains and unmaps the code. *)
 let release (np : native_plan) =
-  Team.release np.np_team;
+  Team.release team;
   Runtime.Exec_buf.release np.np_micro;
   Runtime.Exec_buf.release np.np_pack_a;
   Runtime.Exec_buf.release np.np_pack_b;
@@ -160,14 +163,14 @@ let release (np : native_plan) =
    each pass re-applies beta and accumulates) and [finish] (copy C back
    into [c] and return it).  A pass allocates nothing on one worker.
 
-   [jobs] (default: every core) caps the workers, and so does the
-   team's size; [Level3.schedule] shares the problem among them.  Each
-   worker has its own packed A: one ic block under the row schedule,
-   every ic block under the column schedule.  Packed B is one buffer
-   that every worker reads under the row schedule, and one per worker
-   under the column schedule.  All are sized to the problem and the
-   schedule ([Level3.packed_sizes]). *)
-let staged_runner ?(jobs = Pool.default_jobs ()) ?blocking ?(alpha = 1.0)
+   [jobs] caps the workers at [team]'s size, its default;
+   [Level3.schedule] shares the problem among them.  Each worker has its
+   own packed A: one ic block under the row schedule, every ic block
+   under the column schedule.  Packed B is one buffer that every worker
+   reads under the row schedule, and one per worker under the column
+   schedule.  All are sized to the problem and the schedule
+   ([Level3.packed_sizes]). *)
+let staged_runner ?(jobs = Team.size team) ?blocking ?(alpha = 1.0)
     ?(beta = 1.0) (np : native_plan) (a : Mat.t) (b : Mat.t) (c : Mat.t)
     (ta, tb, tc) : (unit -> unit) * (unit -> unit) =
   let p = np.np_plan in
@@ -178,7 +181,7 @@ let staged_runner ?(jobs = Pool.default_jobs ()) ?blocking ?(alpha = 1.0)
   L3.check_blocking ~who blocking;
   let schedule =
     L3.schedule blocking ~nr:(Blocked.micro p).Tuner.bm_nr
-      ~workers:(min jobs (Team.size np.np_team))
+      ~workers:(min jobs (Team.size team))
       ~m:a.Mat.rows ~n:b.Mat.cols ~k:a.Mat.cols
   in
   let nest = L3.nest ~who ~blocking ~schedule ~alpha ~beta a b c in
@@ -234,7 +237,7 @@ let staged_runner ?(jobs = Pool.default_jobs ()) ?blocking ?(alpha = 1.0)
   let ex =
     {
       L3.workers = Array.init (L3.schedule_workers schedule) worker;
-      fork = Team.fork np.np_team;
+      fork = Team.fork team;
     }
   in
   let run () = nest ex in
@@ -565,7 +568,6 @@ let load (p : Blocked.plan) : native_plan Native_check.gated =
       let pack_a = pick Kernels.Pack_a pack_a in
       let pack_b = pick Kernels.Pack_b pack_b in
       let scal = pick Kernels.Scal scal in
-      let team = Team.create (Pool.default_jobs ()) in
       let native micro buf =
         {
           np_plan =
@@ -575,7 +577,6 @@ let load (p : Blocked.plan) : native_plan Native_check.gated =
           np_pack_a = snd pack_a;
           np_pack_b = snd pack_b;
           np_scal = snd scal;
-          np_team = team;
         }
       in
       let micro, buf = fastest ~sample:(micro_sample native) micro in

@@ -17,8 +17,8 @@ type job = {
 
 type t = {
   size : int;
-  busy : bool Atomic.t;  (* a fork, or release, owns the team *)
-  closed : bool Atomic.t;
+  busy : bool Atomic.t;  (* a fork, or release, has taken the team *)
+  stopping : bool Atomic.t;  (* set while release stops the helpers *)
   job : job Atomic.t;  (* the latest fork's *)
   generation : int Atomic.t;  (* bumped by every fork and by release *)
   lock : Mutex.t;
@@ -26,7 +26,7 @@ type t = {
   finished : Condition.t;  (* the caller sleeps here for [left = 0] *)
   sleepers : int Atomic.t;  (* helpers asleep, or about to sleep, on [wake] *)
   caller_asleep : bool Atomic.t;
-  mutable domains : unit Domain.t list;  (* written only by the owner *)
+  mutable domains : unit Domain.t list;  (* written only while taken *)
 }
 
 (* How long a wait polls before it blocks, in seconds.  It spans the
@@ -39,6 +39,7 @@ type t = {
    what else the host runs, so the pass's speed would too.  An idle
    team still sleeps after this long. *)
 let spin_s = 0.01
+let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
 let create size =
   let none =
@@ -53,7 +54,7 @@ let create size =
   {
     size = max 1 size;
     busy = Atomic.make false;
-    closed = Atomic.make false;
+    stopping = Atomic.make false;
     job = Atomic.make none;
     generation = Atomic.make 0;
     lock = Mutex.create ();
@@ -114,7 +115,7 @@ let await t ~ready ~(announce : bool -> unit) cond =
   poll ()
 
 (* A helper: wait for a generation past [seen], work the current job,
-   repeat until closed. *)
+   repeat until stopped. *)
 let rec helper t seen =
   await t
     ~ready:(fun () -> Atomic.get t.generation <> seen)
@@ -122,13 +123,14 @@ let rec helper t seen =
       if on then Atomic.incr t.sleepers else Atomic.decr t.sleepers)
     t.wake;
   let g = Atomic.get t.generation in
-  if not (Atomic.get t.closed) then begin
+  if not (Atomic.get t.stopping) then begin
     work t (Atomic.get t.job);
     helper t g
   end
 
-(* Spawn the helpers on the first fork; a domain limit reached part way
-   leaves a smaller team, which is still correct. *)
+(* Spawn the helpers on the first fork after [create] or [release]; a
+   domain limit reached part way leaves a smaller team, which is still
+   correct. *)
 let start t =
   if t.domains = [] then begin
     let seen = Atomic.get t.generation in
@@ -175,14 +177,53 @@ let fork t n slice =
     | None -> ()
   end
 
+(* Takes the team, so a fork in progress finishes first and forks that
+   start meanwhile run on their callers.  The helpers see the new
+   generation with [stopping] set and return; joined, they leave the
+   team as [create] made it. *)
 let release t =
-  if Atomic.compare_and_set t.closed false true then begin
-    (* take the team for good: forks from now on run on their callers *)
-    while not (Atomic.compare_and_set t.busy false true) do
-      Domain.cpu_relax ()
-    done;
+  while not (Atomic.compare_and_set t.busy false true) do
+    Domain.cpu_relax ()
+  done;
+  if t.domains <> [] then begin
+    Atomic.set t.stopping true;
     Atomic.incr t.generation;
     broadcast t t.wake;
     List.iter Domain.join t.domains;
-    t.domains <- []
+    t.domains <- [];
+    Atomic.set t.stopping false
+  end;
+  Atomic.set t.busy false
+
+(* One result slot per item, written by the one worker that ran it.  The
+   write comes before that worker's decrement of the job's [left], whose
+   last value the fork reads before it returns, so the caller sees every
+   slot. *)
+type 'b cell =
+  | Pending
+  | Done of 'b
+  | Failed of exn * Printexc.raw_backtrace
+
+let map ?(jobs = default_jobs ()) f items =
+  let n = List.length items in
+  if jobs <= 1 || n <= 1 then List.map f items
+  else begin
+    let items = Array.of_list items in
+    let results = Array.make n Pending in
+    let t = create (min jobs n) in
+    Fun.protect
+      ~finally:(fun () -> release t)
+      (fun () ->
+        fork t n (fun i ->
+            results.(i) <-
+              (match f items.(i) with
+              | v -> Done v
+              | exception e -> Failed (e, Printexc.get_raw_backtrace ()))));
+    Array.to_list
+      (Array.map
+         (function
+           | Done v -> v
+           | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
+           | Pending -> assert false)
+         results)
   end
