@@ -15,7 +15,8 @@
      full_f32      the same at f32 (BENCH_full_f32.json)
      table6        SYMM/SYRK/SYR2K/TRMM/TRSM/GER average MFLOPS
      sweep         the tuning sweep's wall-clock at jobs 1 and --jobs N,
-                   and one blocked-GEMM sweep per precision at jobs 1
+                   in paired rounds, and one blocked-GEMM sweep per
+                   precision at jobs 1
      native        measured wall-clock blocked DGEMM/SGEMM
      ablations     each design choice switched off in isolation
      portability   tuned DGEMM across architectures
@@ -433,39 +434,31 @@ let native_load (et : Etype.t) :
 let native_rounds = 5
 
 (* The loaded plans' GEMMs at one (m, n, k, jobs) point, timed
-   together, staging excluded: every round runs each plan once, and
-   which goes first alternates, so a burst on a shared host slows both
-   precisions alike.  Each keeps its own statistics and gets its own
-   point's fields.  Repeated passes accumulate into C (beta = 1), which
-   keeps every pass's memory traffic identical. *)
+   together by [Clock.rounds], staging excluded: one untimed round,
+   then [native_rounds] that each run every plan once, which goes first
+   rotating, so a burst on a shared host slows both precisions alike.
+   Each plan gets its own point's fields, its samples among them.
+   Repeated passes accumulate into C (beta = 1), which keeps every
+   pass's memory traffic identical. *)
 let native_point (nps : Native_blocked.native_plan list) ~m ~n ~k ~jobs :
     (Native_blocked.native_plan * (string * Json.t) list) list =
-  let timed =
-    List.map
-      (fun np ->
-        let et = np.Native_blocked.np_plan.A.Blocked.pl_et in
-        let a, b, c = A.Blocked.operands ~et ~seed:42 ~m ~n ~k in
-        let run, _finish = Native_blocked.gemm_runner ~jobs np a b c in
-        run ();
-        (np, run, Clock.Stat.create ()))
-      nps
+  let samples =
+    Clock.rounds ~warmup:1 ~rounds:native_rounds
+      (List.map
+         (fun np ->
+           let et = np.Native_blocked.np_plan.A.Blocked.pl_et in
+           let a, b, c = A.Blocked.operands ~et ~seed:42 ~m ~n ~k in
+           fst (Native_blocked.gemm_runner ~jobs np a b c))
+         nps)
   in
-  for round = 1 to native_rounds do
-    List.iter
-      (fun (_, run, st) ->
-        let t0 = Clock.now_ns () in
-        run ();
-        let dt = Int64.sub (Clock.now_ns ()) t0 in
-        Clock.Stat.push st (Int64.to_float dt /. 1e9))
-      (if round mod 2 = 1 then timed else List.rev timed)
-  done;
-  List.map
-    (fun (np, _, st) ->
+  List.map2
+    (fun np samples ->
       let plan = np.Native_blocked.np_plan in
       let predicted =
         (A.Blocked.predict plan (Perf.W_gemm { m; n; k })).Perf.e_mflops
       in
-      let min_s = Clock.Stat.min st in
+      let runs = Array.length samples in
+      let min_s = Array.fold_left Float.min infinity samples in
       let label =
         if m = n && n = k then string_of_int m
         else Printf.sprintf "%dx%dx%d" m n k
@@ -478,18 +471,23 @@ let native_point (nps : Native_blocked.native_plan list) ~m ~n ~k ~jobs :
         "%-6s %6s  jobs %d  measured %9.0f MFLOPS  (model %9.0f per core; min \
          %.4g s over %d)@."
         (native_name plan.A.Blocked.pl_et) label jobs mflops predicted min_s
-        (Clock.Stat.count st);
+        runs;
       ( np,
         [
           ("jobs", Json.Int jobs);
           ("mflops", Json.Float mflops);
           ("predicted_mflops", Json.Float predicted);
-          ("runs", Json.Int (Clock.Stat.count st));
+          ("runs", Json.Int runs);
           ("min_s", Json.Float min_s);
-          ("mean_s", Json.Float (Clock.Stat.mean st));
-          ("max_s", Json.Float (Clock.Stat.max st));
+          ( "mean_s",
+            Json.Float
+              (Array.fold_left ( +. ) 0.0 samples /. float_of_int runs) );
+          ("max_s", Json.Float (Array.fold_left Float.max 0.0 samples));
+          ( "samples_s",
+            Json.List
+              (Array.to_list (Array.map (fun s -> Json.Float s) samples)) );
         ] ))
-    timed
+    nps samples
 
 (* The rank-k updates' depth: one kc panel of every tuned plan, so two
    or more workers share C's columns. *)
@@ -640,37 +638,44 @@ let table6 () : Json.t =
 
 (* --- timed tuning sweep ---------------------------------------------------- *)
 
-(* Fresh (unmemoized) sweeps over (arch, kernel) pairs, timed at
-   jobs=1 and at the requested job count: the ROADMAP's perf
-   trajectory for the tuner itself.  Results are checked identical
-   across job counts — the parallel sweep's determinism contract,
-   enforced here on every bench run, not just in the test suite.  Then
-   one fresh blocked-GEMM sweep per [blocked] entry (arch, precision,
-   space) at jobs 1: what a cold [Blocked.plan] spends choosing its
-   micro-kernel and blocking. *)
+(* Timed rounds of each job count's sweeps, after one untimed round. *)
+let sweep_rounds = 5
+
+let median (samples : float array) : float =
+  let s = Array.copy samples in
+  Array.sort compare s;
+  let n = Array.length s in
+  (s.((n - 1) / 2) +. s.(n / 2)) /. 2.0
+
+(* Fresh (unmemoized) sweeps over (arch, kernel) pairs at jobs=1 and
+   at the requested job count, the two taking turns by [Clock.rounds]:
+   the ROADMAP's perf trajectory for the tuner itself.  Each job
+   count's wall-clock is its median round, and the speed-up the median
+   of the rounds' jobs=1 over jobs=N ratios, with their spread.  The
+   last round's results are checked identical across job counts — the
+   parallel sweep's determinism contract, enforced here on every bench
+   run, not just in the test suite.  Then one fresh blocked-GEMM sweep
+   per [blocked] entry (arch, precision, space) at jobs 1: what a cold
+   [Blocked.plan] spends choosing its micro-kernel and blocking. *)
 let tuning_sweep
     ~(blocked : (Arch.t * Etype.t * Tuner.candidate list option) list)
     (pairs : (Arch.t * Kernels.name) list) () : Json.t =
   let jobs = !jobs_flag in
   Fmt.pr "== Tuning sweep: wall-clock and candidates/sec ==@.";
-  let time f =
-    let t0 = Clock.now_s () in
-    let r = f () in
-    (r, Clock.now_s () -. t0)
+  let job_counts = if jobs > 1 then [ 1; jobs ] else [ 1 ] in
+  (* each job count's results in its latest round *)
+  let latest = List.map (fun _ -> ref []) job_counts in
+  let samples =
+    Clock.rounds ~warmup:1 ~rounds:sweep_rounds
+      (List.map2
+         (fun jobs results () ->
+           results := List.map (fun (arch, k) -> Tuner.tune ~jobs arch k) pairs)
+         job_counts latest)
   in
-  let run_all jobs =
-    List.map (fun (arch, k) -> Tuner.tune ~jobs arch k) pairs
-  in
-  (* an untimed sweep first, so that neither timed one pays the
-     process's warm-up and the speed-up compares like with like *)
-  ignore (run_all 1);
-  let seq_results, seq_wall = time (fun () -> run_all 1) in
+  let last l = List.nth l (List.length l - 1) in
+  let seq_results = !(List.hd latest) and par_results = !(last latest) in
   let candidates =
     List.fold_left (fun acc r -> acc + r.Tuner.visited) 0 seq_results
-  in
-  let par_results, par_wall =
-    if jobs > 1 then time (fun () -> run_all jobs)
-    else (seq_results, seq_wall)
   in
   (* determinism gate: identical winners, scores, tie sets and
      histograms *)
@@ -700,29 +705,39 @@ let tuning_sweep
            r.Tuner.best.Tuner.cand_config))
     pairs seq_results;
   let rate wall = float_of_int candidates /. Float.max wall 1e-9 in
-  let timing jobs wall =
-    Fmt.pr "jobs=%-2d  %d candidates in %.3f s  (%.1f candidates/sec)@." jobs
-      candidates wall (rate wall);
-    Json.Obj
-      [
-        ("jobs", Json.Int jobs);
-        ("wall_s", Json.Float wall);
-        ("candidates", Json.Int candidates);
-        ("candidates_per_sec", Json.Float (rate wall));
-      ]
-  in
   let timings =
-    let seq = timing 1 seq_wall in
-    if jobs > 1 then [ seq; timing jobs par_wall ] else [ seq ]
+    List.map2
+      (fun jobs samples ->
+        let wall = median samples in
+        Fmt.pr "jobs=%-2d  %d candidates in %.3f s  (%.1f candidates/sec)@."
+          jobs candidates wall (rate wall);
+        Json.Obj
+          [
+            ("jobs", Json.Int jobs);
+            ("wall_s", Json.Float wall);
+            ("candidates", Json.Int candidates);
+            ("candidates_per_sec", Json.Float (rate wall));
+          ])
+      job_counts samples
   in
-  let speedup = seq_wall /. Float.max par_wall 1e-9 in
+  (* per round, jobs=1 over jobs=N; all 1 when N is 1 *)
+  let ratios =
+    Array.map2
+      (fun s p -> s /. Float.max p 1e-9)
+      (List.hd samples) (last samples)
+  in
+  let speedup = median ratios
+  and speedup_min = Array.fold_left Float.min infinity ratios
+  and speedup_max = Array.fold_left Float.max neg_infinity ratios in
   if jobs > 1 then
-    Fmt.pr "parallel sweep speedup (jobs=%d over jobs=1): %.2fx@." jobs
-      speedup;
+    Fmt.pr
+      "parallel sweep speedup (jobs=%d over jobs=1): %.2fx median, %.2f-%.2fx \
+       over %d rounds@."
+      jobs speedup speedup_min speedup_max sweep_rounds;
   let blocked_run (arch, et, space) =
-    let bb, wall =
-      time (fun () -> Tuner.tune_blocked ~et ?space ~jobs:1 arch)
-    in
+    let t0 = Clock.now_ns () in
+    let bb = Tuner.tune_blocked ~et ?space ~jobs:1 arch in
+    let wall = Int64.to_float (Int64.sub (Clock.now_ns ()) t0) /. 1e9 in
     Fmt.pr "blocked %s %s: %d candidates, %d blockings in %.3f s@."
       arch.Arch.name (Etype.name et) bb.Tuner.bb_micro_visited
       bb.Tuner.bb_blockings_visited wall;
@@ -761,6 +776,8 @@ let tuning_sweep
              pairs seq_results) );
       ("timings", Json.List timings);
       ("speedup", Json.Float speedup);
+      ("speedup_min", Json.Float speedup_min);
+      ("speedup_max", Json.Float speedup_max);
       ("blocked", Json.List blocked);
     ]
 

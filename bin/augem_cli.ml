@@ -237,20 +237,17 @@ let tune_native_arg =
     value & flag
     & info [ "native" ]
         ~doc:
-          "Score candidates by measured wall-clock MFLOPS (JIT-compiled, \
-           run on this CPU) instead of the cycle model.  Forces a \
-           single-domain sweep (timing is serialized to keep measurements \
-           stable) and bypasses the tuning caches (wall-clock results are \
-           host-specific and must not poison the content-addressed \
-           entries).  Candidates the host CPU cannot run fall back to the \
-           model score.")
+          "After tuning, rank the answer's exact-tie set on this CPU: \
+           every member the cycle model scores equal to the answer, \
+           JIT-compiled and timed against the others as \
+           Native_blocked.load times a tie set, with the member it would \
+           keep marked.  The answer, its score and the tuning caches stay \
+           the model's.  Members the host CPU cannot run are reported as \
+           skipped.")
 
 let tune_cmd =
   let run arch kernel et jobs cache_dir json_out native =
     let jobs = if jobs <= 0 then A.Team.default_jobs () else jobs in
-    let jobs = if native then 1 else jobs in
-    if native then
-      A.Tuner.set_native_measure (Some A.Native_blocked.tuner_measure);
     (match cache_dir with Some _ -> A.Tuner.set_cache_dir cache_dir | None -> ());
     let tc =
       { tc_memory = 0; tc_disk_hits = 0; tc_disk_misses = 0; tc_corrupt = 0;
@@ -275,8 +272,7 @@ let tune_cmd =
     Fmt.pr "best configuration: %s@."
       (A.Transform.Pipeline.config_to_string
          r.A.Tuner.best.A.Tuner.cand_config);
-    Fmt.pr "%s: %.0f MFLOPS (visited %d configurations, %d discarded)@."
-      (if native then "measured" else "predicted")
+    Fmt.pr "predicted: %.0f MFLOPS (visited %d configurations, %d discarded)@."
       r.A.Tuner.best_score r.A.Tuner.visited r.A.Tuner.discarded;
     Fmt.pr "sweep: %.3f s at jobs=%d (%.1f candidates/sec)@." wall jobs
       (float_of_int r.A.Tuner.visited /. Float.max wall 1e-9);
@@ -334,15 +330,44 @@ let tune_cmd =
                    ] );
              ]);
         Fmt.pr "wrote %s@." path);
-    (* regenerate from the winning candidate directly: with the native
-       hook installed [A.tuned] bypasses the caches and would redo the
-       whole measured sweep *)
     let g =
       A.generate ~et ~arch ~config:r.A.Tuner.best.A.Tuner.cand_config
         ~opts:r.A.Tuner.best.A.Tuner.cand_opts kernel
     in
     let v = A.verify g in
-    Fmt.pr "verification: %s@." v.A.Harness.detail
+    Fmt.pr "verification: %s@." v.A.Harness.detail;
+    if native then begin
+      let members = A.Native_blocked.tie_rates ~et arch kernel r in
+      let rates =
+        List.filter_map
+          (function _, A.Native_check.Ready rate -> Some rate | _ -> None)
+          members
+      in
+      (* [load] keeps a member only when the whole set runs here *)
+      let kept =
+        if List.length rates = List.length members then
+          Some (A.Native_blocked.kept rates)
+        else None
+      in
+      Fmt.pr "native tie set: %d member(s)@." (List.length members);
+      List.iteri
+        (fun i (c, gated) ->
+          Fmt.pr "  %s  model %.0f MFLOPS  %s%s@."
+            (A.Transform.Pipeline.config_to_string c.A.Tuner.cand_config)
+            r.A.Tuner.best_score
+            (match gated with
+            | A.Native_check.Ready rate ->
+                Printf.sprintf "measured %.0f MFLOPS" (rate /. 1e6)
+            | A.Native_check.Unsupported m -> "skipped: " ^ m
+            | A.Native_check.Rejected m -> "rejected: " ^ m)
+            (if kept = Some i then "  (kept)" else ""))
+        members;
+      if
+        List.exists
+          (function _, A.Native_check.Rejected _ -> true | _ -> false)
+          members
+      then exit 1
+    end
   in
   Cmd.v
     (Cmd.info "tune" ~doc:"Auto-tune a kernel and report the best configuration")

@@ -252,26 +252,6 @@ let generate_candidate_diag (arch : Arch.t) ?(max_insns = default_max_insns)
       let code, detail = diag_of_generation_exn exn in
       Error (mk code Diag.S_codegen detail)
 
-(* Optional wall-clock measurement hook (the native JIT path installs
-   one): when present, [score_diag] replaces the model's predicted
-   MFLOPS with the measured figure whenever the program can actually
-   run on this host, and [tuned] bypasses its cache tiers — measured
-   scores are host-specific and noisy, so they must not be stored
-   under, or answered from, content addresses other processes share. *)
-type native_measure =
-  et:Etype.t ->
-  Arch.t ->
-  Kernels.name ->
-  Insn.program ->
-  Augem_sim.Perf.workload ->
-  float option
-
-let native_measure_ref : native_measure option ref = ref None
-let set_native_measure (m : native_measure option) = native_measure_ref := m
-
-let native_measure_installed () =
-  match !native_measure_ref with Some _ -> true | None -> false
-
 let score_diag ?(et = Etype.F64) (arch : Arch.t) (kname : Kernels.name)
     (c : candidate) (prog : Insn.program) (w : Augem_sim.Perf.workload) :
     (float, Diag.t) Stdlib.result =
@@ -283,17 +263,7 @@ let score_diag ?(et = Etype.F64) (arch : Arch.t) (kname : Kernels.name)
       ~detail ()
   in
   match Augem_sim.Perf.predict ~et arch prog w with
-  | e -> (
-      let model = e.Augem_sim.Perf.e_mflops in
-      match !native_measure_ref with
-      | None -> Ok model
-      | Some measure -> (
-          (* measured wall-clock wins when the host can execute the
-             program; otherwise the model still ranks the candidate *)
-          match measure ~et arch kname prog w with
-          | Some wall -> Ok wall
-          | None -> Ok model
-          | exception _ -> Ok model))
+  | e -> Ok e.Augem_sim.Perf.e_mflops
   | exception Augem_sim.Perf.No_hot_loop m -> Error (mk Diag.E_no_hot_loop m)
   | exception exn ->
       Error (mk (Diag.code_of_exn exn) (Printexc.to_string exn))
@@ -540,12 +510,6 @@ let tuned ?(et = Etype.F64) ?jobs ?cache_dir:cdir ?space (arch : Arch.t)
   let fingerprint = space_fingerprint space in
   let key = (arch.Arch.name, kernel_s, fingerprint) in
   let notify ev = notify_cache_event ~arch:arch.Arch.name ~kernel:kernel_s ev in
-  if native_measure_installed () then
-    (* measured wall-clock scores are host-specific and noisy: never
-       answer them from, or store them into, the content-addressed
-       tiers that deterministic model scores share *)
-    tune ~et ?jobs ~space arch name
-  else
   match Mutex.protect cache_mutex (fun () -> Hashtbl.find_opt cache key) with
   | Some r ->
       notify Ev_memory_hit;

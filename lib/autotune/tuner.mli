@@ -87,28 +87,6 @@ val score_diag :
   Augem_sim.Perf.workload ->
   (float, Augem_verify.Diag.t) Stdlib.result
 
-(** {2 Native measurement hook}
-
-    The native JIT path can install a wall-clock measurement function.
-    While one is installed, {!score_diag} (and therefore every sweep)
-    replaces the cycle model's predicted MFLOPS with the measured
-    figure for any program the host can execute — the hook returns
-    [None] for programs it cannot or will not run, which then keep
-    their model score — and {!tuned} bypasses both cache tiers, because
-    measured scores are host-specific and noisy and must not be stored
-    under (or answered from) the content addresses deterministic model
-    scores share.  A hook exception falls back to the model score. *)
-type native_measure =
-  et:Augem_machine.Etype.t ->
-  Augem_machine.Arch.t ->
-  Augem_ir.Kernels.name ->
-  Augem_machine.Insn.program ->
-  Augem_sim.Perf.workload ->
-  float option
-
-val set_native_measure : native_measure option -> unit
-val native_measure_installed : unit -> bool
-
 (** Set the process-wide default sweep parallelism (also settable via
     the [AUGEM_JOBS] environment variable); clamped to at least 1.
     Affects every {!tune}/{!tuned} call that does not pass [?jobs],

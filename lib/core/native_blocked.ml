@@ -1,4 +1,4 @@
-(* Natively-executed blocked GEMM and wall-clock kernel measurement.
+(* Natively-executed blocked GEMM, and the clock breaking the model's ties.
 
    [Blocked.gemm] runs the generated packing and micro-kernels on the
    functional simulator, staging every block through [Array.sub] views
@@ -37,18 +37,18 @@
 
    Loading a plan lets the clock break the cycle model's exact ties:
    every member of the plan's four tie sets goes through the gates, the
-   members of each set are timed against each other, and the fastest
-   runs.  [np_plan] is the plan that runs, so every check compares the
-   machine code against that plan's simulated run. *)
+   members of each set are timed against each other ([Clock.rounds]),
+   and the fastest runs.  [np_plan] is the plan that runs, so every
+   check compares the machine code against that plan's simulated run.
+   [tie_rates] ranks one tuned kernel's tie set the same way, for
+   [augem tune --native]. *)
 
 module Exec = Augem_sim.Exec_sim
 module Mat = Augem_blas.Matrix
 module L3 = Augem_blas.Level3
-module Insn = Augem_machine.Insn
 module Arch = Augem_machine.Arch
 module Et = Augem_machine.Etype
 module Kernels = Augem_ir.Kernels
-module Perf = Augem_sim.Perf
 module Mem_model = Augem_sim.Mem_model
 module Tuner = Augem_autotune.Tuner
 module Runtime = Augem_jit.Runtime
@@ -291,97 +291,90 @@ let check ?blocking ?(seed = 42) ?(alpha = 1.0) ?(beta = 1.0)
               Blocked.agree ~problem ~tol c_naive c_native
                 ~what:"native result off dgemm_naive"))
 
-(* --- single-kernel wall-clock measurement (the tuner hook) -------------- *)
+(* --- native harness shapes ------------------------------------------------ *)
 
-(* The reference workloads are sized for the paper's evaluation sweep
-   (gigabyte matrices at L2 shapes); a measurement only needs a shape
-   big enough to dominate the call overhead while staying
-   cache-plausible for the kernel's role — the micro-kernel in
-   particular only ever sees MC x KC x NC blocks in real use. *)
-let clamp_workload (w : Perf.workload) : Perf.workload =
-  match w with
-  | Perf.W_gemm { m; n; k } ->
-      Perf.W_gemm { m = min m 192; n = min n 192; k = min k 256 }
-  | Perf.W_gemv { m; n } -> Perf.W_gemv { m = min m 1024; n = min n 1024 }
-  | Perf.W_axpy { n } -> Perf.W_axpy { n = min n 150_000 }
-  | Perf.W_dot { n } -> Perf.W_dot { n = min n 150_000 }
-
-(* Kernel-call arguments at a workload's shape, over resident tensors.
-   Returns the argument arrays plus the tensors (kept alive for the
-   calls) and the flop count of one call. *)
-let workload_args (et : Et.t) (kernel : Kernels.name) (w : Perf.workload) :
-    (int64 array * float array * tensor list * float) option =
+(* Kernel-call arguments at a kernel's native harness shape, over
+   resident tensors: the argument arrays, the tensors (kept alive for
+   the calls) and the work of one call, in flops, or in elements moved
+   for packing.  The tuner's reference workloads are sized for the
+   paper's evaluation sweep (gigabyte matrices at L2 shapes); a harness
+   shape only needs to be big enough to dominate the call overhead
+   while staying cache-plausible for the kernel's role — the
+   micro-kernel in particular only ever sees MC x KC x NC blocks. *)
+let harness_args (et : Et.t) (kernel : Kernels.name) :
+    int64 array * float array * tensor list * float =
   let i64 = Int64.of_int in
   (* at f32 staging narrows, as [Et.round] would *)
   let data seed n = stage et (Harness.fill seed n) in
-  let flops = max (Perf.workload_flops w) (Perf.workload_elements w) in
-  match (kernel, w) with
-  | Kernels.Gemm, Perf.W_gemm { m; n; k } ->
+  let flops n = 2.0 *. float_of_int n in
+  (* the vector kernels' length *)
+  let len = 150_000 in
+  match kernel with
+  | Kernels.Gemm ->
+      let m = 192 and n = 192 and k = 256 in
       let pa = data 21 (m * k)
       and pb = data 22 (k * n)
       and c = data 23 (m * n) in
-      Some
-        ( [| i64 m; i64 k; i64 n; i64 m; pa.t_addr 0; pb.t_addr 0;
-             c.t_addr 0 |],
-          [||],
-          [ pa; pb; c ],
-          flops )
-  | Kernels.Gemv, Perf.W_gemv { m; n } ->
+      ( [| i64 m; i64 k; i64 n; i64 m; pa.t_addr 0; pb.t_addr 0; c.t_addr 0 |],
+        [||],
+        [ pa; pb; c ],
+        flops (m * n * k) )
+  | Kernels.Gemv ->
+      let m = 1024 and n = 1024 in
       let a = data 24 (m * n) and x = data 25 n and y = data 26 m in
-      Some
-        ( [| i64 m; i64 n; i64 m; a.t_addr 0; x.t_addr 0; y.t_addr 0 |],
-          [||],
-          [ a; x; y ],
-          flops )
-  | Kernels.Ger, Perf.W_gemv { m; n } ->
+      ( [| i64 m; i64 n; i64 m; a.t_addr 0; x.t_addr 0; y.t_addr 0 |],
+        [||],
+        [ a; x; y ],
+        flops (m * n) )
+  | Kernels.Ger ->
+      let m = 1024 and n = 1024 in
       let a = data 27 (m * n) and x = data 28 m and y = data 29 n in
-      Some
-        ( [| i64 m; i64 n; i64 m; x.t_addr 0; y.t_addr 0; a.t_addr 0 |],
-          (* alpha = 1.0: same op count, no drift across repeats *)
-          [| 1.0 |],
-          [ a; x; y ],
-          flops )
-  | Kernels.Axpy, (Perf.W_axpy { n } | Perf.W_dot { n }) ->
-      let x = data 30 n and y = data 31 n in
-      Some ([| i64 n; x.t_addr 0; y.t_addr 0 |], [| 1.0 |], [ x; y ], flops)
-  | Kernels.Dot, (Perf.W_axpy { n } | Perf.W_dot { n }) ->
-      let x = data 32 n and y = data 33 n and out = data 34 1 in
-      Some
-        ( [| i64 n; x.t_addr 0; y.t_addr 0; out.t_addr 0 |],
-          [||],
-          [ x; y; out ],
-          flops )
-  | Kernels.Scal, (Perf.W_axpy { n } | Perf.W_dot { n }) ->
-      let x = data 35 n in
-      Some ([| i64 n; x.t_addr 0 |], [| 1.0 |], [ x ], flops)
-  | Kernels.Copy, (Perf.W_axpy { n } | Perf.W_dot { n }) ->
-      let x = data 36 n and y = data 37 (n + 2) in
-      Some ([| i64 n; x.t_addr 0; y.t_addr 0 |], [||], [ x; y ], flops)
-  | Kernels.Pack_a, _ ->
+      ( [| i64 m; i64 n; i64 m; x.t_addr 0; y.t_addr 0; a.t_addr 0 |],
+        (* alpha = 1.0: same op count, no drift across repeats *)
+        [| 1.0 |],
+        [ a; x; y ],
+        flops (m * n) )
+  | Kernels.Axpy ->
+      let x = data 30 len and y = data 31 len in
+      ([| i64 len; x.t_addr 0; y.t_addr 0 |], [| 1.0 |], [ x; y ], flops len)
+  | Kernels.Dot ->
+      let x = data 32 len and y = data 33 len and out = data 34 1 in
+      ( [| i64 len; x.t_addr 0; y.t_addr 0; out.t_addr 0 |],
+        [||],
+        [ x; y; out ],
+        flops len )
+  | Kernels.Scal ->
+      let x = data 35 len in
+      ([| i64 len; x.t_addr 0 |], [| 1.0 |], [ x ], flops len)
+  | Kernels.Copy ->
+      let x = data 36 len and y = data 37 (len + 2) in
+      ([| i64 len; x.t_addr 0; y.t_addr 0 |], [||], [ x; y ], flops len)
+  | Kernels.Pack_a ->
       let mc = 192 and kc = 256 in
       let a = data 38 (mc * kc) and buf = data 39 (mc * kc) in
-      Some
-        ( [| i64 mc; i64 kc; i64 mc; a.t_addr 0; buf.t_addr 0 |],
-          [||],
-          [ a; buf ],
-          float_of_int (mc * kc) )
-  | Kernels.Pack_b, _ ->
+      ( [| i64 mc; i64 kc; i64 mc; a.t_addr 0; buf.t_addr 0 |],
+        [||],
+        [ a; buf ],
+        float_of_int (mc * kc) )
+  | Kernels.Pack_b ->
       let kc = 256 and nc = 192 in
       let b = data 40 (kc * nc) and buf = data 41 (kc * nc) in
-      Some
-        ( [| i64 kc; i64 nc; i64 kc; b.t_addr 0; buf.t_addr 0 |],
-          [||],
-          [ b; buf ],
-          float_of_int (kc * nc) )
-  | _ -> None
+      ( [| i64 kc; i64 nc; i64 kc; b.t_addr 0; buf.t_addr 0 |],
+        [||],
+        [ b; buf ],
+        float_of_int (kc * nc) )
 
 (* [once] repeated until one run spans [span_s] seconds, keeping a timed
-   sample above timer and call-overhead noise; with the repeat count. *)
+   sample above timer and call-overhead noise; with the repeat count.
+   The probe is one untimed call, then one timed. *)
 let batched ~span_s (once : unit -> unit) : (unit -> unit) * int =
-  let probe = Clock.measure ~warmup:1 ~repeats:1 once in
+  once ();
+  let t0 = Clock.now_ns () in
+  once ();
+  let probe = Int64.to_float (Int64.sub (Clock.now_ns ()) t0) /. 1e9 in
   let batch =
-    if probe.Clock.t_min_s >= span_s then 1
-    else int_of_float (ceil (span_s /. max 1e-9 probe.Clock.t_min_s))
+    if probe >= span_s then 1
+    else int_of_float (ceil (span_s /. max 1e-9 probe))
   in
   ((fun () ->
      for _ = 1 to batch do
@@ -389,92 +382,52 @@ let batched ~span_s (once : unit -> unit) : (unit -> unit) * int =
      done),
    batch)
 
-(* Wall-clock MFLOPS of one generated kernel on this host, or [None]
-   when the program cannot run here (missing ISA extension) or the
-   kernel/workload pair has no native harness shape.  Short kernels are
-   batched until one timed sample spans at least ~100us, keeping the
-   measurement above timer and call-overhead noise.  This is the
-   function behind [Tuner.set_native_measure]. *)
-let measure_kernel ?(repeats = 3) ~(arch : Arch.t) ~(et : Et.t)
-    (kernel : Kernels.name) (prog : Insn.program) (w : Perf.workload) :
-    float option =
-  let avx = arch.Arch.simd = Arch.AVX in
-  match Native_check.load ~avx ~et prog with
-  | Native_check.Rejected _ | Native_check.Unsupported _ -> None
-  | Native_check.Ready buf -> (
-      match workload_args et kernel (clamp_workload w) with
-      | None ->
-          Runtime.Exec_buf.release buf;
-          None
-      | Some (iargs, dargs, keepalive, flops) ->
-          let f, batch =
-            batched ~span_s:1e-4 (fun () ->
-                Runtime.Exec_buf.invoke buf ~iargs ~dargs ~fp32:(et = Et.F32))
-          in
-          let t = Clock.measure ~warmup:1 ~repeats f in
-          ignore (Sys.opaque_identity keepalive);
-          Runtime.Exec_buf.release buf;
-          Some (flops *. float_of_int batch /. t.Clock.t_min_s /. 1e6))
-
-(* The [Tuner.native_measure] this module provides.  [Skip]-class
-   programs return [None] and keep their model score. *)
-let tuner_measure : Tuner.native_measure =
- fun ~et arch kernel prog w -> measure_kernel ~arch ~et kernel prog w
-
 (* --- loading: the gates, then the clock breaks the model's ties ---------- *)
 
 (* Timed rounds over a tie set, after one untimed round. *)
 let tie_rounds = 4
 
-(* The fastest member of a tie set whose members' code is loaded.
-   [sample member buf] stages one timed run of a member and returns it
-   with the work it does.  Every round runs each member once, in set
-   order, so a burst on a shared host slows every member alike; each
-   member keeps its fastest round, and the highest work per time wins
-   (the earlier member on equal rates).  The other members' code is
-   released.  A one-member set is returned untimed. *)
+(* Each member's rate, in set order: [sample member buf] stages one
+   timed run of a member and returns it with the work it does, and the
+   rate is that work over the member's fastest timed round of
+   [Clock.rounds]. *)
+let rates ~sample (members : ('m * Runtime.Exec_buf.t) list) : float list =
+  let runs = List.map (fun (m, buf) -> sample m buf) members in
+  List.map2
+    (fun (_, work) samples ->
+      work /. Array.fold_left Float.min infinity samples)
+    runs
+    (Clock.rounds ~warmup:1 ~rounds:tie_rounds (List.map fst runs))
+
+(* The index of the member [fastest] keeps: the highest rate, the
+   earlier member on equal rates. *)
+let kept (rates : float list) : int =
+  let rates = Array.of_list rates in
+  let win = ref 0 in
+  Array.iteri (fun i r -> if r > rates.(!win) then win := i) rates;
+  !win
+
+(* The fastest member of a tie set whose members' code is loaded, by
+   [rates]; the other members' code is released.  A one-member set is
+   returned untimed. *)
 let fastest ~sample (members : ('m * Runtime.Exec_buf.t) list) :
     'm * Runtime.Exec_buf.t =
   match members with
   | [ only ] -> only
   | _ ->
-      let runs =
-        Array.of_list (List.map (fun (m, buf) -> sample m buf) members)
-      in
-      let best = Array.make (Array.length runs) infinity in
-      for round = 0 to tie_rounds do
-        Array.iteri
-          (fun i (run, _work) ->
-            let t0 = Clock.now_ns () in
-            run ();
-            let dt = Int64.to_float (Int64.sub (Clock.now_ns ()) t0) in
-            if round > 0 then best.(i) <- Float.min best.(i) dt)
-          runs
-      done;
-      let rate i = snd runs.(i) /. best.(i) in
-      let win = ref 0 in
-      Array.iteri (fun i _ -> if rate i > rate !win then win := i) runs;
+      let win = kept (rates ~sample members) in
       List.iteri
-        (fun i (_, buf) -> if i <> !win then Runtime.Exec_buf.release buf)
+        (fun i (_, buf) -> if i <> win then Runtime.Exec_buf.release buf)
         members;
-      List.nth members !win
+      List.nth members win
 
-(* A packing or SCAL member at the native harness shape of its kernel
-   ([workload_args] at the clamped reference workload), staged on the
-   first sample and shared by every member; the work is elements moved.
-   A sample spans ~50 us: the members of these sets differ by up to 5x,
-   and a load times some twenty of them. *)
+(* A member of a kernel's tie set at the kernel's native harness shape
+   ([harness_args]), staged on the first sample and shared by every
+   member.  A sample spans ~50 us: the members of the packing and SCAL
+   sets differ by up to 5x, and a load times some twenty of them. *)
 let kernel_sample (et : Et.t) (kernel : Kernels.name) :
     'm -> Runtime.Exec_buf.t -> (unit -> unit) * float =
-  let args =
-    lazy
-      (match
-         workload_args et kernel
-           (clamp_workload (Tuner.reference_workload kernel))
-       with
-      | Some args -> args
-      | None -> invalid_arg "Native_blocked.kernel_sample: no harness shape")
-  in
+  let args = lazy (harness_args et kernel) in
   fun _member buf ->
     let iargs, dargs, keepalive, work = Lazy.force args in
     let run, batch =
@@ -581,3 +534,35 @@ let load (p : Blocked.plan) : native_plan Native_check.gated =
       in
       let micro, buf = fastest ~sample:(micro_sample native) micro in
       Native_check.Ready (native micro buf)
+
+(* A tuned kernel's exact-tie set as [load] would rank a packing or
+   SCAL set: every member through the gates, and the members that load
+   timed against each other by [rates] at the kernel's native harness
+   shape ([kernel_sample]).  In set order, each member with its rate
+   (work per second) or its refusal.  Nothing is kept loaded. *)
+let tie_rates ~(et : Et.t) (arch : Arch.t) (kernel : Kernels.name)
+    (r : Tuner.result) : (Tuner.candidate * float Native_check.gated) list =
+  let avx = arch.Arch.simd = Arch.AVX in
+  let gated =
+    List.map
+      (fun (c, prog) -> (c, Native_check.load ~avx ~et prog))
+      (Tuner.tie_programs ~et arch kernel r)
+  in
+  let ready =
+    List.filter_map
+      (function c, Native_check.Ready buf -> Some (c, buf) | _ -> None)
+      gated
+  in
+  let timed =
+    List.combine (List.map snd ready)
+      (rates ~sample:(kernel_sample et kernel) ready)
+  in
+  List.iter (fun (_, buf) -> Runtime.Exec_buf.release buf) ready;
+  List.map
+    (fun (c, g) ->
+      ( c,
+        match g with
+        | Native_check.Ready buf -> Native_check.Ready (List.assq buf timed)
+        | Native_check.Unsupported m -> Native_check.Unsupported m
+        | Native_check.Rejected m -> Native_check.Rejected m ))
+    gated

@@ -1,74 +1,34 @@
-(* Monotonic wall-clock measurement.
+(* Monotonic wall-clock timing.
 
    All native (and serving) timing goes through here instead of ad-hoc
    [Unix.gettimeofday] deltas: CLOCK_MONOTONIC cannot jump backwards
-   under NTP slew, and the measurement loop does the things a one-shot
-   delta cannot — warmup iterations to populate caches and the branch
-   predictor, then min-of-N repeats with running statistics (Welford),
-   because for a deterministic kernel the *minimum* is the best
-   estimate of the true cost and the spread is the noise bar. *)
+   under NTP slew.  A one-event stopwatch is a [now_ns] delta.  Every
+   comparison of pieces of code is [rounds]: they take turns, round by
+   round, so a burst on a shared host slows each of them alike, and
+   none of them always goes first; the caller reduces the samples (for
+   a deterministic kernel the minimum is the best estimate of the true
+   cost). *)
 
 let now_ns () : int64 = Runtime.monotonic_ns ()
 
 let now_s () : float = Int64.to_float (now_ns ()) /. 1e9
 
-(* Welford running statistics over a stream of samples. *)
-module Stat = struct
-  type t = {
-    mutable n : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable min : float;
-    mutable max : float;
-  }
-
-  let create () =
-    { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
-
-  let push (t : t) (x : float) =
-    t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x
-
-  let count (t : t) = t.n
-  let mean (t : t) = t.mean
-  let min (t : t) = t.min
-  let max (t : t) = t.max
-
-  let stddev (t : t) =
-    if t.n < 2 then 0.0 else sqrt (t.m2 /. float_of_int (t.n - 1))
-end
-
-type timing = {
-  t_runs : int;
-  t_min_s : float;  (* the headline number *)
-  t_mean_s : float;
-  t_max_s : float;
-  t_stddev_s : float;
-}
-
-(* Time [f]: run it [warmup] times unmeasured, then [repeats] measured
-   runs.  Timer resolution is nanoseconds; callers measuring very short
-   kernels should batch inside [f] themselves. *)
-let measure ?(warmup = 1) ?(repeats = 5) (f : unit -> unit) : timing =
-  for _ = 1 to warmup do
-    f ()
+(* [warmup] untimed rounds, then [rounds] timed ones.  Every round runs
+   each thunk once, in list order starting from thunk r mod n in round
+   r (the untimed rounds counted).  Each thunk's timed samples, in
+   seconds and in round order. *)
+let rounds ~warmup ~rounds (thunks : (unit -> unit) list) : float array list
+    =
+  let thunks = Array.of_list thunks in
+  let n = Array.length thunks in
+  let samples = Array.init n (fun _ -> Array.make rounds 0.0) in
+  for r = 0 to warmup + rounds - 1 do
+    for j = 0 to n - 1 do
+      let i = (r + j) mod n in
+      let t0 = now_ns () in
+      thunks.(i) ();
+      let dt = Int64.sub (now_ns ()) t0 in
+      if r >= warmup then samples.(i).(r - warmup) <- Int64.to_float dt /. 1e9
+    done
   done;
-  let st = Stat.create () in
-  let repeats = Stdlib.max 1 repeats in
-  for _ = 1 to repeats do
-    let t0 = now_ns () in
-    f ();
-    let t1 = now_ns () in
-    Stat.push st (Int64.to_float (Int64.sub t1 t0) /. 1e9)
-  done;
-  {
-    t_runs = Stat.count st;
-    t_min_s = Stat.min st;
-    t_mean_s = Stat.mean st;
-    t_max_s = Stat.max st;
-    t_stddev_s = Stat.stddev st;
-  }
+  Array.to_list samples

@@ -324,7 +324,7 @@ let run ?(fuel = default_fuel) ?(sp = stack_base) ?on_access (st : state)
     | Insn.Vload { w; dst; src } ->
         st.loads <- st.loads + 1;
         let a = addr_of st src in
-        observe ~addr:a ~bytes:(Insn.width_bits w / 8) ~store:false;
+        observe ~addr:a ~bytes:(vlanes st w * eb) ~store:false;
         let d = Array.make 8 0. in
         for l = 0 to vlanes st w - 1 do
           d.(l) <- read_elt st (a + (eb * l))
@@ -333,7 +333,7 @@ let run ?(fuel = default_fuel) ?(sp = stack_base) ?on_access (st : state)
     | Insn.Vstore { w; src; dst } ->
         st.stores <- st.stores + 1;
         let a = addr_of st dst in
-        observe ~addr:a ~bytes:(Insn.width_bits w / 8) ~store:true;
+        observe ~addr:a ~bytes:(vlanes st w * eb) ~store:true;
         for l = 0 to vlanes st w - 1 do
           write_elt st (a + (eb * l)) st.vec.(src).(l)
         done

@@ -159,6 +159,8 @@ let sweep =
                ("candidates_per_sec", num);
              ]) );
       ("speedup", num);
+      ("speedup_min", num);
+      ("speedup_max", num);
       ( "blocked",
         List
           (Obj
@@ -187,6 +189,8 @@ let timed =
     ("min_s", positive);
     ("mean_s", positive);
     ("max_s", positive);
+    (* in round order; [native_samples] relates them to [runs], [min_s] *)
+    ("samples_s", List positive);
   ]
 
 let native_gemm ~name ~precision =
@@ -470,6 +474,33 @@ let native_ordering file j =
            (List.map (fun p -> p.%{"jobs"}) (to_list d.%{"points"})))
   | _ -> ()
 
+(* Every timed point holds [runs] samples, and the least of them is its
+   [min_s]. *)
+let native_samples file j =
+  List.iter
+    (fun pr ->
+      List.iter
+        (fun p ->
+          let samples = List.map to_num (to_list p.%{"samples_s"}) in
+          if Json.Int (List.length samples) <> p.%{"runs"} then
+            violation file "%s: %d samples_s for %s runs"
+              (to_str pr.%{"name"}) (List.length samples) (show p.%{"runs"})
+          else if
+            List.fold_left Float.min infinity samples <> to_num p.%{"min_s"}
+          then
+            violation file "%s: least of samples_s %s is not min_s %s"
+              (to_str pr.%{"name"}) (show p.%{"samples_s"}) (show p.%{"min_s"}))
+        (to_list pr.%{"points"} @ to_list pr.%{"rank_k"}))
+    (to_list j.%{"precisions"})
+
+(* The sweep's speed-up, a median, lies within its spread. *)
+let sweep_spread file j =
+  let v k = to_num j.%{k} in
+  if not (v "speedup_min" <= v "speedup" && v "speedup" <= v "speedup_max")
+  then
+    violation file "speedup %g outside its spread [%g, %g]" (v "speedup")
+      (v "speedup_min") (v "speedup_max")
+
 (* The embedded stats snapshot agrees with the request counts. *)
 let serve_counts file j =
   let stats = j.%{"stats"} in
@@ -539,7 +570,10 @@ let () =
   List.iter
     (fun (experiment, file, j) ->
       match experiment with
-      | "native" -> native_ordering file j
+      | "native" ->
+          native_samples file j;
+          native_ordering file j
+      | "sweep" -> sweep_spread file j
       | "serve" -> serve_counts file j
       | _ -> ())
     valid;

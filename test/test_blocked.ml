@@ -633,6 +633,31 @@ let test_native_plans_share_team () =
     helpers "released again" 0
   end
 
+(* The haswell f64 pack-A answer's tie set ranked as [augem tune
+   --native] ranks it: every member, in set order, with a positive
+   rate. *)
+let test_tie_rates () =
+  if not (A.Native_check.host_supported ()) then
+    print_endline "skipped: host CPU lacks SSE2+AVX"
+  else
+    let r = A.Tuner.tuned Arch.haswell Kernels.Pack_a in
+    let config c =
+      A.Transform.Pipeline.config_to_string c.A.Tuner.cand_config
+    in
+    let ranked = NB.tie_rates ~et:Et.F64 Arch.haswell Kernels.Pack_a r in
+    Alcotest.(check (list string)) "set order"
+      (List.map config r.A.Tuner.ties)
+      (List.map (fun (c, _) -> config c) ranked);
+    List.iter
+      (fun (c, gated) ->
+        match gated with
+        | A.Native_check.Ready rate when rate > 0. -> ()
+        | A.Native_check.Ready rate ->
+            Alcotest.failf "%s: rate %g" (config c) rate
+        | A.Native_check.Unsupported m | A.Native_check.Rejected m ->
+            Alcotest.failf "%s: %s" (config c) m)
+      ranked
+
 let suite =
   test_shapes
   @ [
@@ -662,4 +687,6 @@ let suite =
       Alcotest.test_case "native column schedule" `Slow test_native_columns;
       Alcotest.test_case "loaded plans share one team" `Slow
         test_native_plans_share_team;
+      Alcotest.test_case "tie ranking times every member" `Quick
+        test_tie_rates;
     ]

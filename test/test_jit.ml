@@ -444,6 +444,46 @@ let test_native_gate_rejects () =
     | A.Native_check.Rejected _ | A.Native_check.Unsupported _ -> ()
   end
 
+(* --- Clock.rounds ------------------------------------------------------- *)
+
+(* Three thunks that log their calls, the n-th call of each (from 0)
+   spinning for at least n ms.  Five rounds run each thunk five times,
+   round r starting at thunk r mod 3.  Each thunk keeps four samples in
+   round order, none of them its untimed first call's: the k-th spans
+   at least k + 1 ms. *)
+let test_rounds () =
+  let module Clock = A.Jit.Clock in
+  let log = ref [] in
+  let thunk i =
+    let calls = ref 0 in
+    fun () ->
+      log := i :: !log;
+      let until =
+        Int64.add (Clock.now_ns ()) (Int64.of_int (!calls * 1_000_000))
+      in
+      while Int64.compare (Clock.now_ns ()) until < 0 do
+        ()
+      done;
+      incr calls
+  in
+  let samples =
+    Clock.rounds ~warmup:1 ~rounds:4 [ thunk 0; thunk 1; thunk 2 ]
+  in
+  Alcotest.(check (list int)) "order of calls"
+    [ 0; 1; 2; 1; 2; 0; 2; 0; 1; 0; 1; 2; 1; 2; 0 ]
+    (List.rev !log);
+  List.iteri
+    (fun i s ->
+      Alcotest.(check int) (Printf.sprintf "thunk %d: samples" i) 4
+        (Array.length s);
+      Array.iteri
+        (fun k x ->
+          if x < float_of_int (k + 1) *. 1e-3 then
+            Alcotest.failf "thunk %d, sample %d: %g s, want >= %d ms" i k x
+              (k + 1))
+        s)
+    samples
+
 let suite =
   List.map
     (fun (base, build) ->
@@ -459,4 +499,6 @@ let suite =
         test_native_differential;
       Alcotest.test_case "native gate rejects hazards" `Quick
         test_native_gate_rejects;
+      Alcotest.test_case "rounds rotate and keep every timed sample" `Quick
+        test_rounds;
     ]

@@ -408,6 +408,35 @@ let test_perf_monotone_in_size () =
   let at m = (Augem.Sim.Perf.predict arch p (Augem.Sim.Perf.W_gemm { m; n = m; k = 256 })).Augem.Sim.Perf.e_mflops in
   Alcotest.(check bool) "1024 < 4096" true (at 1024 < at 4096 +. 1.0)
 
+(* A load or store reports the bytes it touches, lanes x element size:
+   a scalar f32 access 4 bytes, not its W64 width's 8, and a W256 f32
+   store 32. *)
+let test_access_bytes () =
+  let seen = ref [] in
+  let prog =
+    Insn.
+      {
+        prog_name = "t";
+        prog_insns =
+          [
+            Vload { w = W64; dst = 0; src = mem Reg.Rdi };
+            Vstore { w = W64; src = 0; dst = mem Reg.Rsi };
+            Vstore { w = W256; src = 0; dst = mem Reg.Rsi };
+            Ret;
+          ];
+      }
+  in
+  let _ =
+    Exec.call ~et:Augem.Machine.Etype.F32
+      ~on_access:(fun ~addr:_ ~bytes ~store -> seen := (bytes, store) :: !seen)
+      prog
+      [ Exec.Abuf (Array.make 8 1.0); Exec.Abuf (Array.make 8 0.0) ]
+  in
+  Alcotest.(check (list (pair int bool)))
+    "(bytes, store) per access"
+    [ (4, false); (4, true); (32, true) ]
+    (List.rev !seen)
+
 let suite =
   [
     Alcotest.test_case "shufpd" `Quick test_shufpd;
@@ -440,4 +469,6 @@ let suite =
       test_cache_on_generated_kernel;
     Alcotest.test_case "MFLOPS monotone in size" `Quick
       test_perf_monotone_in_size;
+    Alcotest.test_case "access bytes are lanes x element size" `Quick
+      test_access_bytes;
   ]
