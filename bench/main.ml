@@ -435,8 +435,9 @@ let native_rounds = 5
 
 (* The loaded plans' GEMMs at one (m, n, k, jobs) point, timed
    together by [Clock.rounds], staging excluded: one untimed round,
-   then [native_rounds] that each run every plan once, which goes first
-   rotating, so a burst on a shared host slows both precisions alike.
+   then [native_rounds] that each run every plan once in list order, so
+   a burst on a shared host slows both precisions alike and every timed
+   run follows the other plan's, never its own.
    Each plan gets its own point's fields, its samples among them.
    Repeated passes accumulate into C (beta = 1), which keeps every
    pass's memory traffic identical. *)
@@ -677,8 +678,8 @@ let tuning_sweep
   let candidates =
     List.fold_left (fun acc r -> acc + r.Tuner.visited) 0 seq_results
   in
-  (* determinism gate: identical winners, scores, tie sets and
-     histograms *)
+  (* determinism gate: identical winners, scores, tie sets, histograms
+     and sweep-ordered failure lists *)
   List.iteri
     (fun i (seq, par) ->
       let arch, k = List.nth pairs i in
@@ -687,7 +688,8 @@ let tuning_sweep
           (seq.Tuner.best = par.Tuner.best
           && seq.Tuner.best_score = par.Tuner.best_score
           && seq.Tuner.ties = par.Tuner.ties
-          && seq.Tuner.failure_histogram = par.Tuner.failure_histogram)
+          && seq.Tuner.failure_histogram = par.Tuner.failure_histogram
+          && seq.Tuner.failures = par.Tuner.failures)
       then begin
         Fmt.pr "DETERMINISM FAIL: %s/%s differs between jobs=1 and jobs=%d@."
           arch.Arch.name (Kernels.name_to_string k) jobs;

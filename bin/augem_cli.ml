@@ -218,10 +218,10 @@ let json_out_arg =
            configuration, score, discard histogram, wall-clock, \
            candidates/sec, cache statistics) to $(docv).")
 
-(* Cache-tier accounting for `tune`: the same event stream the serving
-   metrics consume (Tuner.set_cache_observer), folded into counters and
-   printed — corrupt entries and failed stores surface their structured
-   diagnostics instead of being silent. *)
+(* Cache-tier accounting for `tune`: the events the serving metrics
+   count, handed to Tuner.tuned as its [on_event], folded into counters
+   and printed — corrupt entries and failed stores surface their
+   structured diagnostics instead of being silent. *)
 type tune_cache_counts = {
   mutable tc_memory : int;
   mutable tc_disk_hits : int;
@@ -253,21 +253,19 @@ let tune_cmd =
       { tc_memory = 0; tc_disk_hits = 0; tc_disk_misses = 0; tc_corrupt = 0;
         tc_swept = 0; tc_stores = 0; tc_diags = [] }
     in
-    A.Tuner.set_cache_observer
-      (Some
-         (fun ~arch:_ ~kernel:_ ev ->
-           match ev with
-           | A.Tuner.Ev_memory_hit -> tc.tc_memory <- tc.tc_memory + 1
-           | A.Tuner.Ev_disk_hit -> tc.tc_disk_hits <- tc.tc_disk_hits + 1
-           | A.Tuner.Ev_disk_miss -> tc.tc_disk_misses <- tc.tc_disk_misses + 1
-           | A.Tuner.Ev_disk_corrupt d ->
-               tc.tc_corrupt <- tc.tc_corrupt + 1;
-               tc.tc_diags <- d :: tc.tc_diags
-           | A.Tuner.Ev_swept -> tc.tc_swept <- tc.tc_swept + 1
-           | A.Tuner.Ev_store -> tc.tc_stores <- tc.tc_stores + 1
-           | A.Tuner.Ev_store_error d -> tc.tc_diags <- d :: tc.tc_diags));
+    let on_event ~arch:_ ~kernel:_ = function
+      | A.Tuner.Ev_memory_hit -> tc.tc_memory <- tc.tc_memory + 1
+      | A.Tuner.Ev_disk_hit -> tc.tc_disk_hits <- tc.tc_disk_hits + 1
+      | A.Tuner.Ev_disk_miss -> tc.tc_disk_misses <- tc.tc_disk_misses + 1
+      | A.Tuner.Ev_disk_corrupt d ->
+          tc.tc_corrupt <- tc.tc_corrupt + 1;
+          tc.tc_diags <- d :: tc.tc_diags
+      | A.Tuner.Ev_swept -> tc.tc_swept <- tc.tc_swept + 1
+      | A.Tuner.Ev_store -> tc.tc_stores <- tc.tc_stores + 1
+      | A.Tuner.Ev_store_error d -> tc.tc_diags <- d :: tc.tc_diags
+    in
     let t0 = A.Jit.Clock.now_s () in
-    let r = A.Tuner.tuned ~et ~jobs arch kernel in
+    let r = A.Tuner.tuned ~et ~jobs ~on_event arch kernel in
     let wall = A.Jit.Clock.now_s () -. t0 in
     Fmt.pr "best configuration: %s@."
       (A.Transform.Pipeline.config_to_string

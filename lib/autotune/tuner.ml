@@ -281,21 +281,6 @@ let default_jobs_ref =
 let set_jobs j = default_jobs_ref := max 1 j
 let jobs () = !default_jobs_ref
 
-(* One candidate, generated and scored: the unit of parallel work.
-   Pure — all pipeline/codegen/model state is per call — so shards of
-   the space can evaluate on separate domains. *)
-let evaluate_candidate (arch : Arch.t) ~max_insns (name : Kernels.name)
-    (kernel : Ast.kernel) (workload : Augem_sim.Perf.workload)
-    (cand : candidate) : (Insn.program * float, Diag.t) Stdlib.result =
-  match generate_candidate_diag arch ~max_insns name kernel cand with
-  | Error d -> Error d
-  | Ok prog -> (
-      match
-        score_diag ~et:(et_of_kernel kernel) arch name cand prog workload
-      with
-      | Error d -> Error d
-      | Ok s -> Ok (prog, s))
-
 (* One step of the sweep's selection fold over [(score, members)],
    members newest first: the first-seen maximum stays the answer, and
    every later candidate with exactly its score joins its tie set.  A
@@ -307,71 +292,47 @@ let keep_ties best s member =
   | Some (s', ties) when s' = s -> Some (s', member :: ties)
   | _ -> Some (s, [ member ])
 
-let tune ?(et = Etype.F64) ?(workload : Augem_sim.Perf.workload option)
-    ?(space : candidate list option) ?(max_insns = default_max_insns)
-    ?(jobs : int option) (arch : Arch.t) (name : Kernels.name) : result =
-  let kernel = Kernels.kernel_of_name ?fp:(fp_of_et et) name in
-  let workload =
-    match workload with Some w -> w | None -> reference_workload name
-  in
-  let space = match space with Some s -> s | None -> space_for name in
+(* The one search behind [tune] and [tune_blocked]: generate each
+   candidate of [space], then [member] scores its program as a member
+   of the answer's set, or discards it.  Both may run on any domain in
+   any order, so Team.map shards the space and returns the outcomes in
+   space order.  The order-sensitive part (the first-seen-maximum tie-break
+   the prefetch_opts ordering depends on, its exact-tie set, and the
+   sweep-ordered failure list) stays one sequential fold over that
+   list, so ~jobs:n is bit-identical to ~jobs:1.  A fully discarded
+   space falls back to [baseline] over the safe baseline's program: a
+   library build wants a slow kernel over no kernel.  Returns the
+   answer's score, its tie set (the answer first), the failures and
+   whether it fell back. *)
+let sweep ?jobs ~max_insns ~label (arch : Arch.t) (name : Kernels.name)
+    (kernel : Ast.kernel) ~member ~baseline (space : candidate list) =
   let jobs = match jobs with Some j -> max 1 j | None -> !default_jobs_ref in
-  let visited = ref 0 in
-  let failures = ref [] in
-  let best = ref None in
-  let record d =
-    failures := d :: !failures;
-    Log.debug (fun m -> m "discard: %s" (Diag.to_string d))
+  let evaluate cand =
+    Result.bind (generate_candidate_diag arch ~max_insns name kernel cand)
+      (member cand)
   in
-  (* Shard the embarrassingly-parallel part (candidate evaluation)
-     across domains; Team.map returns per-candidate outcomes in
-     candidate order.  The order-sensitive part — the first-seen-
-     maximum tie-break the prefetch_opts ordering depends on, and the
-     sweep-ordered failure list — stays a sequential fold over that
-     ordered list, so ~jobs:n is bit-identical to ~jobs:1. *)
-  let evaluated =
-    Team.map ~jobs (evaluate_candidate arch ~max_insns name kernel workload)
-      space
+  let best, failures =
+    List.fold_left2
+      (fun (best, failures) cand -> function
+        | Error d ->
+            Log.debug (fun m -> m "discard: %s" (Diag.to_string d));
+            (best, d :: failures)
+        | Ok (s, member) ->
+            Log.debug (fun m ->
+                m "%s/%s %s -> %.0f MFLOPS" arch.Arch.name label
+                  (Pipeline.config_to_string cand.cand_config)
+                  s);
+            (keep_ties best s member, failures))
+      (None, []) space
+      (Team.map ~jobs evaluate space)
   in
-  List.iter2
-    (fun cand outcome ->
-      incr visited;
-      match outcome with
-      | Error d -> record d
-      | Ok (prog, s) ->
-          Log.debug (fun m ->
-              m "%s/%s %s -> %.0f MFLOPS" arch.Arch.name
-                (Kernels.name_to_string ?fp:(fp_of_et et) name)
-                (Pipeline.config_to_string cand.cand_config)
-                s);
-          best := keep_ties !best s (cand, prog))
-    space evaluated;
-  let failures_list = List.rev !failures in
-  let finish ~fell_back (s, ties) =
-    let cand, prog = List.hd ties in
-    {
-      best = cand;
-      best_program = prog;
-      best_score = s;
-      ties = List.map fst ties;
-      visited = !visited;
-      discarded = List.length failures_list;
-      fell_back;
-      failures = failures_list;
-      failure_histogram = Diag.histogram failures_list;
-    }
-  in
-  match !best with
-  | Some (s, rev_ties) -> finish ~fell_back:false (s, List.rev rev_ties)
+  let failures = List.rev failures in
+  match best with
+  | Some (s, rev_ties) -> (s, List.rev rev_ties, failures, false)
   | None -> (
-      (* Graceful degradation: the whole space was discarded.  Fall
-         back to the safe baseline rather than raising — a library
-         build wants a slow kernel over no kernel. *)
       Log.warn (fun m ->
           m "%s/%s: all %d candidates discarded; falling back to baseline"
-            arch.Arch.name
-            (Kernels.name_to_string ?fp:(fp_of_et et) name)
-            !visited);
+            arch.Arch.name label (List.length space));
       (* the baseline is generated under the default step budget, not
          the caller's: a tight [max_insns] is a candidate filter, and
          must not take the known-small fallback down with it *)
@@ -380,20 +341,47 @@ let tune ?(et = Etype.F64) ?(workload : Augem_sim.Perf.workload option)
           safe_baseline
       with
       | Ok prog ->
-          let s =
-            match score_diag ~et arch name safe_baseline prog workload with
-            | Ok s -> s
-            | Error _ -> 0.0
-          in
-          finish ~fell_back:true (s, [ (safe_baseline, prog) ])
+          let s, member = baseline prog in
+          (s, [ member ], failures, true)
       | Error d ->
           (* even the baseline will not generate: a genuinely broken
              kernel/arch pair, the one case that still raises *)
           raise
             (No_viable_configuration
-               (Printf.sprintf "%s on %s (baseline also failed: %s)"
-                  (Kernels.name_to_string ?fp:(fp_of_et et) name)
+               (Printf.sprintf "%s on %s (baseline also failed: %s)" label
                   arch.Arch.name (Diag.to_string d))))
+
+let tune ?(et = Etype.F64) ?(workload : Augem_sim.Perf.workload option)
+    ?(space : candidate list option) ?(max_insns = default_max_insns)
+    ?(jobs : int option) (arch : Arch.t) (name : Kernels.name) : result =
+  let fp = fp_of_et et in
+  let kernel = Kernels.kernel_of_name ?fp name in
+  let workload =
+    match workload with Some w -> w | None -> reference_workload name
+  in
+  let space = match space with Some s -> s | None -> space_for name in
+  let score cand prog = score_diag ~et arch name cand prog workload in
+  let best_score, ties, failures, fell_back =
+    sweep ?jobs ~max_insns ~label:(Kernels.name_to_string ?fp name) arch name
+      kernel space
+      ~member:(fun cand prog ->
+        Result.map (fun s -> (s, (cand, prog))) (score cand prog))
+      ~baseline:(fun prog ->
+        ( Result.value ~default:0.0 (score safe_baseline prog),
+          (safe_baseline, prog) ))
+  in
+  let best, best_program = List.hd ties in
+  {
+    best;
+    best_program;
+    best_score;
+    ties = List.map fst ties;
+    visited = List.length space;
+    discarded = List.length failures;
+    fell_back;
+    failures;
+    failure_histogram = Diag.histogram failures;
+  }
 
 (* The members of [r]'s exact-tie set with their programs: the answer's
    own, and the others regenerated.  Generation is deterministic, so
@@ -450,10 +438,10 @@ let space_fingerprint (space : candidate list) : string =
 
 (* --- cache-tier accounting ---------------------------------------------- *)
 
-(* One event per tier decision of [tuned] (and of any other cache built
-   on the same fingerprint scheme, via [notify_cache_event]): the tune
-   CLI and the serving metrics both subscribe here instead of scraping
-   their own counters. *)
+(* One event per tier decision of [tuned] (and of the serving registry,
+   which caches under the same addresses), handed to the caller's
+   [on_event]: the tune CLI and the serving metrics count the same
+   events instead of scraping their own counters. *)
 type cache_event =
   | Ev_memory_hit
   | Ev_disk_hit
@@ -474,17 +462,6 @@ let cache_event_to_string = function
 
 type cache_observer = arch:string -> kernel:string -> cache_event -> unit
 
-let observer_mutex = Mutex.create ()
-let observer : cache_observer option ref = ref None
-
-let set_cache_observer o =
-  Mutex.protect observer_mutex (fun () -> observer := o)
-
-let notify_cache_event ~arch ~kernel (ev : cache_event) : unit =
-  match Mutex.protect observer_mutex (fun () -> !observer) with
-  | None -> ()
-  | Some f -> ( try f ~arch ~kernel ev with _ -> ())
-
 (* Process-wide persistent-cache location: [set_cache_dir] (or the
    AUGEM_CACHE_DIR environment variable); None disables the disk
    layer, and so does an empty name ([AUGEM_CACHE_DIR=]), which names
@@ -503,13 +480,14 @@ let cache_dir () = !cache_dir_ref
 let cache : (string * string * string, result) Hashtbl.t = Hashtbl.create 8
 let cache_mutex = Mutex.create ()
 
-let tuned ?(et = Etype.F64) ?jobs ?cache_dir:cdir ?space (arch : Arch.t)
+let tuned ?(et = Etype.F64) ?jobs ?cache_dir:cdir ?space
+    ?(on_event : cache_observer = fun ~arch:_ ~kernel:_ _ -> ()) (arch : Arch.t)
     (name : Kernels.name) : result =
   let kernel_s = Kernels.name_to_string ?fp:(fp_of_et et) name in
   let space = match space with Some s -> s | None -> space_for name in
   let fingerprint = space_fingerprint space in
   let key = (arch.Arch.name, kernel_s, fingerprint) in
-  let notify ev = notify_cache_event ~arch:arch.Arch.name ~kernel:kernel_s ev in
+  let notify ev = on_event ~arch:arch.Arch.name ~kernel:kernel_s ev in
   match Mutex.protect cache_mutex (fun () -> Hashtbl.find_opt cache key) with
   | Some r ->
       notify Ev_memory_hit;
@@ -642,31 +620,17 @@ type blocked_result = {
   bb_streamed_score : float;
   bb_micro_visited : int;
   bb_blockings_visited : int;  (** total (candidate, blocking) pairs *)
-  bb_discarded : int;
+  bb_fell_back : bool;
   bb_failures : Diag.t list;
-  bb_failure_histogram : (string * int) list;
 }
-
-(* One candidate of the blocked cross-product: generate the
-   micro-kernel, then pick its best blocking.  Pure, so the space
-   shards across domains exactly like [tune]'s. *)
-let evaluate_blocked_candidate (arch : Arch.t) ~max_insns
-    (kernel : Ast.kernel) (w : Augem_sim.Perf.workload) (cand : candidate) :
-    (Insn.program * Mem_model.blocking * float * int, Diag.t) Stdlib.result =
-  match generate_candidate_diag arch ~max_insns Kernels.Gemm kernel cand with
-  | Error d -> Error d
-  | Ok prog -> (
-      match select_blocking ~et:(et_of_kernel kernel) arch cand prog w with
-      | Error d -> Error d
-      | Ok (b, s, visited) -> Ok (prog, b, s, visited))
 
 (* Tune the full blocked DGEMM: the micro-kernel configuration space
    crossed with the cache-blocking triples each configuration's
    register tile admits — the MC/KC/NC dimensions of the search space
-   the blocked driver adds.  Selection is the first-seen maximum over
-   the cross-product in space order (bit-identical for every [?jobs]),
-   scored by {!Augem_sim.Perf.predict_blocked} on [workload], with its
-   exact-tie set; the result also carries the
+   the blocked driver adds.  A candidate's member is its micro-kernel
+   with its best blocking ([select_blocking]), scored by
+   {!Augem_sim.Perf.predict_blocked} on [workload]; [sweep] picks the
+   answer and its exact-tie set.  The result also carries the
    {!Augem_sim.Perf.predict_streamed} score of the winner, the unblocked
    baseline the blocked driver is gated against. *)
 let tune_blocked ?(et = Etype.F64)
@@ -685,14 +649,7 @@ let tune_blocked ?(et = Etype.F64)
   let space =
     match space with Some s -> s | None -> space_for Kernels.Gemm
   in
-  let jobs = match jobs with Some j -> max 1 j | None -> !default_jobs_ref in
-  let evaluated =
-    Team.map ~jobs (evaluate_blocked_candidate arch ~max_insns kernel w) space
-  in
-  let failures = ref [] in
-  let best = ref None in
-  let blockings_visited = ref 0 in
-  let member cand prog blocking =
+  let member_of cand prog blocking =
     let mr, nr = register_tile cand in
     {
       bm_candidate = cand;
@@ -702,59 +659,40 @@ let tune_blocked ?(et = Etype.F64)
       bm_nr = nr;
     }
   in
-  List.iter2
-    (fun cand outcome ->
-      match outcome with
-      | Error d -> failures := d :: !failures
-      | Ok (prog, b, s, visited) ->
-          blockings_visited := !blockings_visited + visited;
-          best := keep_ties !best s (member cand prog b))
-    space evaluated;
-  let failures_list = List.rev !failures in
-  let finish (s, ties) =
-    let best = List.hd ties in
-    let streamed =
-      match
-        Augem_sim.Perf.predict_streamed ~et arch best.bm_program ~nr:best.bm_nr
-          w
-      with
-      | e -> e.Augem_sim.Perf.e_mflops
-      | exception Augem_sim.Perf.No_hot_loop _ -> 0.0
-    in
-    {
-      bb_ties = ties;
-      bb_blocked_score = s;
-      bb_streamed_score = streamed;
-      bb_micro_visited = List.length space;
-      bb_blockings_visited = !blockings_visited;
-      bb_discarded = List.length failures_list;
-      bb_failures = failures_list;
-      bb_failure_histogram = Diag.histogram failures_list;
-    }
+  (* a sum, so the domains may add in any order *)
+  let blockings_visited = Atomic.make 0 in
+  let blocked_score, ties, failures, fell_back =
+    sweep ?jobs ~max_insns ~label:"blocked gemm" arch Kernels.Gemm kernel space
+      ~member:(fun cand prog ->
+        Result.map
+          (fun (b, s, visited) ->
+            ignore (Atomic.fetch_and_add blockings_visited visited);
+            (s, member_of cand prog b))
+          (select_blocking ~et arch cand prog w))
+      ~baseline:(fun prog ->
+        let mr, nr = register_tile safe_baseline in
+        let blocking = Mem_model.derive_blocking ~et arch ~mr ~nr in
+        let s =
+          match Augem_sim.Perf.predict_blocked ~et arch prog ~blocking w with
+          | e -> e.Augem_sim.Perf.e_mflops
+          | exception Augem_sim.Perf.No_hot_loop _ -> 0.0
+        in
+        (s, member_of safe_baseline prog blocking))
   in
-  match !best with
-  | Some (s, rev_ties) -> finish (s, List.rev rev_ties)
-  | None -> (
-      (* same graceful degradation as [tune]: a discarded cross-product
-         falls back to the safe baseline and the derived blocking *)
-      Log.warn (fun m ->
-          m "%s/gemm blocked: all %d candidates discarded; falling back"
-            arch.Arch.name (List.length space));
-      match
-        generate_candidate_diag arch ~max_insns:default_max_insns Kernels.Gemm
-          kernel safe_baseline
-      with
-      | Ok prog ->
-          let mr, nr = register_tile safe_baseline in
-          let blocking = Mem_model.derive_blocking ~et arch ~mr ~nr in
-          let s =
-            match Augem_sim.Perf.predict_blocked ~et arch prog ~blocking w with
-            | e -> e.Augem_sim.Perf.e_mflops
-            | exception Augem_sim.Perf.No_hot_loop _ -> 0.0
-          in
-          finish (s, [ member safe_baseline prog blocking ])
-      | Error d ->
-          raise
-            (No_viable_configuration
-               (Printf.sprintf "blocked gemm on %s (baseline also failed: %s)"
-                  arch.Arch.name (Diag.to_string d))))
+  let best = List.hd ties in
+  let streamed =
+    match
+      Augem_sim.Perf.predict_streamed ~et arch best.bm_program ~nr:best.bm_nr w
+    with
+    | e -> e.Augem_sim.Perf.e_mflops
+    | exception Augem_sim.Perf.No_hot_loop _ -> 0.0
+  in
+  {
+    bb_ties = ties;
+    bb_blocked_score = blocked_score;
+    bb_streamed_score = streamed;
+    bb_micro_visited = List.length space;
+    bb_blockings_visited = Atomic.get blockings_visited;
+    bb_fell_back = fell_back;
+    bb_failures = failures;
+  }

@@ -41,6 +41,10 @@ type result = {
       (** failure counts keyed by diagnostic code, descending *)
 }
 
+(** The IR precision of a scalar element type: [Some Float] for f32,
+    [None] (the built-in f64 kernel text) for f64. *)
+val fp_of_et : Augem_machine.Etype.t -> Augem_ir.Ast.dtype option
+
 (** The per-kernel search space. *)
 val space_for : Augem_ir.Kernels.name -> candidate list
 
@@ -106,7 +110,8 @@ val jobs : unit -> int
     best-candidate selection (first-seen maximum, the tie-break the
     search-space ordering depends on) and the failure list are reduced
     sequentially in candidate order.  The same fold collects the
-    answer's exact-tie set ([ties]).
+    answer's exact-tie set ([ties]).  {!tune_blocked} searches through
+    the same sweep.
 
     [?et] selects the scalar precision (default f64): the kernel text
     is retyped to [float], the performance model counts f32 flops, and
@@ -148,10 +153,10 @@ val space_fingerprint : candidate list -> string
 
     Every tier decision the memoized sweep (or any other two-tier cache
     keyed like it, e.g. the serving registry) makes is reported as one
-    of these events, so the [tune] CLI and the service metrics share
-    one accounting path instead of each scraping its own counters.
-    Corrupt entries and failed stores carry their structured
-    {!Augem_verify.Diag.t}. *)
+    of these events to the caller's [on_event], so the [tune] CLI and
+    the service metrics count the same events instead of each scraping
+    its own counters.  Corrupt entries and failed stores carry their
+    structured {!Augem_verify.Diag.t}. *)
 type cache_event =
   | Ev_memory_hit  (** answered from the in-memory tier *)
   | Ev_disk_hit  (** answered from the persistent on-disk tier *)
@@ -164,16 +169,9 @@ type cache_event =
 
 val cache_event_to_string : cache_event -> string
 
+(** An [on_event] sink: called with the arch and kernel (or plan)
+    name of each tier decision. *)
 type cache_observer = arch:string -> kernel:string -> cache_event -> unit
-
-(** Install (or clear) the process-wide observer.  [tuned] calls it on
-    every tier decision; {!notify_cache_event} lets other caches that
-    share the fingerprint scheme report through the same path. *)
-val set_cache_observer : cache_observer option -> unit
-
-(** Invoke the installed observer, if any.  Never raises (an observer
-    exception is swallowed: accounting must not break tuning). *)
-val notify_cache_event : arch:string -> kernel:string -> cache_event -> unit
 
 (** Set the process-wide persistent tuning-cache directory (also
     settable via the [AUGEM_CACHE_DIR] environment variable); [None]
@@ -197,12 +195,18 @@ val cache_dir : unit -> string option
 
     [?et] selects the scalar precision; f32 results address under the
     s-prefixed kernel name in both tiers, so the f64 content addresses
-    are untouched by the precision axis. *)
+    are untouched by the precision axis.
+
+    [?on_event] receives this call's tier decisions, in order (default:
+    none is reported): a memory hit; or a disk hit, miss or corrupt
+    entry (with a cache directory), then on a miss the sweep and its
+    store or store error.  An exception it raises propagates. *)
 val tuned :
   ?et:Augem_machine.Etype.t ->
   ?jobs:int ->
   ?cache_dir:string ->
   ?space:candidate list ->
+  ?on_event:cache_observer ->
   Augem_machine.Arch.t ->
   Augem_ir.Kernels.name ->
   result
@@ -251,18 +255,24 @@ type blocked_result = {
   bb_streamed_score : float;
       (** predicted MFLOPS of the first-seen maximum, unblocked
           baseline *)
-  bb_micro_visited : int;
-  bb_blockings_visited : int;  (** total (candidate, blocking) pairs *)
-  bb_discarded : int;
+  bb_micro_visited : int;  (** candidates in the space *)
+  bb_blockings_visited : int;
+      (** (candidate, blocking) pairs scored, over the candidates not
+          discarded *)
+  bb_fell_back : bool;
+      (** the whole space was discarded: [bb_ties] is {!safe_baseline}
+          alone, with {!Augem_sim.Mem_model.derive_blocking}'s
+          blocking *)
   bb_failures : Augem_verify.Diag.t list;
-  bb_failure_histogram : (string * int) list;
+      (** one record per discarded candidate, in sweep order *)
 }
 
 (** Tune the full blocked DGEMM over the micro-configuration x blocking
     cross-product.  [workload] must be a [W_gemm] (default: the GEMM
-    reference workload; raises [Invalid_argument] otherwise).
-    Bit-identical for every [?jobs], same sharding contract as
-    {!tune}; degrades to {!safe_baseline} with the analytically-derived
+    reference workload; raises [Invalid_argument] otherwise).  The
+    search is {!tune}'s sweep, each candidate scored with its best
+    blocking ({!select_blocking}): bit-identical for every [?jobs], and
+    degrading to {!safe_baseline} with the analytically-derived
     blocking when the whole space is discarded.  [?et] selects the
     scalar precision exactly as in {!tune}; f32 blocking triples are
     derived with 4-byte elements, so the same caches admit larger

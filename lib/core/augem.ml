@@ -135,12 +135,8 @@ type generated = {
   g_program : Machine.Insn.program;
 }
 
-(* The IR precision an element type selects; [None] keeps the built-in
-   f64 kernel text, so the default path is unchanged by the precision
-   axis. *)
-let fp_of_et : Machine.Etype.t -> Ir.Ast.dtype option = function
-  | Machine.Etype.F32 -> Some Ir.Ast.Float
-  | Machine.Etype.F64 -> None
+(* The IR precision an element type selects: the tuner's. *)
+let fp_of_et = Tuner.fp_of_et
 
 (* Run the full pipeline on one of the paper's kernels under an
    explicit configuration.  [?et] selects the scalar precision

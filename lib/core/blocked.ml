@@ -84,8 +84,8 @@ let assemble ~et (arch : Arch.t) (bb : Tuner.blocked_result)
     pl_blocked_mflops = bb.Tuner.bb_blocked_score;
     pl_streamed_mflops = bb.Tuner.bb_streamed_score;
     pl_fell_back =
-      bb.Tuner.bb_discarded = bb.Tuner.bb_micro_visited
-      || pa.Tuner.fell_back || pb.Tuner.fell_back || sc.Tuner.fell_back;
+      bb.Tuner.bb_fell_back || pa.Tuner.fell_back || pb.Tuner.fell_back
+      || sc.Tuner.fell_back;
   }
 
 (* Build the plan for an architecture: tune the micro-kernel jointly

@@ -3,6 +3,7 @@
 open Augem_ir
 module Faults = Augem_verify.Faults
 module Insn = Augem_machine.Insn
+module Tuner = Augem_autotune.Tuner
 
 type entry = {
   e_fault : Faults.fault;
@@ -36,10 +37,6 @@ let by_kind entries =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let fp_of_et : Augem_machine.Etype.t -> Ast.dtype option = function
-  | Augem_machine.Etype.F32 -> Some Ast.Float
-  | Augem_machine.Etype.F64 -> None
-
 let run ?(et = Augem_machine.Etype.F64) ?(fuel = Harness.default_fuel)
     ?(max_faults = 96) ?(seed = 0) (kernel : Kernels.name)
     (prog : Insn.program) : report =
@@ -61,7 +58,7 @@ let run ?(et = Augem_machine.Etype.F64) ?(fuel = Harness.default_fuel)
       faults
   in
   {
-    c_kernel = Kernels.name_to_string ?fp:(fp_of_et et) kernel;
+    c_kernel = Kernels.name_to_string ?fp:(Tuner.fp_of_et et) kernel;
     c_total = List.length entries;
     c_detected = List.length (List.filter (fun e -> e.e_detected) entries);
     c_entries = entries;
@@ -78,7 +75,7 @@ let run_static ?(et = Augem_machine.Etype.F64) ?(max_faults = 96) ?(seed = 0)
   let module Asmcheck = Augem_analysis.Asmcheck in
   let avx = arch.Augem_machine.Arch.simd = Augem_machine.Arch.AVX in
   let params =
-    (Kernels.kernel_of_name ?fp:(fp_of_et et) kernel).Ast.k_params
+    (Kernels.kernel_of_name ?fp:(Tuner.fp_of_et et) kernel).Ast.k_params
   in
   let config = Asmcheck.config_for ~avx ~params in
   let faults =
@@ -100,7 +97,7 @@ let run_static ?(et = Augem_machine.Etype.F64) ?(max_faults = 96) ?(seed = 0)
       faults
   in
   {
-    c_kernel = Kernels.name_to_string ?fp:(fp_of_et et) kernel;
+    c_kernel = Kernels.name_to_string ?fp:(Tuner.fp_of_et et) kernel;
     c_total = List.length entries;
     c_detected = List.length (List.filter (fun e -> e.e_detected) entries);
     c_entries = entries;

@@ -57,7 +57,7 @@ type 'v t = {
 }
 
 let create ?(lru_capacity = 64) ?cache_dir ?breaker
-    ?(on_event = Tuner.notify_cache_event) ~fell_back () : 'v t =
+    ?(on_event = fun ~arch:_ ~kernel:_ _ -> ()) ~fell_back () : 'v t =
   {
     m = Mutex.create ();
     changed = Condition.create ();

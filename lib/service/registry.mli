@@ -25,8 +25,9 @@
     degraded answer must not poison later requests — mirroring the
     tuner's fell-back rule.
 
-    Every tier decision is reported through the shared
-    {!Augem.Tuner.cache_observer} accounting path.
+    Every tier decision is reported to the [on_event] sink given at
+    creation, as the same {!Augem.Tuner.cache_event}s that
+    {!Augem.Tuner.tuned} reports.
 
     Resilience: the lookup and compute steps are
     {!Augem_resilience.Faultpoint}s (["registry.lookup"],
@@ -52,10 +53,10 @@ val key : arch:string -> name:string -> fingerprint:string -> key
 
 (** [create ~lru_capacity ~cache_dir ~breaker ~on_event ~fell_back ()].
     [cache_dir = None] disables the disk tier.  [breaker = None]
-    disables circuit breaking.  [on_event] defaults to
-    {!Augem.Tuner.notify_cache_event} (the process-wide observer).
-    [fell_back v] is true when [v] is a safe-baseline fallback: it is
-    served degraded and never stored. *)
+    disables circuit breaking.  [on_event] receives every tier
+    decision (default: none is reported).  [fell_back v] is true when
+    [v] is a safe-baseline fallback: it is served degraded and never
+    stored. *)
 val create :
   ?lru_capacity:int ->
   ?cache_dir:string ->

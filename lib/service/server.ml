@@ -94,10 +94,8 @@ let create ?(now = A.Jit.Clock.now_s) ?(config = default_config) () : t =
   let registry fell_back =
     Registry.create ~lru_capacity:config.cfg_lru
       ?cache_dir:config.cfg_cache_dir ?breaker
-      ~on_event:(fun ~arch ~kernel ev ->
-        Metrics.record_cache_event metrics ev;
-        (* keep feeding the process-wide accounting path (CLI, logs) *)
-        Tuner.notify_cache_event ~arch ~kernel ev)
+      ~on_event:(fun ~arch:_ ~kernel:_ ev ->
+        Metrics.record_cache_event metrics ev)
       ~fell_back ()
   in
   let sched =
@@ -230,8 +228,7 @@ let handle_tune (t : t) (id : Json.t) (tq : Proto.tune_request) :
   let arch = tq.Proto.tq_arch in
   let kernel = tq.Proto.tq_kernel in
   let et = tq.Proto.tq_et in
-  let fp = match et with Etype.F32 -> Some A.Ir.Ast.Float | Etype.F64 -> None in
-  let name = Kernels.name_to_string ?fp kernel in
+  let name = Kernels.name_to_string ?fp:(Tuner.fp_of_et et) kernel in
   let space =
     match tq.Proto.tq_space with
     | Some s -> s

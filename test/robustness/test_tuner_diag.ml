@@ -214,6 +214,36 @@ let test_histogram_shape () =
     ]
     h
 
+(* The blocked sweep over the same hostile space: it falls back through
+   the fold [tune] uses, so its failures are [tune]'s in sweep order,
+   and its one member is the safe baseline with the derived blocking. *)
+let test_blocked_sweep_falls_back () =
+  let module Mem_model = A.Sim.Mem_model in
+  let bb = Tuner.tune_blocked ~space:hostile_space arch in
+  let r = Tuner.tune ~space:hostile_space arch Kernels.Gemm in
+  Alcotest.(check bool) "fell back" true bb.Tuner.bb_fell_back;
+  Alcotest.(check int) "every candidate visited" 2 bb.Tuner.bb_micro_visited;
+  Alcotest.(check (list string))
+    "in space order"
+    (List.map
+       (fun c -> Pipeline.config_to_string c.Tuner.cand_config)
+       hostile_space)
+    (List.map (fun d -> d.Diag.d_config) bb.Tuner.bb_failures);
+  Alcotest.(check (list string))
+    "tune's failures, in order"
+    (List.map Diag.to_string r.Tuner.failures)
+    (List.map Diag.to_string bb.Tuner.bb_failures);
+  match bb.Tuner.bb_ties with
+  | [ m ] ->
+      Alcotest.(check bool) "the safe baseline" true
+        (m.Tuner.bm_candidate = Tuner.safe_baseline);
+      let mr, nr = Tuner.register_tile Tuner.safe_baseline in
+      Alcotest.(check string) "the derived blocking"
+        (Mem_model.blocking_to_string
+           (Mem_model.derive_blocking ~et:A.Machine.Etype.F64 arch ~mr ~nr))
+        (Mem_model.blocking_to_string m.Tuner.bm_blocking)
+  | ms -> Alcotest.failf "expected one member, got %d" (List.length ms)
+
 let suite =
   [
     Alcotest.test_case "fully-discarded space falls back" `Quick
@@ -232,4 +262,6 @@ let suite =
       test_rejection_attributes_stage;
     Alcotest.test_case "histogram aggregates and sorts" `Quick
       test_histogram_shape;
+    Alcotest.test_case "blocked sweep falls back over discards" `Quick
+      test_blocked_sweep_falls_back;
   ]

@@ -235,14 +235,14 @@ let test_tuned_miss () =
   let events = ref [] in
   Fun.protect
     ~finally:(fun () ->
-      Tuner.set_cache_observer None;
       ignore (A.Tuning_cache.clear ~dir);
       try Sys.rmdir dir with Sys_error _ -> ())
   @@ fun () ->
-  Tuner.set_cache_observer
-    (Some (fun ~arch:_ ~kernel:_ ev -> events := ev :: !events));
+  let on_event ~arch:_ ~kernel:_ ev = events := ev :: !events in
   let space = List.filteri (fun i _ -> i < 2) (Tuner.space_for Kernels.Scal) in
-  let r = Tuner.tuned ~cache_dir:dir ~space Arch.sandy_bridge Kernels.Scal in
+  let r =
+    Tuner.tuned ~cache_dir:dir ~space ~on_event Arch.sandy_bridge Kernels.Scal
+  in
   Alcotest.(check (list string)) "miss, sweep, store"
     [ "disk-miss"; "swept"; "store" ]
     (List.rev_map Tuner.cache_event_to_string !events);
