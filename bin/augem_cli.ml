@@ -756,20 +756,15 @@ let cache_cmd =
                   Fmt.pr "  %s  %6d B  CORRUPT: %s@."
                     (Filename.basename e.A.Tuning_cache.e_file)
                     e.A.Tuning_cache.e_bytes why)
-            entries;
-          let st = A.Tuning_cache.stats in
-          Fmt.pr
-            "this process: %d hit(s), %d miss(es), %d corrupt, %d store(s)@."
-            st.A.Tuning_cache.hits st.A.Tuning_cache.misses
-            st.A.Tuning_cache.corrupt st.A.Tuning_cache.stores
+            entries
         end
   in
   Cmd.v
     (Cmd.info "cache"
        ~doc:
          "Inspect the persistent tuning cache: entries, validity (header \
-          and checksum verified without unmarshalling), size on disk and \
-          this process's hit/miss counters; $(b,--clear) empties it")
+          and checksum verified without unmarshalling) and size on disk; \
+          $(b,--clear) empties it")
     Term.(const run $ cache_dir_arg $ cache_clear_arg)
 
 (* --- the kernel service -------------------------------------------------- *)

@@ -136,11 +136,3 @@ let build (p : Insn.program) : t =
     dfs 0;
     { insns; blocks; block_of; labels; issues = List.rev !issues; reachable }
   end
-
-let iter_insns (t : t) (b : block) (f : int -> Insn.t -> unit) : unit =
-  for i = b.b_first to b.b_last do
-    f i t.insns.(i)
-  done
-
-let insn_indices (b : block) : int list =
-  List.init (b.b_last - b.b_first + 1) (fun k -> b.b_first + k)

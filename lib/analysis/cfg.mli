@@ -38,9 +38,3 @@ type t = {
 }
 
 val build : Augem_machine.Insn.program -> t
-
-(** Iterate the instructions of one block in program order. *)
-val iter_insns : t -> block -> (int -> Augem_machine.Insn.t -> unit) -> unit
-
-(** Instruction indices of one block, in program order. *)
-val insn_indices : block -> int list

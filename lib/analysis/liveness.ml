@@ -10,10 +10,6 @@ open Augem_ir.Ast
 
 let reads_expr e = SS.of_list (expr_vars e)
 
-let reads_lvalue = function
-  | Lvar _ -> SS.empty
-  | Lindex (a, i) -> SS.add a (reads_expr i)
-
 (* Variables written by a statement (scalar definitions only; stores
    through pointers do not kill anything). *)
 let defs_stmt = function

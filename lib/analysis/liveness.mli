@@ -7,7 +7,6 @@
 module SS : Set.S with type elt = string and type t = Set.Make(String).t
 
 val reads_expr : Augem_ir.Ast.expr -> SS.t
-val reads_lvalue : Augem_ir.Ast.lvalue -> SS.t
 
 (** Scalars written by one statement (stores through pointers kill
     nothing). *)

@@ -26,18 +26,6 @@ let fault_points =
 
 let () = List.iter Faultpoint.register fault_points
 
-type stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable corrupt : int;
-  mutable stores : int;
-  mutable store_errors : int;
-}
-
-let stats = { hits = 0; misses = 0; corrupt = 0; stores = 0; store_errors = 0 }
-let stats_mutex = Mutex.create ()
-let bump f = Mutex.protect stats_mutex (fun () -> f stats)
-
 let keydesc ~version ~arch ~kernel ~fingerprint =
   Printf.sprintf "tuner=%s arch=%s kernel=%s space=%s" version arch kernel
     fingerprint
@@ -102,13 +90,9 @@ let parse_file (file : string) : (string * string, string) result =
 
 let load ~dir ~arch ~kernel ~keydesc:kd ~digest =
   let file = path ~dir ~digest in
-  if not (Sys.file_exists file) then begin
-    bump (fun s -> s.misses <- s.misses + 1);
-    Miss
-  end
+  if not (Sys.file_exists file) then Miss
   else
     let corrupt detail =
-      bump (fun s -> s.corrupt <- s.corrupt + 1);
       Corrupt (mk_diag ~arch ~kernel (Printf.sprintf "%s: %s" file detail))
     in
     match parse_file file with
@@ -121,9 +105,7 @@ let load ~dir ~arch ~kernel ~keydesc:kd ~digest =
           corrupt (Printf.sprintf "key mismatch: %S" kd')
         else begin
           match Marshal.from_string payload 0 with
-          | v ->
-              bump (fun s -> s.hits <- s.hits + 1);
-              Hit v
+          | v -> Hit v
           | exception e -> corrupt (Printexc.to_string e)
         end
 
@@ -199,15 +181,11 @@ let store ~dir ~arch ~kernel ~keydesc:kd ~digest v =
            try Sys.remove tmp with Sys_error _ -> ());
         raise e)
   with
-  | () ->
-      bump (fun s -> s.stores <- s.stores + 1);
-      None
+  | () -> None
   | exception (Faultpoint.Injected _ as e) ->
       (* the simulated kill must propagate, not soften into a diag *)
-      bump (fun s -> s.store_errors <- s.store_errors + 1);
       raise e
   | exception e ->
-      bump (fun s -> s.store_errors <- s.store_errors + 1);
       Some (mk_diag ~arch ~kernel ("store failed: " ^ Printexc.to_string e))
 
 (* --- cache directory inspection (the `augem cache` subcommand) --------- *)

@@ -34,17 +34,6 @@
     the wrong type practically impossible.  Callers must only store
     closure-free values. *)
 
-type stats = {
-  mutable hits : int;
-  mutable misses : int;  (** no file for the digest *)
-  mutable corrupt : int;  (** file present but unloadable: also a miss *)
-  mutable stores : int;
-  mutable store_errors : int;  (** failed writes (also never raised) *)
-}
-
-(** Process-wide counters, updated thread-safely. *)
-val stats : stats
-
 (** Digest of the full cache key; the content address. *)
 val digest :
   version:string -> arch:string -> kernel:string -> fingerprint:string -> string

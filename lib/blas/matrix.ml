@@ -56,10 +56,6 @@ let random_lower ?(seed = 11) n =
   done;
   m
 
-let random_upper ?seed n =
-  let l = random_lower ?seed n in
-  init n n (fun i j -> get l j i)
-
 let max_abs_diff a b =
   if a.rows <> b.rows || a.cols <> b.cols then invalid_arg "shape mismatch";
   let worst = ref 0. in

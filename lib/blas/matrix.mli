@@ -22,7 +22,6 @@ val random_symmetric : ?seed:int -> int -> t
 (** Lower-triangular with a well-conditioned diagonal (for TRSM). *)
 val random_lower : ?seed:int -> int -> t
 
-val random_upper : ?seed:int -> int -> t
 val max_abs_diff : t -> t -> float
 val approx_equal : ?tol:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -199,17 +199,22 @@ let verify_scal ?runner ?(et = Et.F64) ?fuel ?(seed = 6) ?(n = 37) ?(alpha = 0.7
       if arrays_close ~tol:(Et.tol et) x_ref x_sim then pass r
       else fail "scal: output mismatch"
 
+(* [y] has two elements past [n], and a copy must leave them as they
+   were. *)
 let verify_copy ?runner ?(et = Et.F64) ?fuel ?(seed = 7) ?(n = 37)
     (prog : Insn.program) : outcome =
   let x = nar et (fill seed n) in
   let y = nar et (fill (seed + 1) (n + 2)) in
+  let tail = Array.sub y n 2 in
   match run_sim ?runner ~et ?fuel prog Exec.[ Aint n; Abuf x; Abuf y ] with
   | Error e -> fail e
   | Ok r ->
       let copied =
         Array.for_all2 (close ~tol:(Et.tol et)) x (Array.sub y 0 n)
       in
-      if copied then pass r else fail "copy: output mismatch"
+      if not copied then fail "copy: output mismatch"
+      else if Array.sub y n 2 <> tail then fail "copy: wrote past y[n-1]"
+      else pass r
 
 let verify_pack_a ?runner ?(et = Et.F64) ?fuel ?(seed = 8) ?(shape = default_shape)
     (prog : Insn.program) : outcome =

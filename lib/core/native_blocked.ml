@@ -56,82 +56,21 @@ module Abi = Augem_jit.Abi
 module Clock = Augem_jit.Clock
 module Team = Augem_parallel.Team
 
-(* --- element-typed resident buffers ------------------------------------ *)
+(* --- resident operands ------------------------------------------------- *)
 
-(* A Bigarray-backed buffer of the kernel's element type with
-   elementwise access and interior-pointer addressing.  The closures
-   capture the Bigarray, keeping the storage alive for as long as any
-   address derived from it can be used. *)
-type tensor = {
-  t_len : int;  (* logical length, excluding tail padding *)
+(* The operands are [Abi]'s tensors; the names stay here for the
+   benchmark's traced copy of the nest ([benchmark/traced_gemm.ml]). *)
+type tensor = Abi.tensor = {
+  t_len : int;
   t_get : int -> float;
   t_set : int -> float -> unit;
-  t_addr : int -> int64;  (* address of element [i] *)
-  t_at : int -> int;  (* the same address as an int, without allocating *)
+  t_addr : int -> int64;
+  t_at : int -> int;
 }
 
-(* [n] elements starting on a page boundary.  Where malloc puts a large
-   buffer depends on what the process allocated and freed before (glibc
-   moves its mmap threshold as buffers are freed), and the kernels'
-   speed depends on where their operands start within a page: aligning
-   keeps the wall clock independent of that history. *)
-let page_aligned kind n =
-  let page = 4096 and bytes = Bigarray.kind_size_in_bytes kind in
-  let ba = Bigarray.Array1.create kind Bigarray.c_layout (n + (page / bytes)) in
-  let off = Int64.(to_int (rem (Runtime.jit_ba_addr ba) (of_int page))) in
-  Bigarray.Array1.sub ba ((page - off) mod page / bytes) n
-
-(* [n] elements, zero but for a prefix copied from [init] (at most [n]
-   long).  At f32 a store narrows, as the simulator's typed memory
-   does. *)
-let tensor ?(init = [||]) (et : Et.t) (n : int) : tensor =
-  let n' = max 1 n + Abi.pad_elements in
-  if Array.length init > n then invalid_arg "Native_blocked.tensor";
-  (* user-space addresses fit in an OCaml int *)
-  let addresses ba =
-    let base = Int64.to_int (Runtime.jit_ba_addr ba)
-    and bytes = Bigarray.kind_size_in_bytes (Bigarray.Array1.kind ba) in
-    let t_at i = base + (i * bytes) in
-    (t_at, fun i -> Int64.of_int (t_at i))
-  in
-  match et with
-  | Et.F64 ->
-      let ba = page_aligned Bigarray.float64 n' in
-      Bigarray.Array1.fill ba 0.0;
-      for i = 0 to Array.length init - 1 do
-        Bigarray.Array1.unsafe_set ba i (Array.unsafe_get init i)
-      done;
-      let t_at, t_addr = addresses ba in
-      {
-        t_len = n;
-        t_get = Bigarray.Array1.get ba;
-        t_set = Bigarray.Array1.set ba;
-        t_addr;
-        t_at;
-      }
-  | Et.F32 ->
-      let ba = page_aligned Bigarray.float32 n' in
-      Bigarray.Array1.fill ba 0.0;
-      for i = 0 to Array.length init - 1 do
-        Bigarray.Array1.unsafe_set ba i (Array.unsafe_get init i)
-      done;
-      let t_at, t_addr = addresses ba in
-      {
-        t_len = n;
-        t_get = Bigarray.Array1.get ba;
-        t_set = Bigarray.Array1.set ba;
-        t_addr;
-        t_at;
-      }
-
-(* A tensor holding [data]. *)
-let stage (et : Et.t) (data : float array) : tensor =
-  tensor ~init:data et (Array.length data)
-
-let read_back (t : tensor) (data : float array) : unit =
-  for i = 0 to Array.length data - 1 do
-    data.(i) <- t.t_get i
-  done
+let tensor = Abi.tensor
+let stage = Abi.stage
+let read_back = Abi.read_back
 
 (* --- the native plan ---------------------------------------------------- *)
 
@@ -293,76 +232,63 @@ let check ?blocking ?(seed = 42) ?(alpha = 1.0) ?(beta = 1.0)
 
 (* --- native harness shapes ------------------------------------------------ *)
 
-(* Kernel-call arguments at a kernel's native harness shape, over
-   resident tensors: the argument arrays, the tensors (kept alive for
-   the calls) and the work of one call, in flops, or in elements moved
-   for packing.  The tuner's reference workloads are sized for the
-   paper's evaluation sweep (gigabyte matrices at L2 shapes); a harness
-   shape only needs to be big enough to dominate the call overhead
-   while staying cache-plausible for the kernel's role — the
-   micro-kernel in particular only ever sees MC x KC x NC blocks. *)
+(* A kernel's call at its native harness shape, written as the
+   harness writes it and staged through [Abi.native_args]: the native
+   arguments, the tensors (kept alive for the calls) and the work of
+   one call, in flops, or in elements moved for packing.  The tuner's
+   reference workloads are sized for the paper's evaluation sweep
+   (gigabyte matrices at L2 shapes); a harness shape only needs to be
+   big enough to dominate the call overhead while staying
+   cache-plausible for the kernel's role — the micro-kernel in
+   particular only ever sees MC x KC x NC blocks. *)
 let harness_args (et : Et.t) (kernel : Kernels.name) :
     int64 array * float array * tensor list * float =
-  let i64 = Int64.of_int in
-  (* at f32 staging narrows, as [Et.round] would *)
-  let data seed n = stage et (Harness.fill seed n) in
+  let data seed n = Exec.Abuf (Harness.fill seed n) in
   let flops n = 2.0 *. float_of_int n in
   (* the vector kernels' length *)
   let len = 150_000 in
-  match kernel with
-  | Kernels.Gemm ->
-      let m = 192 and n = 192 and k = 256 in
-      let pa = data 21 (m * k)
-      and pb = data 22 (k * n)
-      and c = data 23 (m * n) in
-      ( [| i64 m; i64 k; i64 n; i64 m; pa.t_addr 0; pb.t_addr 0; c.t_addr 0 |],
-        [||],
-        [ pa; pb; c ],
-        flops (m * n * k) )
-  | Kernels.Gemv ->
-      let m = 1024 and n = 1024 in
-      let a = data 24 (m * n) and x = data 25 n and y = data 26 m in
-      ( [| i64 m; i64 n; i64 m; a.t_addr 0; x.t_addr 0; y.t_addr 0 |],
-        [||],
-        [ a; x; y ],
-        flops (m * n) )
-  | Kernels.Ger ->
-      let m = 1024 and n = 1024 in
-      let a = data 27 (m * n) and x = data 28 m and y = data 29 n in
-      ( [| i64 m; i64 n; i64 m; x.t_addr 0; y.t_addr 0; a.t_addr 0 |],
+  let args, work =
+    match kernel with
+    | Kernels.Gemm ->
+        let m = 192 and n = 192 and k = 256 in
+        ( Exec.
+            [
+              Aint m; Aint k; Aint n; Aint m; data 21 (m * k); data 22 (k * n);
+              data 23 (m * n);
+            ],
+          flops (m * n * k) )
+    | Kernels.Gemv ->
+        let m = 1024 and n = 1024 in
+        ( Exec.
+            [ Aint m; Aint n; Aint m; data 24 (m * n); data 25 n; data 26 m ],
+          flops (m * n) )
+    | Kernels.Ger ->
+        let m = 1024 and n = 1024 in
         (* alpha = 1.0: same op count, no drift across repeats *)
-        [| 1.0 |],
-        [ a; x; y ],
-        flops (m * n) )
-  | Kernels.Axpy ->
-      let x = data 30 len and y = data 31 len in
-      ([| i64 len; x.t_addr 0; y.t_addr 0 |], [| 1.0 |], [ x; y ], flops len)
-  | Kernels.Dot ->
-      let x = data 32 len and y = data 33 len and out = data 34 1 in
-      ( [| i64 len; x.t_addr 0; y.t_addr 0; out.t_addr 0 |],
-        [||],
-        [ x; y; out ],
-        flops len )
-  | Kernels.Scal ->
-      let x = data 35 len in
-      ([| i64 len; x.t_addr 0 |], [| 1.0 |], [ x ], flops len)
-  | Kernels.Copy ->
-      let x = data 36 len and y = data 37 (len + 2) in
-      ([| i64 len; x.t_addr 0; y.t_addr 0 |], [||], [ x; y ], flops len)
-  | Kernels.Pack_a ->
-      let mc = 192 and kc = 256 in
-      let a = data 38 (mc * kc) and buf = data 39 (mc * kc) in
-      ( [| i64 mc; i64 kc; i64 mc; a.t_addr 0; buf.t_addr 0 |],
-        [||],
-        [ a; buf ],
-        float_of_int (mc * kc) )
-  | Kernels.Pack_b ->
-      let kc = 256 and nc = 192 in
-      let b = data 40 (kc * nc) and buf = data 41 (kc * nc) in
-      ( [| i64 kc; i64 nc; i64 kc; b.t_addr 0; buf.t_addr 0 |],
-        [||],
-        [ b; buf ],
-        float_of_int (kc * nc) )
+        ( Exec.
+            [
+              Aint m; Aint n; Aint m; Adouble 1.0; data 28 m; data 29 n;
+              data 27 (m * n);
+            ],
+          flops (m * n) )
+    | Kernels.Axpy ->
+        (Exec.[ Aint len; Adouble 1.0; data 30 len; data 31 len ], flops len)
+    | Kernels.Dot ->
+        (Exec.[ Aint len; data 32 len; data 33 len; data 34 1 ], flops len)
+    | Kernels.Scal -> (Exec.[ Aint len; Adouble 1.0; data 35 len ], flops len)
+    | Kernels.Copy ->
+        (Exec.[ Aint len; data 36 len; data 37 (len + 2) ], flops len)
+    | Kernels.Pack_a ->
+        let mc = 192 and kc = 256 in
+        ( Exec.[ Aint mc; Aint kc; Aint mc; data 38 (mc * kc); data 39 (mc * kc) ],
+          float_of_int (mc * kc) )
+    | Kernels.Pack_b ->
+        let kc = 256 and nc = 192 in
+        ( Exec.[ Aint kc; Aint nc; Aint kc; data 40 (kc * nc); data 41 (kc * nc) ],
+          float_of_int (kc * nc) )
+  in
+  let iargs, dargs, operands = Abi.native_args et args in
+  (iargs, dargs, operands, work)
 
 (* [once] repeated until one run spans [span_s] seconds, keeping a timed
    sample above timer and call-overhead noise; with the repeat count.

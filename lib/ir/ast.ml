@@ -103,7 +103,6 @@ type kernel = {
 
 (* Constructors used pervasively by the transformation passes. *)
 
-let int_lit n = Int_lit n
 let var v = Var v
 let ( +! ) a b = Binop (Add, a, b)
 let ( -! ) a b = Binop (Sub, a, b)

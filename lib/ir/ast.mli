@@ -96,7 +96,6 @@ type kernel = {
 
 (** {1 Constructors} *)
 
-val int_lit : int -> expr
 val var : string -> expr
 val ( +! ) : expr -> expr -> expr
 val ( -! ) : expr -> expr -> expr

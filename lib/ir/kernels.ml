@@ -369,17 +369,6 @@ let retype (fp : dtype) (k : kernel) : kernel =
       k_body = List.map (retype_stmt fp) k.k_body;
     }
 
-let sgemm = retype Float gemm
-let sgemm_packed = retype Float gemm_packed
-let sgemv = retype Float gemv
-let saxpy = retype Float axpy
-let sdot = retype Float dot
-let sger = retype Float ger
-let sscal = retype Float scal
-let scopy = retype Float copy
-let spack_a = retype Float pack_a
-let spack_b = retype Float pack_b
-
 type name = Gemm | Gemv | Axpy | Dot | Ger | Scal | Copy | Pack_a | Pack_b
 
 let kernel_of_name ?(fp = Double) n =
@@ -425,15 +414,3 @@ let name_of_string = function
   | "pack_a" -> Some Pack_a
   | "pack_b" -> Some Pack_b
   | _ -> None
-
-(* Accepts both the bare (double-precision) names and the s-prefixed
-   single-precision spellings: "sgemm" -> (Gemm, Float). *)
-let name_of_string_fp s =
-  match name_of_string s with
-  | Some n -> Some (n, Double)
-  | None ->
-      if String.length s > 1 && s.[0] = 's' then
-        match name_of_string (String.sub s 1 (String.length s - 1)) with
-        | Some n -> Some (n, Float)
-        | None -> None
-      else None

@@ -56,30 +56,6 @@ val retype : Ast.dtype -> Ast.kernel -> Ast.kernel
     s-prefixed BLAS sibling ([dgemm_kernel] -> [sgemm_kernel]).
     [retype Double] is the identity. *)
 
-val sgemm : Ast.kernel
-(** Single-precision GEMM micro-kernel: [retype Float gemm]. *)
-
-val sgemm_packed : Ast.kernel
-val sgemv : Ast.kernel
-
-val saxpy : Ast.kernel
-(** Single-precision AXPY. *)
-
-val sdot : Ast.kernel
-(** Single-precision DOT. *)
-
-val sger : Ast.kernel
-val sscal : Ast.kernel
-
-val scopy : Ast.kernel
-(** Single-precision COPY. *)
-
-val spack_a : Ast.kernel
-(** Single-precision A-panel packing. *)
-
-val spack_b : Ast.kernel
-(** Single-precision B-panel packing. *)
-
 (** Kernel identifiers used across the tuner, library models, harness
     and CLI.  A [name] identifies the algorithm; the element precision
     is carried separately (an [Ast.Float]/[Ast.Double] value, usually
@@ -97,7 +73,3 @@ val all_for : Ast.dtype -> (name * Ast.kernel) list
 val kernel_of_name : ?fp:Ast.dtype -> name -> Ast.kernel
 val name_to_string : ?fp:Ast.dtype -> name -> string
 val name_of_string : string -> name option
-
-val name_of_string_fp : string -> (name * Ast.dtype) option
-(** Accepts both bare (double) and s-prefixed (single) spellings:
-    ["gemm"] -> [(Gemm, Double)], ["sgemm"] -> [(Gemm, Float)]. *)

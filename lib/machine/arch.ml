@@ -225,8 +225,6 @@ let uops_for (a : t) (w : Insn.vwidth) : int =
 
 let simd_lanes ?(et = Etype.F64) (a : t) : int = a.vec_bits / Etype.bits et
 
-let fma_available (a : t) = a.fma <> No_fma
-
 (* Table 5 as printable rows. *)
 let table5_rows () : (string * string * string) list =
   let f spec = spec in

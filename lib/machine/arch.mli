@@ -92,7 +92,6 @@ val peak_mflops : ?et:Etype.t -> t -> float
 val uops_for : t -> Insn.vwidth -> int
 
 val simd_lanes : ?et:Etype.t -> t -> int
-val fma_available : t -> bool
 
 (** Table 5 rows: (label, Intel value, AMD value). *)
 val table5_rows : unit -> (string * string * string) list

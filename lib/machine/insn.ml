@@ -223,7 +223,3 @@ let flops ?(et = Etype.F64) = function
   | Vop { op = Fhadd; w; _ } -> lanes_of et w
   | Vop { op = Fma231; w; _ } | Vfma4 { w; _ } -> 2 * lanes_of et w
   | _ -> 0
-
-let is_control = function
-  | Label _ | Jmp _ | Jcc _ | Ret -> true
-  | _ -> false

@@ -142,4 +142,3 @@ val reads_flags : t -> bool
     [F64]; FMA counts 2 per lane). *)
 val flops : ?et:Etype.t -> t -> int
 
-val is_control : t -> bool

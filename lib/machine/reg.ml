@@ -71,10 +71,6 @@ let gpr_index r =
 let argument_gprs = [ Rdi; Rsi; Rdx; Rcx; R8; R9 ]
 let callee_saved = [ Rbx; Rbp; R12; R13; R14; R15 ]
 
-(* GPRs available as scratch to generated kernels, in allocation order:
-   caller-saved first (no save/restore needed), callee-saved last. *)
-let scratch_gprs = [ Rax; R10; R11; Rbx; Rbp; R12; R13; R14; R15 ]
-
 type vreg = int (* 0..15: xmm<i> or ymm<i> depending on width *)
 
 let vreg_count = 16

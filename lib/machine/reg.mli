@@ -32,10 +32,6 @@ val argument_gprs : gpr list
 
 val callee_saved : gpr list
 
-(** Registers available as scratch to generated kernels, caller-saved
-    first. *)
-val scratch_gprs : gpr list
-
 (** SIMD register index, 0..15. *)
 type vreg = int
 

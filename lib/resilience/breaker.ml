@@ -33,11 +33,6 @@ let cooldown_s t = t.cooldown_s
 
 type decision = Allow | Probe | Reject
 
-let decision_to_string = function
-  | Allow -> "allow"
-  | Probe -> "probe"
-  | Reject -> "reject"
-
 let admit (t : t) (key : string) : decision =
   Mutex.protect t.m (fun () ->
       match Hashtbl.find_opt t.keys key with

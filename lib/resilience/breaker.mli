@@ -11,9 +11,10 @@
     v}
 
     While a key is open (or a probe is outstanding), {!admit} answers
-    [Reject] immediately — the service serves the safe-baseline kernel
-    with an [E_circuit_open] annotation instead of queuing yet another
-    doomed sweep.  A success in any state fully closes the key.
+    [Reject] immediately — the service serves the safe-baseline kernel,
+    its reply marked [degraded: true] and [provenance.breaker_open:
+    true], instead of queuing yet another doomed sweep.  A success in
+    any state fully closes the key.
 
     The clock is injectable so cooldown expiry is testable with a fake
     clock, deterministically. *)
@@ -37,8 +38,6 @@ type decision =
   | Allow  (** closed: proceed normally *)
   | Probe  (** half-open: this caller carries the probe *)
   | Reject  (** open: degrade immediately *)
-
-val decision_to_string : decision -> string
 
 (** Ask to run a compute for [key]; may transition open → half-open. *)
 val admit : t -> string -> decision

@@ -25,7 +25,6 @@ let catalog : (string, unit) Hashtbl.t = Hashtbl.create 32
 let counts : (string, int ref) Hashtbl.t = Hashtbl.create 32
 let armed : trigger list ref = ref []
 let injected = ref 0
-let delayed = ref 0
 let sleeper : (float -> unit) ref = ref (fun _ -> ())
 
 let register name =
@@ -41,17 +40,14 @@ let hit_count name =
       match Hashtbl.find_opt counts name with Some r -> !r | None -> 0)
 
 let injected_total () = Mutex.protect m (fun () -> !injected)
-let delayed_total () = Mutex.protect m (fun () -> !delayed)
 
 let arm triggers = Mutex.protect m (fun () -> armed := triggers)
 let disarm () = Mutex.protect m (fun () -> armed := [])
-let is_armed () = Mutex.protect m (fun () -> !armed <> [])
 
 let reset_counters () =
   Mutex.protect m (fun () ->
       Hashtbl.reset counts;
-      injected := 0;
-      delayed := 0)
+      injected := 0)
 
 let set_sleeper f = Mutex.protect m (fun () -> sleeper := f)
 
@@ -77,9 +73,8 @@ let observe (name : string) : action option =
       with
       | Some t ->
           (match t.tr_action with
-          | Fail | Kill -> incr injected
-          | Delay_ms _ -> incr delayed
-          | Corrupt _ -> incr injected);
+          | Fail | Kill | Corrupt _ -> incr injected
+          | Delay_ms _ -> ());
           Some t.tr_action
       | None -> None)
 

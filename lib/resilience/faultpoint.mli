@@ -50,7 +50,6 @@ val trigger_to_string : trigger -> string
 val arm : trigger list -> unit
 
 val disarm : unit -> unit
-val is_armed : unit -> bool
 
 (** Pre-declare a point so {!points} lists it before first use. *)
 val register : string -> unit
@@ -60,7 +59,6 @@ val points : unit -> string list
 
 val hit_count : string -> int
 val injected_total : unit -> int
-val delayed_total : unit -> int
 val reset_counters : unit -> unit
 
 (** The function [Delay_ms] actions call; defaults to a no-op so

@@ -94,10 +94,6 @@ let e_bad_request = "E_bad_request"
 let e_shutting_down = "E_shutting_down"
 let e_internal = "E_internal"
 
-(* not a response error code: annotates a degraded reply whose key is
-   being short-circuited by the registry's breaker *)
-let e_circuit_open = "E_circuit_open"
-
 type response = { rs_id : Json.t; rs_result : (reply, error) Stdlib.result }
 
 exception Overload of string

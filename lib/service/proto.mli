@@ -22,8 +22,8 @@
     when the safe-baseline kernel was served because the request's
     deadline expired before tuning started, the whole search space was
     discarded, the worker running the sweep died, or the key's circuit
-    breaker is open ([provenance.breaker_open = true], the
-    [E_circuit_open] annotation):
+    breaker is open (then [provenance.breaker_open] is [true] too; the
+    reply carries no error code):
 
     {v
     {"id":1,"ok":true,"kernel":"gemm","arch":"sandybridge",
@@ -146,10 +146,6 @@ val e_overload : string
 val e_bad_request : string
 val e_shutting_down : string
 val e_internal : string
-
-(** Annotation (not a response code) for degraded replies served while
-    the key's circuit breaker is open. *)
-val e_circuit_open : string
 
 type response = {
   rs_id : Augem.Json.t;

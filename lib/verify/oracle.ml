@@ -278,42 +278,3 @@ let check_static ~avx ?params (p : Augem_machine.Insn.program) :
     | None -> Augem_analysis.Asmcheck.conservative ~avx
   in
   Augem_analysis.Asmcheck.check ~config p
-
-(* --- staged-lowering check --------------------------------------------- *)
-
-(* End-to-end check over the staged driver: the C passes are replayed
-   differentially (exactly [check]), then the whole lowering runs under
-   the driver with per-stage type-checking and the static gate on the
-   scheduled program armed.  On success the caller gets the full trace
-   — per-stage fingerprints and counters included — so a green check
-   also yields the observability artifact. *)
-type lowering_failure =
-  | L_divergence of divergence  (** a C pass miscompiled *)
-  | L_stage of string * string
-      (** a lowering stage failed: stage name, rendered error *)
-
-let lowering_failure_to_string = function
-  | L_divergence d -> divergence_to_string d
-  | L_stage (stage, msg) -> Printf.sprintf "stage %s: %s" stage msg
-
-let check_lowering ?tol ?inputs ~(arch : Augem_machine.Arch.t)
-    ~(config : Augem_transform.Pipeline.config) (k : Augem_ir.Ast.kernel) :
-    (Augem_driver.Trace.t, lowering_failure) result =
-  match check ?tol ?inputs k config with
-  | Error d -> Error (L_divergence d)
-  | Ok _ -> (
-      let opts =
-        {
-          Augem_driver.Lower.default_opts with
-          Augem_driver.Lower.validate_each = true;
-          lint = true;
-        }
-      in
-      match Augem_driver.Lower.run ~opts ~arch ~config k with
-      | trace -> Ok trace
-      | exception Augem_driver.Lower.Stage_failed (name, exn) ->
-          Error (L_stage (name, Printexc.to_string exn))
-      | exception Augem_driver.Lower.Budget_exceeded { stage; len; budget } ->
-          Error
-            (L_stage
-               (stage, Printf.sprintf "%d instructions > budget %d" len budget)))

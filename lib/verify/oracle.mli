@@ -84,25 +84,3 @@ val check_static :
   ?params:Augem_ir.Ast.param list ->
   Augem_machine.Insn.program ->
   Augem_analysis.Asmcheck.finding list
-
-(** {2 Staged-lowering check} *)
-
-(** Why a staged lowering was rejected. *)
-type lowering_failure =
-  | L_divergence of divergence  (** a C pass miscompiled *)
-  | L_stage of string * string
-      (** a lowering stage failed: stage name, rendered error *)
-
-val lowering_failure_to_string : lowering_failure -> string
-
-(** Differential check of the C passes (exactly {!check}) followed by a
-    full staged lowering ({!Augem_driver.Lower.run}) with per-stage
-    type-checking and the static machine-code gate armed.  Success
-    returns the complete trace. *)
-val check_lowering :
-  ?tol:float ->
-  ?inputs:Augem_ir.Eval.arg list list ->
-  arch:Augem_machine.Arch.t ->
-  config:Augem_transform.Pipeline.config ->
-  Augem_ir.Ast.kernel ->
-  (Augem_driver.Trace.t, lowering_failure) result

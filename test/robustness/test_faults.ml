@@ -151,6 +151,38 @@ let test_specific_mutant_detected () =
            (Faults.describe f) outcome.A.Harness.detail)
         false outcome.A.Harness.ok
 
+(* A copy that runs one element long writes y[n], which the harness
+   gives it but no copy may touch.  Adding 1 to n (rdi) on entry to the
+   safe-baseline copy program is such a copy; the program itself
+   passes. *)
+let test_copy_overrun_detected () =
+  List.iter
+    (fun et ->
+      let g =
+        A.generate ~et ~arch ~config:A.Tuner.safe_baseline.A.Tuner.cand_config
+          Kernels.Copy
+      in
+      let prog = g.A.g_program in
+      let long =
+        {
+          prog with
+          A.Machine.Insn.prog_insns =
+            A.Machine.Insn.Addri (A.Machine.Reg.Rdi, 1)
+            :: prog.A.Machine.Insn.prog_insns;
+        }
+      in
+      let name = A.Machine.Etype.name et in
+      let ok = A.Harness.verify ~et Kernels.Copy prog in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s copy passes: %s" name ok.A.Harness.detail)
+        true ok.A.Harness.ok;
+      let outcome = A.Harness.verify ~et Kernels.Copy long in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s copy of n+1 elements detected: %s" name
+           outcome.A.Harness.detail)
+        false outcome.A.Harness.ok)
+    A.Machine.Etype.[ F64; F32 ]
+
 let suite =
   [
     Alcotest.test_case "aggregate detection rate >= 95%" `Slow
@@ -166,4 +198,6 @@ let suite =
       test_stale_fault_rejected;
     Alcotest.test_case "dropped store is detected" `Quick
       test_specific_mutant_detected;
+    Alcotest.test_case "copy past its end is detected" `Quick
+      test_copy_overrun_detected;
   ]

@@ -516,17 +516,60 @@ let test_native_scal () =
       [ (Et.F64, plan); (Et.F32, plan_f32) ]
 
 (* Resident operands start on a page boundary whatever the allocation
-   history, so the native executor's speed does not depend on it. *)
+   history, so the native executor's speed does not depend on it.  So
+   does every buffer [Abi] stages for a call's argument list, a
+   zero-length one too, and each holds [Abi.pad_elements] zeros after
+   its data.  At f32 a staged value, and what reads back, is
+   [Et.round] of its input, as an FP argument is. *)
 let test_tensor_alignment () =
+  let module Abi = A.Jit.Abi in
+  let module Exec = A.Sim.Exec_sim in
+  let aligned what addr =
+    if Int64.rem addr 4096L <> 0L then Alcotest.failf "%s at %Ld" what addr
+  in
+  let bits = Int64.bits_of_float in
   List.iter
     (fun et ->
+      let name = Et.name et in
       List.iter
         (fun n ->
-          let t = NB.tensor et n in
-          if Int64.rem (t.NB.t_addr 0) 4096L <> 0L then
-            Alcotest.failf "%s tensor of %d elements at %Ld" (Et.name et) n
-              (t.NB.t_addr 0))
-        [ 0; 1; 1000; 300_000 ])
+          aligned
+            (Printf.sprintf "%s tensor of %d elements" name n)
+            ((NB.tensor et n).NB.t_addr 0))
+        [ 0; 1; 1000; 300_000 ];
+      let x = (Mat.random ~seed:3 1 37).Mat.data
+      and empty = [||]
+      and y = [| 0.1; -1e-3; 3.0 |] in
+      let bufs = [ x; empty; y ] in
+      let args =
+        Exec.[ Aint 37; Adouble 0.1; Abuf x; Abuf empty; Aint 3; Abuf y ]
+      in
+      let iargs, dargs, staged = Abi.native_args et args in
+      let addr i = (List.nth staged i).Abi.t_addr 0 in
+      if iargs <> [| 37L; addr 0; addr 1; 3L; addr 2 |] then
+        Alcotest.failf "%s: integer-class arguments out of order" name;
+      if Array.map bits dargs <> [| bits (Et.round et 0.1) |] then
+        Alcotest.failf "%s: FP argument %h" name dargs.(0);
+      List.iteri
+        (fun j (data, (t : Abi.tensor)) ->
+          let len = Array.length data in
+          aligned (Printf.sprintf "%s buffer %d of %d elements" name j len)
+            (t.Abi.t_addr 0);
+          let back = Array.make len nan in
+          Abi.read_back t back;
+          Array.iteri
+            (fun i x ->
+              let want = bits (Et.round et x) in
+              if bits (t.Abi.t_get i) <> want || bits back.(i) <> want then
+                Alcotest.failf "%s buffer %d [%d] = %h: staged %h, read back %h"
+                  name j i x (t.Abi.t_get i) back.(i))
+            data;
+          for i = len to len + Abi.pad_elements - 1 do
+            if bits (t.Abi.t_get i) <> 0L then
+              Alcotest.failf "%s buffer %d: pad [%d] = %h" name j i
+                (t.Abi.t_get i)
+          done)
+        (List.combine bufs staged))
     [ Et.F64; Et.F32 ]
 
 (* The column schedule natively.  Under [one_panel] every shape is one

@@ -130,20 +130,17 @@ let test_tuned_persists_and_survives_corruption () =
   (* corrupt the file: tuned must neither crash nor trust it *)
   Out_channel.with_open_bin file (fun oc ->
       Out_channel.output_string oc "scribbled over");
-  let corrupt_before = Cache.stats.Cache.corrupt in
   let r2 = Tuner.tuned ~cache_dir:dir ~space arch Kernels.Gemv in
   Alcotest.(check (float 0.0))
     "same result after corruption" r1.Tuner.best_score r2.Tuner.best_score;
   (* r2 came from the in-memory memo (same process), so the corrupt
      file was not even read; evict nothing and probe the disk layer
-     directly to confirm the corrupt path counts *)
+     directly to confirm it reads corrupt *)
   (match
      Cache.load ~dir ~arch:arch.Arch.name ~kernel:"gemv" ~keydesc ~digest
    with
   | Cache.Corrupt _ -> ()
-  | _ -> Alcotest.fail "scribbled file must read corrupt");
-  Alcotest.(check bool) "corrupt counter advanced" true
-    (Cache.stats.Cache.corrupt > corrupt_before)
+  | _ -> Alcotest.fail "scribbled file must read corrupt")
 
 let test_concurrent_writers_leave_valid_file () =
   let dir = fresh_dir () in
