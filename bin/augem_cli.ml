@@ -105,7 +105,7 @@ let script_arg =
     & info [ "script" ] ~docv:"FILE"
         ~doc:
           "Transformation script (overrides --jam/--unroll/--prefetch); see \
-           the directive language in lib/transform/script.ml.")
+           the directive language in lib/autotune/script.ml.")
 
 let config_of_flags kernel jam unroll prefetch =
   let default_for k =
@@ -147,8 +147,8 @@ let config_of_args kernel jam unroll prefetch = function
         A.Codegen.Emit.default_options )
   | Some path -> (
       let src = In_channel.with_open_text path In_channel.input_all in
-      match A.Transform.Script.parse src with
-      | Ok s -> (s.A.Transform.Script.sc_config, A.opts_of_script s)
+      match A.Script.parse src with
+      | Ok c -> (c.A.Tuner.cand_config, c.A.Tuner.cand_opts)
       | Error msg ->
           (* msg is "line N: ..." since Script tracks directive lines *)
           Fmt.epr "%s: script error: %s@." path msg;
@@ -660,12 +660,7 @@ let explain_cmd =
   let run arch kernel et jam unroll prefetch script json =
     let config, eo = config_of_args kernel jam unroll prefetch script in
     let opts =
-      {
-        A.Driver.Lower.default_opts with
-        A.Driver.Lower.prefer = eo.A.Codegen.Emit.prefer;
-        max_width = eo.A.Codegen.Emit.max_width;
-        snapshots = true;
-      }
+      { (A.Codegen.Emit.lower_opts eo) with A.Driver.Lower.snapshots = true }
     in
     let trace = A.explain ~et ~opts ~arch ~config kernel in
     if json then print_endline (A.Json.to_string (A.trace_to_json trace))

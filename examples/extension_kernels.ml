@@ -14,9 +14,11 @@ let script_text = "unroll i 8\nprefetch 8\n"
 
 let () =
   let script =
-    match A.Transform.Script.parse script_text with
-    | Ok s -> s
-    | Error m -> failwith m
+    match A.Script.parse script_text with Ok c -> c | Error m -> failwith m
+  in
+  let generate ~arch =
+    A.generate ~arch ~config:script.A.Tuner.cand_config
+      ~opts:script.A.Tuner.cand_opts
   in
   Fmt.pr "transformation script:@.%s@." script_text;
   List.iter
@@ -24,7 +26,7 @@ let () =
       Fmt.pr "=== %s ===@." arch.Arch.model;
       List.iter
         (fun kname ->
-          let g = A.generate_scripted ~arch ~script kname in
+          let g = generate ~arch kname in
           let v = A.verify g in
           (* which templates did the identifier find? *)
           let regions =
@@ -44,7 +46,7 @@ let () =
       Fmt.pr "@.")
     Arch.extended;
   (* show the generated DSCAL inner loop on Haswell *)
-  let g = A.generate_scripted ~arch:Arch.haswell ~script Kernels.Scal in
+  let g = generate ~arch:Arch.haswell Kernels.Scal in
   let asm = A.assembly g in
   Fmt.pr "--- DSCAL hot loop on %s ---@." Arch.haswell.Arch.model;
   let lines = String.split_on_char '\n' asm in

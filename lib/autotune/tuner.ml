@@ -37,18 +37,6 @@ let fp_of_et : Etype.t -> Ast.dtype option = function
   | Etype.F32 -> Some Ast.Float
   | Etype.F64 -> None
 
-(* The element type of a kernel's own parameter list: diagnostics and
-   the performance model follow the kernel, not a separate flag. *)
-let et_of_kernel (kernel : Ast.kernel) : Etype.t =
-  match
-    Ast.fp_type_of_params kernel.Ast.k_params ~p_type:(fun p -> p.Ast.p_type)
-  with
-  | Ast.Float -> Etype.F32
-  | _ -> Etype.F64
-
-let fp_of_kernel (kernel : Ast.kernel) : Ast.dtype option =
-  fp_of_et (et_of_kernel kernel)
-
 type result = {
   best : candidate;
   best_program : Insn.program;
@@ -83,32 +71,24 @@ let prefetch_opts =
     Some { Prefetch.pf_distance = 4; pf_stores = true };
     None ]
 
-let gemm_space ?(packed = false) () : candidate list =
-  let strategies =
-    if packed then [ Augem_codegen.Plan.Prefer_auto; Augem_codegen.Plan.Prefer_shuf ]
-    else [ Augem_codegen.Plan.Prefer_auto ]
-  in
+let gemm_space : candidate list =
   List.concat_map
     (fun j ->
       List.concat_map
         (fun i ->
-          List.concat_map
+          List.map
             (fun pf ->
-              List.map
-                (fun prefer ->
-                  {
-                    cand_config =
-                      { Pipeline.default with jam = [ ("j", j); ("i", i) ];
-                        prefetch = pf };
-                    cand_opts =
-                      { Augem_driver.Emit.default_options with prefer };
-                  })
-                strategies)
+              {
+                cand_config =
+                  { Pipeline.default with jam = [ ("j", j); ("i", i) ];
+                    prefetch = pf };
+                cand_opts = Augem_driver.Emit.default_options;
+              })
             prefetch_opts)
         [ 4; 8; 12; 16 ])
     [ 1; 2; 4; 6 ]
 
-let vector_space loop_var ~expand () : candidate list =
+let vector_space loop_var ~expand : candidate list =
   List.concat_map
     (fun u ->
       List.map
@@ -128,17 +108,17 @@ let vector_space loop_var ~expand () : candidate list =
 
 let space_for (k : Kernels.name) : candidate list =
   match k with
-  | Kernels.Gemm -> gemm_space ()
-  | Kernels.Gemv -> vector_space "j" ~expand:false ()
-  | Kernels.Axpy -> vector_space "i" ~expand:false ()
-  | Kernels.Dot -> vector_space "i" ~expand:true ()
-  | Kernels.Ger -> vector_space "i" ~expand:false ()
-  | Kernels.Scal -> vector_space "i" ~expand:false ()
-  | Kernels.Copy -> vector_space "i" ~expand:false ()
+  | Kernels.Gemm -> gemm_space
+  | Kernels.Gemv -> vector_space "j" ~expand:false
+  | Kernels.Axpy -> vector_space "i" ~expand:false
+  | Kernels.Dot -> vector_space "i" ~expand:true
+  | Kernels.Ger -> vector_space "i" ~expand:false
+  | Kernels.Scal -> vector_space "i" ~expand:false
+  | Kernels.Copy -> vector_space "i" ~expand:false
   (* packing kernels are straight copies: unroll the unit-stride inner
      copy loop (i for pack-A, l for pack-B), no reduction to expand *)
-  | Kernels.Pack_a -> vector_space "i" ~expand:false ()
-  | Kernels.Pack_b -> vector_space "l" ~expand:false ()
+  | Kernels.Pack_a -> vector_space "i" ~expand:false
+  | Kernels.Pack_b -> vector_space "l" ~expand:false
 
 (* The graceful-degradation configuration: no unroll&jam, no unrolling,
    no prefetching — just the always-safe scalar passes.  Every kernel
@@ -201,7 +181,8 @@ let diag_of_generation_exn (exn : exn) : Diag.code * string =
 let generate_candidate_diag (arch : Arch.t) ?(max_insns = default_max_insns)
     (kname : Kernels.name) (kernel : Ast.kernel) (c : candidate) :
     (Insn.program, Diag.t) Stdlib.result =
-  let fp = fp_of_kernel kernel in
+  (* diagnostics follow the kernel's own precision, not a flag *)
+  let fp = fp_of_et (Augem_driver.Lower.etype_of_params kernel.Ast.k_params) in
   let mk ?stage_name code stage detail =
     Diag.make ?stage_name ~code ~stage
       ~kernel:(Kernels.name_to_string ?fp kname)
@@ -211,10 +192,8 @@ let generate_candidate_diag (arch : Arch.t) ?(max_insns = default_max_insns)
   in
   let opts =
     {
-      Augem_driver.Lower.default_opts with
-      Augem_driver.Lower.prefer = c.cand_opts.Augem_driver.Emit.prefer;
-      max_width = c.cand_opts.Augem_driver.Emit.max_width;
-      max_insns = Some max_insns;
+      (Augem_driver.Emit.lower_opts c.cand_opts) with
+      Augem_driver.Lower.max_insns = Some max_insns;
       lint = true;
       schedule = true;
     }
@@ -412,22 +391,13 @@ let tie_programs ?(et = Etype.F64) (arch : Arch.t) (name : Kernels.name)
 let tuner_version = "7"
 
 let candidate_fingerprint (c : candidate) : string =
-  let prefer =
-    match c.cand_opts.Augem_driver.Emit.prefer with
-    | Augem_codegen.Plan.Prefer_auto -> "auto"
-    | Augem_codegen.Plan.Prefer_vdup -> "vdup"
-    | Augem_codegen.Plan.Prefer_shuf -> "shuf"
-  in
-  let width =
-    match c.cand_opts.Augem_driver.Emit.max_width with
-    | None -> "native"
-    | Some Insn.W64 -> "w64"
-    | Some Insn.W128 -> "w128"
-    | Some Insn.W256 -> "w256"
-  in
+  let opts = c.cand_opts in
   Printf.sprintf "%s|prefer=%s|width=%s"
     (Pipeline.config_to_string c.cand_config)
-    prefer width
+    (Augem_codegen.Plan.prefer_name opts.Augem_driver.Emit.prefer)
+    (match opts.Augem_driver.Emit.max_width with
+    | None -> "native"
+    | Some w -> Printf.sprintf "w%d" (Insn.width_bits w))
 
 (* The search-space fingerprint in the cache key: two sweeps share an
    entry only if they would explore the same candidates in the same

@@ -15,6 +15,9 @@
     budget before the scoring model runs on them; and a fully-discarded
     space degrades to {!safe_baseline} instead of raising. *)
 
+(** One configuration of the generator: the source passes and the emit
+    options.  {!Script} writes it as text and the service's [space]
+    entries as JSON. *)
 type candidate = {
   cand_config : Augem_transform.Pipeline.config;
   cand_opts : Augem_driver.Emit.options;

@@ -180,6 +180,18 @@ type prefer =
   | Prefer_vdup
   | Prefer_shuf
 
+(* The one text form of a preference: the script, the wire and the
+   tuner's cache fingerprint all spell it this way. *)
+let prefer_name = function
+  | Prefer_auto -> "auto"
+  | Prefer_vdup -> "vdup"
+  | Prefer_shuf -> "shuf"
+
+let prefer_of_name s =
+  List.find_opt
+    (fun p -> String.equal (prefer_name p) s)
+    [ Prefer_auto; Prefer_vdup; Prefer_shuf ]
+
 (* Decide the strategy and lane layout for one group. *)
 let plan_group ~et ~machine_lanes ~(prefer : prefer) (group : mm_comp list) :
     group_plan =

@@ -63,6 +63,14 @@ type prefer =
   | Prefer_vdup
   | Prefer_shuf
 
+(** A preference's one text form (["auto"], ["vdup"], ["shuf"]): the
+    script, the wire and the tuner's cache fingerprint spell it this
+    way. *)
+val prefer_name : prefer -> string
+
+(** The preference [prefer_name] spells as the given name. *)
+val prefer_of_name : string -> prefer option
+
 (** Strategy and lane layout for one group.  [machine_lanes] must be
     the SIMD lane count at the same element type [et]. *)
 val plan_group :

@@ -13,7 +13,8 @@
               --(Template Optimizer + Assembly Kernel Generator)--> asm
 
    Entry points:
-   - [generate]: run the full pipeline under an explicit configuration.
+   - [generate]: run the full pipeline under an explicit configuration
+     (for instance a [Script.parse]d candidate's).
    - [tuned]: let the empirical tuner pick the configuration.
    - [Harness.verify]: execute the generated assembly on the functional
      simulator against the reference BLAS.
@@ -47,7 +48,6 @@ module Transform = struct
   module Scalar_repl = Augem_transform.Scalar_repl
   module Prefetch = Augem_transform.Prefetch
   module Pipeline = Augem_transform.Pipeline
-  module Script = Augem_transform.Script
   module Names = Augem_transform.Names
 end
 
@@ -70,8 +70,8 @@ module Codegen = struct
   module Gpralloc = Augem_codegen.Gpralloc
   module Plan = Augem_codegen.Plan
 
-  (* The historical [Emit] API is now a compatibility veneer over the
-     staged-lowering driver; see {!Driver.Lower}. *)
+  (* The emit options and the untraced backend over the staged-lowering
+     driver; see {!Driver.Lower}. *)
   module Emit = Augem_driver.Emit
   module Schedule = Augem_codegen.Schedule
 end
@@ -104,6 +104,7 @@ module Verify = struct
 end
 
 module Tuner = Augem_autotune.Tuner
+module Script = Augem_autotune.Script
 module Tuning_cache = Augem_autotune.Cache
 module Team = Augem_parallel.Team
 module Library = Augem_baselines.Library
@@ -149,14 +150,7 @@ let generate ?(et = Machine.Etype.F64)
     =
   let source = Ir.Kernels.kernel_of_name ?fp:(fp_of_et et) name in
   let trace =
-    Driver.Lower.run
-      ~opts:
-        {
-          Driver.Lower.default_opts with
-          Driver.Lower.prefer = opts.Codegen.Emit.prefer;
-          max_width = opts.Codegen.Emit.max_width;
-        }
-      ~arch ~config source
+    Driver.Lower.run ~opts:(Codegen.Emit.lower_opts opts) ~arch ~config source
   in
   {
     g_kernel = name;
@@ -209,30 +203,7 @@ let trace_to_json (t : Driver.Trace.t) : Json.t =
       ("stages", Json.List (List.map stage t.Driver.Trace.tr_stages));
     ]
 
-(* Run the pipeline under a transformation script (the mini-POET layer:
-   see [Transform.Script] for the directive language). *)
-let opts_of_script (s : Transform.Script.t) : Codegen.Emit.options =
-  {
-    Codegen.Emit.prefer =
-      (match s.Transform.Script.sc_prefer with
-      | `Auto -> Codegen.Plan.Prefer_auto
-      | `Vdup -> Codegen.Plan.Prefer_vdup
-      | `Shuf -> Codegen.Plan.Prefer_shuf);
-    max_width =
-      Option.map
-        (function
-          | 64 -> Machine.Insn.W64
-          | 128 -> Machine.Insn.W128
-          | _ -> Machine.Insn.W256)
-        s.Transform.Script.sc_width;
-  }
-
-let generate_scripted ?et ~(arch : Machine.Arch.t)
-    ~(script : Transform.Script.t) (name : Ir.Kernels.name) : generated =
-  generate ?et ~arch ~config:script.Transform.Script.sc_config
-    ~opts:(opts_of_script script) name
-
-(* Same, with the configuration chosen by the empirical tuner.
+(* [generate] with the configuration chosen by the empirical tuner.
    [?jobs] shards the sweep across domains; [?cache_dir] persists the
    tuning result on disk (both also settable process-wide via
    [Tuner.set_jobs] / [Tuner.set_cache_dir] or the AUGEM_JOBS /

@@ -1,14 +1,12 @@
-(* Back-compatible [Emit] API over the staged-lowering driver.  The
-   historical entry points of the assembly generator — unscheduled
-   generation from low-level C or from an annotated kernel — are thin
-   wrappers over {!Lower.program_of_annotated}; exceptions raised inside a
-   stage propagate unwrapped, exactly as the monolith raised them. *)
+(* The assembly generator's emit options and its untraced entry point
+   over the staged-lowering driver: [generate] folds the backend stages
+   (template identification to frame emission) on low-level C.  A
+   stage's exception propagates unwrapped, for callers that match on
+   the code generator's own exceptions. *)
 
 open Augem_ir
 open Augem_machine
-open Augem_templates
 open Augem_codegen
-module M = Matcher
 
 type options = {
   prefer : Plan.prefer;
@@ -17,23 +15,19 @@ type options = {
 
 let default_options = { prefer = Plan.Prefer_auto; max_width = None }
 
+(* The driver's defaults under these emit options. *)
 let lower_opts (opts : options) : Lower.opts =
-  {
-    Lower.default_opts with
-    Lower.prefer = opts.prefer;
-    max_width = opts.max_width;
-    schedule = false;
-  }
+  { Lower.default_opts with Lower.prefer = opts.prefer; max_width = opts.max_width }
 
-(* Generate a complete (unscheduled) assembly program from a
-   template-annotated kernel. *)
-let generate_annotated ~(arch : Arch.t) ?(opts = default_options)
-    (ak : M.akernel) : Insn.program =
-  match Lower.program_of_annotated ~opts:(lower_opts opts) ~arch ak with
-  | prog -> prog
-  | exception Lower.Stage_failed (_, exn) -> raise exn
-
-(* Convenience: identify + generate from low-level C. *)
+(* Generate a complete (unscheduled) assembly program from low-level
+   C. *)
 let generate ~(arch : Arch.t) ?(opts = default_options) (k : Ast.kernel) :
     Insn.program =
-  generate_annotated ~arch ~opts (M.identify k)
+  let opts = { (lower_opts opts) with Lower.schedule = false } in
+  match
+    Lower.fold ~opts
+      (Lower.backend_stages opts arch ~params:k.Ast.k_params)
+      (Stage.A_kernel k)
+  with
+  | art -> Lower.final_program art ~who:"Emit.generate"
+  | exception Lower.Stage_failed (_, exn) -> raise exn

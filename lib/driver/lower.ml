@@ -5,12 +5,8 @@
    {!Trace.stage_record} per stage, for the oracle, `augem explain` and
    the CLI; [program] folds the same list with the same checks but no
    record, for the tuner, which lowers every candidate of a sweep and
-   reads only the program or the failure; [program_of_annotated] is the
-   untraced backend-only variant the [Emit] compatibility wrappers use.
-
-   Behaviour is bit-for-bit identical to the pre-refactor monolith:
-   the stages execute exactly the statements the old
-   [Emit.generate_annotated] executed, in the same order. *)
+   reads only the program or the failure; [Emit.generate] folds the
+   backend stages alone, untraced. *)
 
 open Augem_ir
 open Augem_machine
@@ -22,8 +18,6 @@ module M = Matcher
 type opts = {
   prefer : Plan.prefer;
   max_width : Insn.vwidth option;  (** cap vector width (None = machine) *)
-  validate_each : bool;
-      (** type-check after every C pass, not only the last *)
   snapshots : bool;  (** record each stage's rendered artifact *)
   max_insns : int option;
       (** instruction budget, checked on the unscheduled program *)
@@ -35,7 +29,6 @@ let default_opts =
   {
     prefer = Plan.Prefer_auto;
     max_width = None;
-    validate_each = false;
     snapshots = false;
     max_insns = None;
     lint = false;
@@ -79,10 +72,10 @@ let typecheck_artifact = function
   | Stage.A_kernel k -> Typecheck.check_kernel k
   | _ -> ()
 
-(* The C-level stages: one per configured source pass, each validated
-   by the type checker when [validate_each] (always on the last, which
-   preserves [Pipeline.apply]'s contract). *)
-let c_stages (opts : opts) (config : Pipeline.config) : Stage.t list =
+(* The C-level stages: one per configured source pass, the last
+   validated by the type checker (which preserves [Pipeline.apply]'s
+   contract). *)
+let c_stages (config : Pipeline.config) : Stage.t list =
   let passes = Pipeline.passes config in
   let last = List.length passes - 1 in
   List.mapi
@@ -93,9 +86,7 @@ let c_stages (opts : opts) (config : Pipeline.config) : Stage.t list =
           (function
           | Stage.A_kernel k -> Stage.A_kernel (pass k)
           | a -> a);
-        validate =
-          (if opts.validate_each || i = last then Some typecheck_artifact
-           else None);
+        validate = (if i = last then Some typecheck_artifact else None);
       })
     passes
 
@@ -111,9 +102,10 @@ let lint_validator (arch : Arch.t) ~(params : Ast.param list) :
       | errs -> raise (AC.Lint_error ("asmcheck", errs)))
   | _ -> ()
 
-(* The backend stages, mirroring the old [Emit.generate_annotated]
-   step for step.  [params] is the kernel's parameter list (invariant
-   across the pipeline), needed by the lint gate's checker config. *)
+(* The backend stages, from template identification to the optional
+   schedule and its lint gate.  [params] is the kernel's parameter
+   list (invariant across the pipeline), needed by the lint gate's
+   checker config. *)
 let backend_stages (opts : opts) (arch : Arch.t) ~(params : Ast.param list) :
     Stage.t list =
   let et = etype_of_params params in
@@ -242,24 +234,9 @@ let final_program (art : Stage.artifact) ~(who : string) : Insn.program =
    backend, optional scheduling and lint. *)
 let stages (opts : opts) (arch : Arch.t) (config : Pipeline.config)
     (kernel : Ast.kernel) : Stage.t list =
-  c_stages opts config @ backend_stages opts arch ~params:kernel.Ast.k_params
+  c_stages config @ backend_stages opts arch ~params:kernel.Ast.k_params
 
 (* --- entry points ------------------------------------------------------- *)
-
-(* Backend-only lowering, untraced: from a template-annotated kernel
-   to a program, exactly the old [Emit.generate_annotated] (plus
-   optional scheduling).  Used by the [Emit] compatibility wrappers. *)
-let program_of_annotated ?(opts = default_opts) ~(arch : Arch.t)
-    (ak : M.akernel) : Insn.program =
-  let stages =
-    (* skip identify-templates: the input is already annotated *)
-    List.filter
-      (fun s -> not (String.equal s.Stage.name "identify-templates"))
-      (backend_stages opts arch ~params:ak.M.ak_params)
-  in
-  final_program
-    (fold ~opts stages (Stage.A_annotated ak))
-    ~who:"Lower.program_of_annotated"
 
 (* The full pipeline, untraced: the same stages, checks and failures as
    [run], for callers that want only the program.  The tuner lowers

@@ -102,7 +102,8 @@ exception Overload of string
 
 (* {"jam":[["j",4],["i",8]], "unroll":["i",8], "expand":8,
     "prefetch":{"distance":8,"stores":true}, "prefer":"auto",
-    "width":128}; every field optional, defaults = the pipeline's. *)
+    "width":128}; every field optional, defaults = the pipeline's.
+    Factors are held to the script's check. *)
 
 let ( let* ) = Result.bind
 
@@ -110,8 +111,13 @@ let as_int what = function
   | Json.Int i -> Ok i
   | _ -> Error (what ^ " must be an integer")
 
+let factor what f =
+  if A.Script.positive f then Ok f
+  else Error (Printf.sprintf "%s must be a positive integer, got %d" what f)
+
 let var_factor what = function
-  | Json.List [ Json.String v; Json.Int f ] -> Ok (v, f)
+  | Json.List [ Json.String v; Json.Int f ] ->
+      Result.map (fun f -> (v, f)) (factor (what ^ " factor") f)
   | _ -> Error (what ^ " must be a [\"var\",factor] pair")
 
 let candidate_of_json (j : Json.t) : (Tuner.candidate, string) Stdlib.result =
@@ -154,7 +160,8 @@ let candidate_of_json (j : Json.t) : (Tuner.candidate, string) Stdlib.result =
       let* expand_reduction =
         match Json.member "expand" j with
         | None -> Ok Pipeline.default.Pipeline.expand_reduction
-        | Some x -> Result.map Option.some (as_int "expand" x)
+        | Some x ->
+            Result.map Option.some (Result.bind (as_int "expand" x) (factor "expand"))
       in
       let bool_field name default =
         match Json.member name j with
@@ -191,18 +198,18 @@ let candidate_of_json (j : Json.t) : (Tuner.candidate, string) Stdlib.result =
       let* prefer =
         match Json.member "prefer" j with
         | None -> Ok Emit.default_options.Emit.prefer
-        | Some (Json.String "auto") -> Ok Plan.Prefer_auto
-        | Some (Json.String "vdup") -> Ok Plan.Prefer_vdup
-        | Some (Json.String "shuf") -> Ok Plan.Prefer_shuf
-        | Some _ -> Error "prefer must be \"auto\", \"vdup\" or \"shuf\""
+        | Some x ->
+            (match x with Json.String s -> Plan.prefer_of_name s | _ -> None)
+            |> Option.to_result
+                 ~none:"prefer must be \"auto\", \"vdup\" or \"shuf\""
       in
       let* max_width =
         match Json.member "width" j with
         | None -> Ok Emit.default_options.Emit.max_width
-        | Some (Json.Int 64) -> Ok (Some Insn.W64)
-        | Some (Json.Int 128) -> Ok (Some Insn.W128)
-        | Some (Json.Int 256) -> Ok (Some Insn.W256)
-        | Some _ -> Error "width must be 64, 128 or 256"
+        | Some x ->
+            (match x with Json.Int b -> Insn.width_of_bits b | _ -> None)
+            |> Option.map Option.some
+            |> Option.to_result ~none:"width must be 64, 128 or 256"
       in
       Ok
         {
@@ -258,19 +265,10 @@ let candidate_to_json (c : Tuner.candidate) : Json.t =
                      ("stores", Json.Bool p.Prefetch.pf_stores);
                    ] );
              ]);
-         [
-           ( "prefer",
-             Json.String
-               (match opts.Emit.prefer with
-               | Plan.Prefer_auto -> "auto"
-               | Plan.Prefer_vdup -> "vdup"
-               | Plan.Prefer_shuf -> "shuf") );
-         ];
+         [ ("prefer", Json.String (Plan.prefer_name opts.Emit.prefer)) ];
          (match opts.Emit.max_width with
          | None -> []
-         | Some Insn.W64 -> [ ("width", Json.Int 64) ]
-         | Some Insn.W128 -> [ ("width", Json.Int 128) ]
-         | Some Insn.W256 -> [ ("width", Json.Int 256) ]);
+         | Some w -> [ ("width", Json.Int (Insn.width_bits w)) ]);
        ])
 
 (* --- request decoding ---------------------------------------------------- *)

@@ -163,6 +163,10 @@ val parse_request : string -> (request, Augem.Json.t * error) Stdlib.result
 (** Encode a request (the [augem request] client side). *)
 val request_to_json : request -> Augem.Json.t
 
+(** A [space] entry: every field optional, absent ones the pipeline's
+    defaults.  A jam, unroll or expand factor below 1 is rejected, as
+    {!Augem.Script.positive} rejects it in a script; a prefetch
+    distance below 1 means no prefetch. *)
 val candidate_of_json :
   Augem.Json.t -> (Augem.Tuner.candidate, string) Stdlib.result
 

@@ -289,6 +289,39 @@ let test_corpus_pinned () =
   Alcotest.(check string) "digest" "37630dc658f9f27967a687015f919ea2"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* Every persistent-cache address digests a space fingerprint, so the
+   text a candidate is fingerprinted by must not move: the default
+   space of every kernel, and one candidate under each preference and
+   each width cap. *)
+let test_space_fingerprints_pinned () =
+  List.iter2
+    (fun name want ->
+      Alcotest.(check string)
+        (Kernels.name_to_string name)
+        want
+        (Tuner.space_fingerprint (Tuner.space_for name)))
+    Kernels.names
+    [
+      "5c7bed7467e9718386aa1985b4f37a41"; "1b7e594423a5007967f75e874a022c35";
+      "79b682eb8f578a0b91e6d8c593607dd4"; "79b682eb8f578a0b91e6d8c593607dd4";
+      "79b682eb8f578a0b91e6d8c593607dd4"; "79b682eb8f578a0b91e6d8c593607dd4";
+      "79b682eb8f578a0b91e6d8c593607dd4"; "79b682eb8f578a0b91e6d8c593607dd4";
+      "5722e422039626070cba2bbbab40936c";
+    ];
+  let with_opts prefer max_width =
+    let cand_opts = { A.Codegen.Emit.prefer; max_width } in
+    { Tuner.safe_baseline with Tuner.cand_opts }
+  in
+  Alcotest.(check string) "every preference and width cap"
+    "436acd99a7a729e9064be4637ecf1837"
+    (Tuner.space_fingerprint
+       (List.map
+          (fun p -> with_opts p None)
+          A.Codegen.Plan.[ Prefer_auto; Prefer_vdup; Prefer_shuf ]
+       @ List.map
+           (fun w -> with_opts A.Codegen.Plan.Prefer_auto (Some w))
+           A.Machine.Insn.[ W64; W128; W256 ]))
+
 let suite =
   [
     Alcotest.test_case "tuner finds configurations" `Slow
@@ -310,4 +343,6 @@ let suite =
     Alcotest.test_case "a tuned miss sweeps and stores" `Quick
       test_tuned_miss;
     Alcotest.test_case "sweep corpus pinned" `Slow test_corpus_pinned;
+    Alcotest.test_case "space fingerprints pinned" `Quick
+      test_space_fingerprints_pinned;
   ]

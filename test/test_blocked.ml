@@ -474,14 +474,12 @@ let check_scal et buf =
       in
       List.iter
         (fun beta ->
-          let t = NB.stage et x in
-          Runtime.Exec_buf.invoke buf
-            ~iargs:[| Int64.of_int n; t.NB.t_addr 0 |]
-            ~dargs:[| beta |] ~fp32:(et = Et.F32);
+          let y = Array.copy x in
+          A.Jit.Abi.call ~et buf A.Sim.Exec_sim.[ Aint n; Adouble beta; Abuf y ];
           Array.iteri
             (fun i xi ->
               let want = if i >= n then xi else Et.round et (beta *. xi)
-              and got = t.NB.t_get i in
+              and got = y.(i) in
               let same =
                 if Float.is_nan want then Float.is_nan got
                 else Int64.bits_of_float got = Int64.bits_of_float want

@@ -11,7 +11,7 @@ module Arch = A.Machine.Arch
 module Kernels = A.Ir.Kernels
 module Pipeline = A.Transform.Pipeline
 module Prefetch = A.Transform.Prefetch
-module Script = A.Transform.Script
+module Script = A.Script
 module Trace = A.Driver.Trace
 module Lower = A.Driver.Lower
 
@@ -175,19 +175,6 @@ let test_no_snapshots_by_default () =
 
 (* --- script fixpoint over the tuner's search spaces ---------------------- *)
 
-let script_of_candidate (c : A.Tuner.candidate) : Script.t =
-  {
-    Script.sc_config = c.A.Tuner.cand_config;
-    sc_prefer =
-      (match c.A.Tuner.cand_opts.A.Codegen.Emit.prefer with
-      | A.Codegen.Plan.Prefer_auto -> `Auto
-      | A.Codegen.Plan.Prefer_vdup -> `Vdup
-      | A.Codegen.Plan.Prefer_shuf -> `Shuf);
-    sc_width =
-      Option.map A.Machine.Insn.width_bits
-        c.A.Tuner.cand_opts.A.Codegen.Emit.max_width;
-  }
-
 (* Every configuration the tuner can visit must survive
    [to_string] |> [parse] exactly: the script language is the exchange
    format for tuning results, so a lossy corner means an unreproducible
@@ -198,17 +185,16 @@ let test_script_fixpoint_over_spaces () =
     (fun (name, _) ->
       List.iter
         (fun c ->
-          let s = script_of_candidate c in
-          let src = Script.to_string s in
+          let src = Script.to_string c in
           match Script.parse src with
           | Error msg ->
               Alcotest.failf "%s candidate failed to re-parse: %s\n%s"
                 (short_name name) msg src
-          | Ok s' ->
+          | Ok c' ->
               incr checked;
-              if s' <> s then
+              if c' <> c then
                 Alcotest.failf "%s candidate not a fixpoint:\n%s\nvs\n%s"
-                  (short_name name) src (Script.to_string s'))
+                  (short_name name) src (Script.to_string c'))
         (A.Tuner.space_for name))
     Kernels.all;
   Alcotest.(check bool)

@@ -1,8 +1,9 @@
 (* The transformation-script language (the mini-POET layer). *)
 
 module A = Augem
-module Script = A.Transform.Script
+module Script = A.Script
 module Pipeline = A.Transform.Pipeline
+module Emit = A.Codegen.Emit
 
 let parse_ok src =
   match Script.parse src with
@@ -13,8 +14,8 @@ let test_basic () =
   let t = parse_ok "unroll_jam j 4\nunroll_jam i 8\nprefetch 4\n" in
   Alcotest.(check (list (pair string int)))
     "jam order" [ ("j", 4); ("i", 8) ]
-    t.Script.sc_config.Pipeline.jam;
-  match t.Script.sc_config.Pipeline.prefetch with
+    t.A.Tuner.cand_config.Pipeline.jam;
+  match t.A.Tuner.cand_config.Pipeline.prefetch with
   | Some p -> Alcotest.(check int) "distance" 4 p.A.Transform.Prefetch.pf_distance
   | None -> Alcotest.fail "prefetch lost"
 
@@ -23,19 +24,22 @@ let test_comments_and_semicolons () =
     parse_ok "# a tuning script\nunroll i 8; expand 8  # reduction\nprefer shuf"
   in
   Alcotest.(check bool) "unroll" true
-    (t.Script.sc_config.Pipeline.inner_unroll = Some ("i", 8));
+    (t.A.Tuner.cand_config.Pipeline.inner_unroll = Some ("i", 8));
   Alcotest.(check bool) "expand" true
-    (t.Script.sc_config.Pipeline.expand_reduction = Some 8);
-  Alcotest.(check bool) "prefer" true (t.Script.sc_prefer = `Shuf)
+    (t.A.Tuner.cand_config.Pipeline.expand_reduction = Some 8);
+  Alcotest.(check bool) "prefer" true
+    (t.A.Tuner.cand_opts.Emit.prefer = A.Codegen.Plan.Prefer_shuf)
 
 let test_switches () =
   let t =
     parse_ok "strength_reduce off\nscalar_replace off\nprefetch off\nwidth 128"
   in
-  Alcotest.(check bool) "sr off" false t.Script.sc_config.Pipeline.strength_reduce;
-  Alcotest.(check bool) "scalar off" false t.Script.sc_config.Pipeline.scalar_replace;
-  Alcotest.(check bool) "pf off" true (t.Script.sc_config.Pipeline.prefetch = None);
-  Alcotest.(check bool) "width" true (t.Script.sc_width = Some 128)
+  let cfg = t.A.Tuner.cand_config in
+  Alcotest.(check bool) "sr off" false cfg.Pipeline.strength_reduce;
+  Alcotest.(check bool) "scalar off" false cfg.Pipeline.scalar_replace;
+  Alcotest.(check bool) "pf off" true (cfg.Pipeline.prefetch = None);
+  Alcotest.(check bool) "width" true
+    (t.A.Tuner.cand_opts.Emit.max_width = Some A.Machine.Insn.W128)
 
 let test_errors () =
   List.iter
@@ -81,8 +85,8 @@ let test_drives_pipeline () =
   (* a script-configured GEMM generates and verifies *)
   let t = parse_ok "unroll_jam j 2\nunroll_jam i 8\nprefetch 4" in
   let g =
-    A.generate_scripted ~arch:A.Machine.Arch.piledriver ~script:t
-      A.Ir.Kernels.Gemm
+    A.generate ~arch:A.Machine.Arch.piledriver ~config:t.A.Tuner.cand_config
+      ~opts:t.A.Tuner.cand_opts A.Ir.Kernels.Gemm
   in
   let v = A.verify g in
   Alcotest.(check bool) "verified" true v.A.Harness.ok
@@ -90,8 +94,8 @@ let test_drives_pipeline () =
 let test_width_cap_respected () =
   let t = parse_ok "unroll_jam j 2\nunroll_jam i 8\nwidth 128" in
   let g =
-    A.generate_scripted ~arch:A.Machine.Arch.sandy_bridge ~script:t
-      A.Ir.Kernels.Gemm
+    A.generate ~arch:A.Machine.Arch.sandy_bridge ~config:t.A.Tuner.cand_config
+      ~opts:t.A.Tuner.cand_opts A.Ir.Kernels.Gemm
   in
   let widest =
     List.fold_left

@@ -381,6 +381,40 @@ let test_server_scripted_sequence () =
     (jstr (Option.get (Json.member "error" refused)) "code");
   Server.drain server
 
+(* A jam, unroll or expand factor below 1 is a bad request, as it is a
+   script error: no sweep discards the space whole and serves the
+   baseline degraded.  A prefetch distance of 0 still means none. *)
+let test_nonpositive_factors () =
+  let server = Server.create () in
+  List.iteri
+    (fun i cand ->
+      let line =
+        Printf.sprintf
+          {|{"id":%d,"op":"tune","kernel":"axpy","arch":"sandybridge","space":[%s]}|}
+          (i + 1) cand
+      in
+      Alcotest.(check string) cand Proto.e_bad_request (bad_code line);
+      let r = reply_of (Server.handle_line server line) in
+      Alcotest.(check string) (cand ^ " reply") Proto.e_bad_request
+        (jstr (Option.get (Json.member "error" r)) "code"))
+    [
+      {|{"unroll":["i",0]}|}; {|{"unroll":["i",-3]}|};
+      {|{"jam":[["j",0],["i",8]]}|}; {|{"expand":0}|};
+    ];
+  let m = Server.metrics server in
+  Alcotest.(check int) "bad requests" 4 (Metrics.get m "requests.bad");
+  Alcotest.(check int) "no sweep" 0 (Metrics.get m "tiers.tuned");
+  Alcotest.(check int) "no fallback" 0 (Metrics.get m "degraded.fell_back");
+  Server.drain server;
+  match
+    Proto.candidate_of_json
+      (Json.Obj [ ("prefetch", Json.Obj [ ("distance", Json.Int 0) ]) ])
+  with
+  | Ok c ->
+      Alcotest.(check bool) "no prefetch" true
+        (c.Tuner.cand_config.A.Transform.Pipeline.prefetch = None)
+  | Error e -> Alcotest.failf "prefetch distance 0 refused: %s" e
+
 (* A tune and two blocked requests whose deadlines expire in the queue:
    each is served the baseline, degraded, and nothing is cached, so the
    repeated plan request degrades again instead of hitting memory. *)
@@ -745,4 +779,6 @@ let suite =
     Alcotest.test_case "metrics snapshot" `Quick test_metrics_snapshot_consistency;
     Alcotest.test_case "server blocked: replies pinned, f64 and f32" `Slow
       test_server_blocked_reply_pinned;
+    Alcotest.test_case "non-positive factors are bad requests" `Quick
+      test_nonpositive_factors;
   ]
