@@ -154,6 +154,24 @@ let config_of_args kernel jam unroll prefetch = function
           Fmt.epr "%s: script error: %s@." path msg;
           exit 1)
 
+(* [lower arch ~kernel config f] runs [f], a lowering of [kernel] under
+   [config].  A configuration the code generator cannot fit is reported
+   as the diagnostic a sweep records for that candidate (the failing
+   stage and its code) on one stderr line, with exit 1. *)
+let lower arch ~kernel config f =
+  try f ()
+  with A.Driver.Lower.Stage_failed _ as exn ->
+    Fmt.epr "augem: lowering failed: %s@."
+      (A.Verify.Diag.to_string (A.Tuner.lowering_diag arch ~kernel config exn));
+    exit 1
+
+(* [generate] under [lower], labelled as the tuner labels the kernel *)
+let generate ?(et = A.Machine.Etype.F64) ?opts ~arch ~config kernel =
+  lower arch
+    ~kernel:(A.Ir.Kernels.name_to_string ?fp:(A.fp_of_et et) kernel)
+    config
+    (fun () -> A.generate ~et ?opts ~arch ~config kernel)
+
 (* --- subcommands -------------------------------------------------------- *)
 
 let native_arg =
@@ -170,7 +188,7 @@ let native_arg =
 let generate_cmd =
   let run arch kernel et jam unroll prefetch script native =
     let config, opts = config_of_args kernel jam unroll prefetch script in
-    let g = A.generate ~et ~opts ~arch ~config kernel in
+    let g = generate ~et ~opts ~arch ~config kernel in
     print_string (A.assembly g);
     if native then begin
       let st = A.Native_check.check ~arch ~et kernel g.A.g_program in
@@ -218,20 +236,6 @@ let json_out_arg =
            configuration, score, discard histogram, wall-clock, \
            candidates/sec, cache statistics) to $(docv).")
 
-(* Cache-tier accounting for `tune`: the events the serving metrics
-   count, handed to Tuner.tuned as its [on_event], folded into counters
-   and printed — corrupt entries and failed stores surface their
-   structured diagnostics instead of being silent. *)
-type tune_cache_counts = {
-  mutable tc_memory : int;
-  mutable tc_disk_hits : int;
-  mutable tc_disk_misses : int;
-  mutable tc_corrupt : int;
-  mutable tc_swept : int;
-  mutable tc_stores : int;
-  mutable tc_diags : A.Verify.Diag.t list;
-}
-
 let tune_native_arg =
   Arg.(
     value & flag
@@ -249,24 +253,31 @@ let tune_cmd =
   let run arch kernel et jobs cache_dir json_out native =
     let jobs = if jobs <= 0 then A.Team.default_jobs () else jobs in
     (match cache_dir with Some _ -> A.Tuner.set_cache_dir cache_dir | None -> ());
-    let tc =
-      { tc_memory = 0; tc_disk_hits = 0; tc_disk_misses = 0; tc_corrupt = 0;
-        tc_swept = 0; tc_stores = 0; tc_diags = [] }
-    in
-    let on_event ~arch:_ ~kernel:_ = function
-      | A.Tuner.Ev_memory_hit -> tc.tc_memory <- tc.tc_memory + 1
-      | A.Tuner.Ev_disk_hit -> tc.tc_disk_hits <- tc.tc_disk_hits + 1
-      | A.Tuner.Ev_disk_miss -> tc.tc_disk_misses <- tc.tc_disk_misses + 1
-      | A.Tuner.Ev_disk_corrupt d ->
-          tc.tc_corrupt <- tc.tc_corrupt + 1;
-          tc.tc_diags <- d :: tc.tc_diags
-      | A.Tuner.Ev_swept -> tc.tc_swept <- tc.tc_swept + 1
-      | A.Tuner.Ev_store -> tc.tc_stores <- tc.tc_stores + 1
-      | A.Tuner.Ev_store_error d -> tc.tc_diags <- d :: tc.tc_diags
-    in
+    (* the cache-tier events the serving metrics count, collected and
+       counted here; corrupt entries and failed stores surface their
+       diagnostics *)
+    let events = ref [] in
     let t0 = A.Jit.Clock.now_s () in
-    let r = A.Tuner.tuned ~et ~jobs ~on_event arch kernel in
+    let r =
+      A.Tuner.tuned ~et ~jobs ~on_event:(fun ev -> events := ev :: !events)
+        arch kernel
+    in
     let wall = A.Jit.Clock.now_s () -. t0 in
+    let events = List.rev !events in
+    let count ev = List.length (List.filter (( = ) ev) events) in
+    let diags =
+      List.filter_map
+        (function
+          | A.Tuner.Ev_disk_corrupt d | A.Tuner.Ev_store_error d -> Some d
+          | _ -> None)
+        events
+    in
+    let corrupt =
+      List.length
+        (List.filter
+           (function A.Tuner.Ev_disk_corrupt _ -> true | _ -> false)
+           events)
+    in
     Fmt.pr "best configuration: %s@."
       (A.Transform.Pipeline.config_to_string
          r.A.Tuner.best.A.Tuner.cand_config);
@@ -278,11 +289,12 @@ let tune_cmd =
       Fmt.pr
         "cache: %d memory hit(s), %d disk hit(s), %d miss(es), %d corrupt, \
          %d sweep(s), %d store(s)@."
-        tc.tc_memory tc.tc_disk_hits tc.tc_disk_misses tc.tc_corrupt
-        tc.tc_swept tc.tc_stores;
+        (count A.Tuner.Ev_memory_hit) (count A.Tuner.Ev_disk_hit)
+        (count A.Tuner.Ev_disk_miss) corrupt (count A.Tuner.Ev_swept)
+        (count A.Tuner.Ev_store);
     List.iter
       (fun d -> Fmt.pr "cache diagnostic: %s@." (A.Verify.Diag.to_string d))
-      (List.rev tc.tc_diags);
+      diags;
     if r.A.Tuner.fell_back then
       Fmt.pr "WARNING: whole space discarded; safe baseline in use@.";
     if r.A.Tuner.failure_histogram <> [] then
@@ -319,12 +331,12 @@ let tune_cmd =
                ( "cache",
                  A.Json.Obj
                    [
-                     ("memory_hits", A.Json.Int tc.tc_memory);
-                     ("disk_hits", A.Json.Int tc.tc_disk_hits);
-                     ("misses", A.Json.Int tc.tc_disk_misses);
-                     ("corrupt", A.Json.Int tc.tc_corrupt);
-                     ("sweeps", A.Json.Int tc.tc_swept);
-                     ("stores", A.Json.Int tc.tc_stores);
+                     ("memory_hits", A.Json.Int (count A.Tuner.Ev_memory_hit));
+                     ("disk_hits", A.Json.Int (count A.Tuner.Ev_disk_hit));
+                     ("misses", A.Json.Int (count A.Tuner.Ev_disk_miss));
+                     ("corrupt", A.Json.Int corrupt);
+                     ("sweeps", A.Json.Int (count A.Tuner.Ev_swept));
+                     ("stores", A.Json.Int (count A.Tuner.Ev_store));
                    ] );
              ]);
         Fmt.pr "wrote %s@." path);
@@ -376,7 +388,7 @@ let tune_cmd =
 let phases_cmd =
   let run arch kernel jam unroll prefetch script =
     let config, opts = config_of_args kernel jam unroll prefetch script in
-    let g = A.generate ~opts ~arch ~config kernel in
+    let g = generate ~opts ~arch ~config kernel in
     Fmt.pr "=== 1. simple C input ===@.%a@.@." A.Ir.Pp.pp_kernel g.A.g_source;
     Fmt.pr "=== 2. optimized low-level C ===@.%a@.@." A.Ir.Pp.pp_kernel
       g.A.g_optimized;
@@ -423,7 +435,7 @@ let verify_cmd =
   let run arch kernel et jam unroll prefetch chaos chaos_asm max_faults =
     let fp = A.fp_of_et et in
     let config = config_of_flags kernel jam unroll prefetch in
-    let g = A.generate ~et ~arch ~config kernel in
+    let g = generate ~et ~arch ~config kernel in
     let v = A.verify g in
     Fmt.pr "%s %s on %s: %s@."
       (A.Ir.Kernels.name_to_string ?fp kernel)
@@ -500,7 +512,7 @@ let finding_to_json (f : A.Analysis.Asmcheck.finding) : A.Json.t =
 let lint_cmd =
   let run arch kernel et jam unroll prefetch script json =
     let config, opts = config_of_args kernel jam unroll prefetch script in
-    let g = A.generate ~et ~opts ~arch ~config kernel in
+    let g = generate ~et ~opts ~arch ~config kernel in
     let params =
       (A.Ir.Kernels.kernel_of_name ?fp:(A.fp_of_et et) kernel).A.Ir.Ast.k_params
     in
@@ -568,9 +580,12 @@ let compile_cmd =
             { config with A.Transform.Pipeline.jam = []; inner_unroll = None }
           else config
         in
-        let optimized = A.Transform.Pipeline.apply kernel config in
-        let prog = A.Codegen.Emit.generate ~arch ~opts optimized in
-        let prog = A.Codegen.Schedule.run arch prog in
+        let prog =
+          lower arch ~kernel:kernel.A.Ir.Ast.k_name config (fun () ->
+              A.Driver.Lower.program
+                ~opts:(A.Codegen.Emit.lower_opts opts)
+                ~arch ~config kernel)
+        in
         print_string
           (A.Machine.Att.program_to_string
              ~avx:(arch.A.Machine.Arch.simd = A.Machine.Arch.AVX)
@@ -594,12 +609,7 @@ let simulate_cmd =
     let g = A.tuned ~arch kernel in
     let caches = A.Sim.Cache_sim.of_arch arch in
     let on_access = A.Sim.Cache_sim.access caches in
-    let fill seed len =
-      let state = ref seed in
-      Array.init len (fun _ ->
-          state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-          (float_of_int !state /. 1073741824.0 *. 2.0) -. 1.0)
-    in
+    let fill = A.Harness.fill in
     let module E = A.Sim.Exec_sim in
     let args =
       match kernel with
@@ -662,7 +672,12 @@ let explain_cmd =
     let opts =
       { (A.Codegen.Emit.lower_opts eo) with A.Driver.Lower.snapshots = true }
     in
-    let trace = A.explain ~et ~opts ~arch ~config kernel in
+    let trace =
+      lower arch
+        ~kernel:(A.Ir.Kernels.name_to_string ?fp:(A.fp_of_et et) kernel)
+        config
+        (fun () -> A.explain ~et ~opts ~arch ~config kernel)
+    in
     if json then print_endline (A.Json.to_string (A.trace_to_json trace))
     else begin
       Fmt.pr "lowering %s on %s [%s] (%s): %d stages@.@."

@@ -26,15 +26,23 @@ let fault_points =
 
 let () = List.iter Faultpoint.register fault_points
 
-let keydesc ~version ~arch ~kernel ~fingerprint =
-  Printf.sprintf "tuner=%s arch=%s kernel=%s space=%s" version arch kernel
-    fingerprint
+type key = {
+  k_arch : string;
+  k_name : string;
+  k_desc : string;
+  k_digest : string;
+}
 
-let digest ~version ~arch ~kernel ~fingerprint =
-  Digest.to_hex
-    (Digest.string (magic ^ "\x00" ^ keydesc ~version ~arch ~kernel ~fingerprint))
+let key ~version ~arch ~name ~fingerprint =
+  let k_desc =
+    Printf.sprintf "tuner=%s arch=%s kernel=%s space=%s" version arch name
+      fingerprint
+  in
+  let k_digest = Digest.to_hex (Digest.string (magic ^ "\x00" ^ k_desc)) in
+  { k_arch = arch; k_name = name; k_desc; k_digest }
 
-let path ~dir ~digest = Filename.concat dir ("augem-tune-" ^ digest ^ ".cache")
+let path ~dir (k : key) =
+  Filename.concat dir ("augem-tune-" ^ k.k_digest ^ ".cache")
 
 let mk_diag ~arch ~kernel detail =
   Diag.make ~code:Diag.E_cache_corrupt ~stage:Diag.S_cache ~kernel ~arch
@@ -88,17 +96,19 @@ let parse_file (file : string) : (string * string, string) result =
                   then Error "payload checksum mismatch"
                   else Ok (l2, payload))))
 
-let load ~dir ~arch ~kernel ~keydesc:kd ~digest =
-  let file = path ~dir ~digest in
+let load ~dir (k : key) =
+  let file = path ~dir k in
   if not (Sys.file_exists file) then Miss
   else
     let corrupt detail =
-      Corrupt (mk_diag ~arch ~kernel (Printf.sprintf "%s: %s" file detail))
+      Corrupt
+        (mk_diag ~arch:k.k_arch ~kernel:k.k_name
+           (Printf.sprintf "%s: %s" file detail))
     in
     match parse_file file with
     | Error detail -> corrupt detail
     | Ok (kd', payload) ->
-        if not (String.equal kd' kd) then
+        if not (String.equal kd' k.k_desc) then
           (* digest collision or hand-edited file: the payload belongs
              to some other key (and maybe some other type) — do not
              unmarshal it *)
@@ -146,7 +156,7 @@ let fsync_dir dir =
    [recover]); a crash after leaves a fully-checksummed entry.  The
    entry bytes hit the disk before the rename publishes the name, so a
    torn entry can never appear under the final path. *)
-let store ~dir ~arch ~kernel ~keydesc:kd ~digest v =
+let store ~dir (k : key) v =
   match
     ensure_dir dir;
     let payload = Marshal.to_string v [] in
@@ -157,7 +167,7 @@ let store ~dir ~arch ~kernel ~keydesc:kd ~digest v =
           reach the tmp file are a mangled prefix *)
        let full =
          Faultpoint.corrupting fp_store_payload
-           (header ~keydesc:kd ~payload ^ payload)
+           (header ~keydesc:k.k_desc ~payload ^ payload)
        in
        let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
        Fun.protect
@@ -167,7 +177,7 @@ let store ~dir ~arch ~kernel ~keydesc:kd ~digest v =
            Faultpoint.hit fp_store_written;
            Unix.fsync fd);
        Faultpoint.hit fp_store_synced;
-       Sys.rename tmp (path ~dir ~digest);
+       Sys.rename tmp (path ~dir k);
        Faultpoint.hit fp_store_renamed;
        fsync_dir dir
      with
@@ -186,7 +196,9 @@ let store ~dir ~arch ~kernel ~keydesc:kd ~digest v =
       (* the simulated kill must propagate, not soften into a diag *)
       raise e
   | exception e ->
-      Some (mk_diag ~arch ~kernel ("store failed: " ^ Printexc.to_string e))
+      Some
+        (mk_diag ~arch:k.k_arch ~kernel:k.k_name
+           ("store failed: " ^ Printexc.to_string e))
 
 (* --- cache directory inspection (the `augem cache` subcommand) --------- *)
 

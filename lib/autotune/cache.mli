@@ -6,6 +6,8 @@
     explore — a new tuner release, a different candidate space, another
     machine model — lands on a different file and old entries simply
     stop being found.  Nothing is ever invalidated in place.
+    {!Tuner.through_disk} is the one caller of {!load} and {!store}, for
+    the tuner's memo and the service registry alike.
 
     The file format is a plain-text header (magic + the full key
     description + an MD5 checksum of the payload) followed by a
@@ -34,53 +36,44 @@
     the wrong type practically impossible.  Callers must only store
     closure-free values. *)
 
-(** Digest of the full cache key; the content address. *)
-val digest :
-  version:string -> arch:string -> kernel:string -> fingerprint:string -> string
+(** A content address; {!Tuner.cache_key} builds every one. *)
+type key = {
+  k_arch : string;  (** architecture name; labels the diagnostics *)
+  k_name : string;
+      (** kernel or plan name (["sgemm"], ["blocked-dgemm"]); labels
+          the diagnostics *)
+  k_desc : string;
+      (** the human-readable key description the file header embeds
+          and {!load} checks *)
+  k_digest : string;  (** digest of the description: the file name *)
+}
 
-(** The human-readable key description embedded in (and checked
-    against) the file header. *)
-val keydesc :
-  version:string -> arch:string -> kernel:string -> fingerprint:string -> string
+(** [key ~version ~arch ~name ~fingerprint] addresses [name] on [arch]
+    under [version] and a search-space [fingerprint]. *)
+val key :
+  version:string -> arch:string -> name:string -> fingerprint:string -> key
 
-(** The cache file path for a digest under a cache directory. *)
-val path : dir:string -> digest:string -> string
+(** The cache file path of a key under a cache directory. *)
+val path : dir:string -> key -> string
 
 type 'v load_result =
   | Hit of 'v
   | Miss  (** no entry for this digest *)
   | Corrupt of Augem_verify.Diag.t  (** unloadable entry: treat as a miss *)
 
-(** [load ~dir ~arch ~kernel ~keydesc ~digest] reads the entry for
-    [digest], verifying magic, key description and payload checksum.
-    [arch]/[kernel] only label the diagnostic on the corrupt path.
-    Never raises. *)
-val load :
-  dir:string ->
-  arch:string ->
-  kernel:string ->
-  keydesc:string ->
-  digest:string ->
-  'v load_result
+(** [load ~dir key] reads the entry for [key.k_digest], verifying
+    magic, key description and payload checksum.  Never raises. *)
+val load : dir:string -> key -> 'v load_result
 
-(** [store ~dir ~arch ~kernel ~keydesc ~digest v] writes the entry
-    atomically and durably (tmp → write → fsync file → rename → fsync
-    dir), creating [dir] (and parents) if needed.  Returns a
-    diagnostic instead of raising when the write fails (read-only
-    directory, disk full, ...): a cache that cannot persist degrades to
-    a cache that never hits.  Exception: an injected
-    {!Augem_resilience.Faultpoint.Injected} crash propagates — it
-    simulates a kill, and deliberately leaves the on-disk debris a real
-    kill would (callers that must survive it guard the call; the chaos
-    registry does). *)
-val store :
-  dir:string ->
-  arch:string ->
-  kernel:string ->
-  keydesc:string ->
-  digest:string ->
-  'v ->
-  Augem_verify.Diag.t option
+(** [store ~dir key v] writes the entry atomically and durably (tmp →
+    write → fsync file → rename → fsync dir), creating [dir] (and
+    parents) if needed.  Returns a diagnostic instead of raising when
+    the write fails (read-only directory, disk full, ...): a cache that
+    cannot persist degrades to a cache that never hits.  Exception: an
+    injected {!Augem_resilience.Faultpoint.Injected} crash propagates —
+    it simulates a kill, and deliberately leaves the on-disk debris a
+    real kill would ({!Tuner.through_disk} guards the call). *)
+val store : dir:string -> key -> 'v -> Augem_verify.Diag.t option
 
 (** {2 Cache directory inspection}
 

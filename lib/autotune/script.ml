@@ -87,7 +87,7 @@ let apply_directive (c : Tuner.candidate) ((line, words) : int * string list)
   | [ "prefer"; p ] -> (
       match Plan.prefer_of_name p with
       | Some prefer -> { c with Tuner.cand_opts = { opts with Emit.prefer } }
-      | None -> err ~line "unknown directive %S" "prefer")
+      | None -> err ~line "prefer expects auto, vdup or shuf, got %S" p)
   | [ "width"; w ] -> (
       (* the bits exactly as written: "0x40" is not 64 here *)
       match Option.bind (int_of_string_opt w) Insn.width_of_bits with

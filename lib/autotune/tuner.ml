@@ -156,21 +156,44 @@ exception No_viable_configuration of string
    product) can stall the whole sweep. *)
 let default_max_insns = 20_000
 
-let diag_of_generation_exn (exn : exn) : Diag.code * string =
-  match exn with
-  | Augem_codegen.Regfile.Out_of_registers m -> (Diag.E_out_of_registers, m)
-  | Augem_codegen.Gpralloc.Gpr_error m -> (Diag.E_gpr_pressure, m)
-  | Augem_codegen.Ctx.Codegen_error m -> (Diag.E_codegen, m)
-  | Augem_transform.Strength_reduction.Reduction_error m ->
-      (Diag.E_strength_reduction, m)
-  | Unroll.Unroll_error m -> (Diag.E_unroll, m)
-  | Typecheck.Type_error m -> (Diag.E_type_error, m)
-  | Augem_analysis.Asmcheck.Lint_error (name, fs) ->
-      ( Diag.E_lint,
-        Printf.sprintf "%s: %s" name
-          (String.concat "; "
-             (List.map Augem_analysis.Asmcheck.finding_to_string fs)) )
-  | exn -> (Diag.code_of_exn exn, Printexc.to_string exn)
+(* The diagnostic a sweep records for a candidate that does not lower:
+   the failing stage, the classified code and the detail.  The CLI
+   reports a configuration the code generator cannot fit with it too. *)
+let lowering_diag (arch : Arch.t) ~(kernel : string) (config : Pipeline.config)
+    (exn : exn) : Diag.t =
+  let stage_name, exn =
+    match exn with
+    | Augem_driver.Lower.Stage_failed (name, e) -> (Some name, e)
+    | Augem_driver.Lower.Budget_exceeded { stage; _ } -> (Some stage, exn)
+    | e -> (None, e)
+  in
+  let code, stage, detail =
+    match exn with
+    | Augem_driver.Lower.Budget_exceeded { len; budget; _ } ->
+        ( Diag.E_budget_exceeded,
+          Diag.S_codegen,
+          Printf.sprintf "%d instructions > budget %d" len budget )
+    | Augem_codegen.Regfile.Out_of_registers m ->
+        (Diag.E_out_of_registers, Diag.S_codegen, m)
+    | Augem_codegen.Gpralloc.Gpr_error m ->
+        (Diag.E_gpr_pressure, Diag.S_codegen, m)
+    | Augem_codegen.Ctx.Codegen_error m -> (Diag.E_codegen, Diag.S_codegen, m)
+    | Strength_reduction.Reduction_error m ->
+        (Diag.E_strength_reduction, Diag.S_pipeline, m)
+    | Unroll.Unroll_error m -> (Diag.E_unroll, Diag.S_pipeline, m)
+    | Typecheck.Type_error m -> (Diag.E_type_error, Diag.S_pipeline, m)
+    | Augem_analysis.Asmcheck.Lint_error (_, errs) ->
+        (* the static gate on the scheduled program: a candidate the
+           checker rejects is discarded like any other structured
+           failure, never an exception out of the sweep *)
+        ( Diag.E_lint,
+          Diag.S_asmcheck,
+          String.concat "; "
+            (List.map Augem_analysis.Asmcheck.finding_to_string errs) )
+    | exn -> (Diag.code_of_exn exn, Diag.S_codegen, Printexc.to_string exn)
+  in
+  Diag.make ?stage_name ~code ~stage ~kernel ~arch:arch.Arch.name
+    ~config:(Pipeline.config_to_string config) ~detail ()
 
 (* Generate one candidate, classifying every failure — including
    exceptions nobody anticipated — instead of letting them abort the
@@ -181,15 +204,6 @@ let diag_of_generation_exn (exn : exn) : Diag.code * string =
 let generate_candidate_diag (arch : Arch.t) ?(max_insns = default_max_insns)
     (kname : Kernels.name) (kernel : Ast.kernel) (c : candidate) :
     (Insn.program, Diag.t) Stdlib.result =
-  (* diagnostics follow the kernel's own precision, not a flag *)
-  let fp = fp_of_et (Augem_driver.Lower.etype_of_params kernel.Ast.k_params) in
-  let mk ?stage_name code stage detail =
-    Diag.make ?stage_name ~code ~stage
-      ~kernel:(Kernels.name_to_string ?fp kname)
-      ~arch:arch.Arch.name
-      ~config:(Pipeline.config_to_string c.cand_config)
-      ~detail ()
-  in
   let opts =
     {
       (Augem_driver.Emit.lower_opts c.cand_opts) with
@@ -202,34 +216,15 @@ let generate_candidate_diag (arch : Arch.t) ?(max_insns = default_max_insns)
     Augem_driver.Lower.program ~opts ~arch ~config:c.cand_config kernel
   with
   | prog -> Ok prog
-  | exception Augem_driver.Lower.Budget_exceeded { stage; len; budget } ->
-      Error
-        (mk ~stage_name:stage Diag.E_budget_exceeded Diag.S_codegen
-           (Printf.sprintf "%d instructions > budget %d" len budget))
-  | exception
-      Augem_driver.Lower.Stage_failed
-        (sname, Augem_analysis.Asmcheck.Lint_error (_, errs)) ->
-      (* the static gate on the scheduled program: a candidate the
-         checker rejects is discarded like any other structured
-         failure, never an exception out of the sweep *)
-      Error
-        (mk ~stage_name:sname Diag.E_lint Diag.S_asmcheck
-           (String.concat "; "
-              (List.map Augem_analysis.Asmcheck.finding_to_string errs)))
-  | exception Augem_driver.Lower.Stage_failed (sname, exn) ->
-      let code, detail = diag_of_generation_exn exn in
-      let stage =
-        match exn with
-        | Unroll.Unroll_error _ | Typecheck.Type_error _
-        | Augem_transform.Strength_reduction.Reduction_error _ ->
-            Diag.S_pipeline
-        | Augem_analysis.Asmcheck.Lint_error _ -> Diag.S_asmcheck
-        | _ -> Diag.S_codegen
-      in
-      Error (mk ~stage_name:sname code stage detail)
   | exception exn ->
-      let code, detail = diag_of_generation_exn exn in
-      Error (mk code Diag.S_codegen detail)
+      (* diagnostics follow the kernel's own precision, not a flag *)
+      let fp =
+        fp_of_et (Augem_driver.Lower.etype_of_params kernel.Ast.k_params)
+      in
+      Error
+        (lowering_diag arch
+           ~kernel:(Kernels.name_to_string ?fp kname)
+           c.cand_config exn)
 
 let score_diag ?(et = Etype.F64) (arch : Arch.t) (kname : Kernels.name)
     (c : candidate) (prog : Insn.program) (w : Augem_sim.Perf.workload) :
@@ -390,14 +385,28 @@ let tie_programs ?(et = Etype.F64) (arch : Arch.t) (name : Kernels.name)
    sweeps' results. *)
 let tuner_version = "7"
 
+(* [config_to_string] is the display form and shows neither the
+   expansion ways nor whether prefetches cover stores, so each is added
+   when it moves away from [Pipeline.default]: a candidate that leaves
+   both alone keeps the address it has always had. *)
 let candidate_fingerprint (c : candidate) : string =
-  let opts = c.cand_opts in
-  Printf.sprintf "%s|prefer=%s|width=%s"
-    (Pipeline.config_to_string c.cand_config)
-    (Augem_codegen.Plan.prefer_name opts.Augem_driver.Emit.prefer)
-    (match opts.Augem_driver.Emit.max_width with
-    | None -> "native"
-    | Some w -> Printf.sprintf "w%d" (Insn.width_bits w))
+  let cfg = c.cand_config and opts = c.cand_opts in
+  String.concat ""
+    [
+      Pipeline.config_to_string cfg;
+      "|prefer=";
+      Augem_codegen.Plan.prefer_name opts.Augem_driver.Emit.prefer;
+      "|width=";
+      (match opts.Augem_driver.Emit.max_width with
+      | None -> "native"
+      | Some w -> "w" ^ string_of_int (Insn.width_bits w));
+      (match cfg.Pipeline.expand_reduction with
+      | None -> ""
+      | Some ways -> "|expand=" ^ string_of_int ways);
+      (match cfg.Pipeline.prefetch with
+      | Some { Prefetch.pf_stores = false; _ } -> "|stores=off"
+      | _ -> "");
+    ]
 
 (* The search-space fingerprint in the cache key: two sweeps share an
    entry only if they would explore the same candidates in the same
@@ -406,12 +415,14 @@ let space_fingerprint (space : candidate list) : string =
   Digest.to_hex
     (Digest.string (String.concat "\n" (List.map candidate_fingerprint space)))
 
+(* Every persistent-cache address: the tuner's kernels and the
+   service's plans alike. *)
+let cache_key ~arch ~name ~fingerprint =
+  Cache.key ~version:tuner_version ~arch ~name ~fingerprint
+
 (* --- cache-tier accounting ---------------------------------------------- *)
 
-(* One event per tier decision of [tuned] (and of the serving registry,
-   which caches under the same addresses), handed to the caller's
-   [on_event]: the tune CLI and the serving metrics count the same
-   events instead of scraping their own counters. *)
+(* One event per tier decision of [tuned] and of the serving registry. *)
 type cache_event =
   | Ev_memory_hit
   | Ev_disk_hit
@@ -430,7 +441,55 @@ let cache_event_to_string = function
   | Ev_store -> "store"
   | Ev_store_error d -> "store-error: " ^ Diag.to_string d
 
-type cache_observer = arch:string -> kernel:string -> cache_event -> unit
+type cache_observer = cache_event -> unit
+
+type ('v, 'c) disk_answer = Loaded of 'v | Computed of 'c
+
+(* The persistent tier, once for both memory tiers in front of it; a
+   store that crashes (an injected kill included) is a store error,
+   never the caller's failure.  See tuner.mli. *)
+let through_disk ?dir ~(on_event : cache_observer) ~fell_back ~swept
+    (key : Cache.key) ~compute =
+  let loaded =
+    match dir with
+    | None -> None
+    | Some dir -> (
+        match Cache.load ~dir key with
+        | Cache.Hit v when not (fell_back v) ->
+            on_event Ev_disk_hit;
+            Some v
+        | Cache.Hit _ | Cache.Miss ->
+            (* a persisted fallback (foreign writer, older version) is
+               stale, the same as no entry *)
+            on_event Ev_disk_miss;
+            None
+        | Cache.Corrupt d ->
+            on_event (Ev_disk_corrupt d);
+            None)
+  in
+  match loaded with
+  | Some v -> Loaded v
+  | None ->
+      let c = compute () in
+      (match swept c with
+      | None -> ()
+      | Some v -> (
+          on_event Ev_swept;
+          match dir with
+          | Some dir when not (fell_back v) ->
+              on_event
+                (match Cache.store ~dir key v with
+                | None -> Ev_store
+                | Some d -> Ev_store_error d
+                | exception e ->
+                    Ev_store_error
+                      (Diag.make ~code:Diag.E_cache_corrupt ~stage:Diag.S_cache
+                         ~kernel:key.Cache.k_name ~arch:key.Cache.k_arch
+                         ~config:"-"
+                         ~detail:("store crashed: " ^ Printexc.to_string e)
+                         ()))
+          | _ -> ()));
+      Computed c
 
 (* Process-wide persistent-cache location: [set_cache_dir] (or the
    AUGEM_CACHE_DIR environment variable); None disables the disk
@@ -451,82 +510,32 @@ let cache : (string * string * string, result) Hashtbl.t = Hashtbl.create 8
 let cache_mutex = Mutex.create ()
 
 let tuned ?(et = Etype.F64) ?jobs ?cache_dir:cdir ?space
-    ?(on_event : cache_observer = fun ~arch:_ ~kernel:_ _ -> ()) (arch : Arch.t)
-    (name : Kernels.name) : result =
+    ?(on_event : cache_observer = ignore) (arch : Arch.t) (name : Kernels.name)
+    : result =
   let kernel_s = Kernels.name_to_string ?fp:(fp_of_et et) name in
   let space = match space with Some s -> s | None -> space_for name in
   let fingerprint = space_fingerprint space in
   let key = (arch.Arch.name, kernel_s, fingerprint) in
-  let notify ev = on_event ~arch:arch.Arch.name ~kernel:kernel_s ev in
   match Mutex.protect cache_mutex (fun () -> Hashtbl.find_opt cache key) with
   | Some r ->
-      notify Ev_memory_hit;
+      on_event Ev_memory_hit;
       r
-  | None -> (
-      let dir = match cdir with Some _ as d -> d | None -> !cache_dir_ref in
-      let ckey =
-        Option.map
-          (fun dir ->
-            let keydesc =
-              Cache.keydesc ~version:tuner_version ~arch:arch.Arch.name
-                ~kernel:kernel_s ~fingerprint
-            in
-            let digest =
-              Cache.digest ~version:tuner_version ~arch:arch.Arch.name
-                ~kernel:kernel_s ~fingerprint
-            in
-            (dir, keydesc, digest))
-          dir
+  | None ->
+      let (Loaded r | Computed r) =
+        through_disk
+          ?dir:(match cdir with Some _ -> cdir | None -> !cache_dir_ref)
+          ~on_event
+          ~fell_back:(fun r -> r.fell_back)
+          ~swept:Option.some
+          (cache_key ~arch:arch.Arch.name ~name:kernel_s ~fingerprint)
+          ~compute:(fun () -> tune ~et ?jobs ~space arch name)
       in
-      let remember (r : result) =
-        Mutex.protect cache_mutex (fun () -> Hashtbl.replace cache key r)
-      in
-      let from_disk =
-        match ckey with
-        | None -> None
-        | Some (dir, keydesc, digest) -> (
-            match
-              Cache.load ~dir ~arch:arch.Arch.name ~kernel:kernel_s ~keydesc
-                ~digest
-            with
-            | Cache.Hit (r : result) when not r.fell_back ->
-                notify Ev_disk_hit;
-                remember r;
-                Some r
-            | Cache.Hit _ | Cache.Miss ->
-                (* a persisted fallback result (foreign writer / older
-                   version) must not poison this process: re-tune *)
-                notify Ev_disk_miss;
-                None
-            | Cache.Corrupt d ->
-                notify (Ev_disk_corrupt d);
-                Log.warn (fun m -> m "%s" (Diag.to_string d));
-                None)
-      in
-      match from_disk with
-      | Some r -> r
-      | None ->
-          let r = tune ~et ?jobs ~space arch name in
-          notify Ev_swept;
-          (* Never memoize or persist a fallback result: a sweep that
-             degraded (e.g. under a hostile space or a transient
-             budget) must not poison later callers with the slow
-             baseline. *)
-          if not r.fell_back then begin
-            remember r;
-            match ckey with
-            | None -> ()
-            | Some (dir, keydesc, digest) -> (
-                match
-                  Cache.store ~dir ~arch:arch.Arch.name ~kernel:kernel_s
-                    ~keydesc ~digest r
-                with
-                | None -> notify Ev_store
-                | Some d ->
-                    notify (Ev_store_error d);
-                    Log.warn (fun m -> m "%s" (Diag.to_string d)))
-          end;
-          r)
+      (* Never memoize a fallback result: a sweep that degraded (e.g.
+         under a hostile space or a transient budget) must not poison
+         later callers with the slow baseline. *)
+      if not r.fell_back then
+        Mutex.protect cache_mutex (fun () -> Hashtbl.replace cache key r);
+      r
 
 (* --- blocked GEMM: micro candidates x MC/KC/NC blocking triples ---------- *)
 

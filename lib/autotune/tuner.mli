@@ -71,6 +71,17 @@ exception No_viable_configuration of string
     analyses run. *)
 val default_max_insns : int
 
+(** [lowering_diag arch ~kernel config exn]: the diagnostic a sweep
+    records when lowering [kernel] under [config] raises [exn] (a
+    failed stage names itself).  [augem] reports a configuration the
+    code generator cannot fit with it. *)
+val lowering_diag :
+  Augem_machine.Arch.t ->
+  kernel:string ->
+  Augem_transform.Pipeline.config ->
+  exn ->
+  Augem_verify.Diag.t
+
 (** Generate one candidate, classifying {i any} failure — anticipated
     codegen errors and unexpected exceptions alike — as a structured
     diagnostic instead of letting it abort the sweep. *)
@@ -149,17 +160,27 @@ val tuner_version : string
 
 (** Digest of a candidate space (configurations, codegen options, and
     their order): two sweeps share a persistent-cache entry only if
-    their fingerprints match. *)
+    their fingerprints match.  Every field of a candidate counts; the
+    expansion ways and prefetching without stores add text only when
+    set, so other candidates keep their addresses. *)
 val space_fingerprint : candidate list -> string
 
-(** {2 Cache-tier accounting}
+(** {2 The persistent tier}
 
-    Every tier decision the memoized sweep (or any other two-tier cache
-    keyed like it, e.g. the serving registry) makes is reported as one
-    of these events to the caller's [on_event], so the [tune] CLI and
-    the service metrics count the same events instead of each scraping
-    its own counters.  Corrupt entries and failed stores carry their
-    structured {!Augem_verify.Diag.t}. *)
+    {!tuned}'s unbounded memo and the service registry's bounded LRU
+    sit in front of one persistent tier: both address it with
+    {!cache_key} and reach it only through {!through_disk}, so the
+    daemon, the [tune] CLI and offline sweeps share one cache
+    population. *)
+
+(** The address of [name] (a kernel, ["sgemm"], or a plan,
+    ["blocked-dgemm"]: the precision rides in the name) on [arch] under
+    {!tuner_version} and a fingerprint. *)
+val cache_key : arch:string -> name:string -> fingerprint:string -> Cache.key
+
+(** One tier decision, reported to the caller's [on_event]: the [tune]
+    CLI and the service metrics count the same events.  Diagnostics
+    name the arch and kernel. *)
 type cache_event =
   | Ev_memory_hit  (** answered from the in-memory tier *)
   | Ev_disk_hit  (** answered from the persistent on-disk tier *)
@@ -172,9 +193,27 @@ type cache_event =
 
 val cache_event_to_string : cache_event -> string
 
-(** An [on_event] sink: called with the arch and kernel (or plan)
-    name of each tier decision. *)
-type cache_observer = arch:string -> kernel:string -> cache_event -> unit
+type cache_observer = cache_event -> unit
+
+type ('v, 'c) disk_answer = Loaded of 'v | Computed of 'c
+
+(** [through_disk ?dir ~on_event ~fell_back ~swept key ~compute] loads
+    [key] from [dir] and reports a disk hit, miss or corrupt entry (a
+    value [fell_back] recognises is a miss).  On a miss it runs
+    [compute ()]; if [swept] finds a sweep's answer in the result, it
+    reports the sweep, then stores the answer unless it fell back and
+    reports the store or its error.  [swept] is [None] for a stand-in
+    served without a sweep (the service's deadline baseline).  A
+    crashed store, an injected kill included, is a store error, never
+    raised.  Without [dir] only the sweep is reported. *)
+val through_disk :
+  ?dir:string ->
+  on_event:cache_observer ->
+  fell_back:('v -> bool) ->
+  swept:('c -> 'v option) ->
+  Cache.key ->
+  compute:(unit -> 'c) ->
+  ('v, 'c) disk_answer
 
 (** Set the process-wide persistent tuning-cache directory (also
     settable via the [AUGEM_CACHE_DIR] environment variable); [None]
@@ -185,16 +224,16 @@ val set_cache_dir : string option -> unit
 (** The current persistent-cache directory. *)
 val cache_dir : unit -> string option
 
-(** Memoized {!tune} on the reference workload: an in-memory table in
-    front of the persistent on-disk cache (when a cache directory is
+(** Memoized {!tune} on the reference workload: an unbounded in-memory
+    table in front of {!through_disk} (when a cache directory is
     configured via [?cache_dir], {!set_cache_dir} or
     [AUGEM_CACHE_DIR]).  Both layers key on (arch, kernel, space
     fingerprint, tuner version), so a caller-supplied [?space] never
     answers for the default one.  Fallback results
     ([fell_back = true]) are never memoized or persisted — a degraded
     sweep (e.g. over a hostile space) must not poison later callers —
-    and a corrupt cache file is a logged miss, never an error.  Safe to
-    call from concurrent domains.
+    and a corrupt cache file is a reported miss, never an error.  Safe
+    to call from concurrent domains.
 
     [?et] selects the scalar precision; f32 results address under the
     s-prefixed kernel name in both tiers, so the f64 content addresses

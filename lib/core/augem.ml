@@ -203,14 +203,13 @@ let trace_to_json (t : Driver.Trace.t) : Json.t =
       ("stages", Json.List (List.map stage t.Driver.Trace.tr_stages));
     ]
 
-(* [generate] with the configuration chosen by the empirical tuner.
-   [?jobs] shards the sweep across domains; [?cache_dir] persists the
-   tuning result on disk (both also settable process-wide via
-   [Tuner.set_jobs] / [Tuner.set_cache_dir] or the AUGEM_JOBS /
+(* [generate] with the configuration chosen by the empirical tuner,
+   under the process-wide sweep parallelism and cache directory
+   ([Tuner.set_jobs] / [Tuner.set_cache_dir], or the AUGEM_JOBS /
    AUGEM_CACHE_DIR environment variables). *)
-let tuned ?(et = Machine.Etype.F64) ?jobs ?cache_dir
-    ~(arch : Machine.Arch.t) (name : Ir.Kernels.name) : generated =
-  let r = Tuner.tuned ~et ?jobs ?cache_dir arch name in
+let tuned ?(et = Machine.Etype.F64) ~(arch : Machine.Arch.t)
+    (name : Ir.Kernels.name) : generated =
+  let r = Tuner.tuned ~et arch name in
   generate ~et ~arch ~config:r.Tuner.best.Tuner.cand_config
     ~opts:r.Tuner.best.Tuner.cand_opts name
 

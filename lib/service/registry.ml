@@ -11,19 +11,6 @@ let fp_lookup = "registry.lookup"
 let fp_compute = "registry.compute"
 let () = List.iter Faultpoint.register [ fp_lookup; fp_compute ]
 
-type key = { arch : string; name : string; desc : string; digest : string }
-
-(* the tuner's persistent-cache address, so the daemon, the tune CLI
-   and offline sweeps share one cache population *)
-let key ~arch ~name ~fingerprint : key =
-  let version = Tuner.tuner_version in
-  {
-    arch;
-    name;
-    desc = Cache.keydesc ~version ~arch ~kernel:name ~fingerprint;
-    digest = Cache.digest ~version ~arch ~kernel:name ~fingerprint;
-  }
-
 type 'v computed = { c_result : 'v; c_deadline_expired : bool }
 
 type 'v outcome = {
@@ -57,7 +44,7 @@ type 'v t = {
 }
 
 let create ?(lru_capacity = 64) ?cache_dir ?breaker
-    ?(on_event = fun ~arch:_ ~kernel:_ _ -> ()) ~fell_back () : 'v t =
+    ?(on_event = ignore) ~fell_back () : 'v t =
   {
     m = Mutex.create ();
     changed = Condition.create ();
@@ -117,10 +104,9 @@ let wait_coalesced (t : 'v t) (n : int) : unit =
   done;
   Mutex.unlock t.m
 
-let find_or_compute (t : 'v t) (key : key) ~(compute : unit -> 'v computed) :
-    'v outcome =
-  let emit ev = t.on_event ~arch:key.arch ~kernel:key.name ev in
-  let digest = key.digest in
+let find_or_compute (t : 'v t) (key : Cache.key)
+    ~(compute : unit -> 'v computed) : 'v outcome =
+  let digest = key.Cache.k_digest in
   Faultpoint.hit fp_lookup;
   Mutex.lock t.m;
   match Hashtbl.find_opt t.lru digest with
@@ -128,7 +114,7 @@ let find_or_compute (t : 'v t) (key : key) ~(compute : unit -> 'v computed) :
       lru_touch t slot;
       let v = slot.value in
       Mutex.unlock t.m;
-      emit Tuner.Ev_memory_hit;
+      t.on_event Tuner.Ev_memory_hit;
       { o_result = v; o_tier = Proto.T_memory; o_degraded = false;
         o_deadline_expired = false; o_tuning_ms = 0. }
   | None -> (
@@ -162,7 +148,7 @@ let find_or_compute (t : 'v t) (key : key) ~(compute : unit -> 'v computed) :
               match Breaker.admit b digest with
               | Breaker.Reject ->
                   Mutex.unlock t.m;
-                  raise (Breaker.Open_circuit key.desc)
+                  raise (Breaker.Open_circuit key.Cache.k_desc)
               | Breaker.Allow | Breaker.Probe -> ())
           | None -> ());
           let fl =
@@ -193,67 +179,30 @@ let find_or_compute (t : 'v t) (key : key) ~(compute : unit -> 'v computed) :
             Mutex.unlock fl.fm;
             match r with Ok o -> o | Error e -> raise e
           in
-          let disk =
-            Option.map
-              (fun dir ->
-                Cache.load ~dir ~arch:key.arch ~kernel:key.name
-                  ~keydesc:key.desc ~digest)
-              t.cache_dir
+          let timed () =
+            let t0 = A.Jit.Clock.now_s () in
+            let c = Faultpoint.wrap fp_compute compute in
+            (c, (A.Jit.Clock.now_s () -. t0) *. 1000.)
           in
-          (match disk with
-          | Some (Cache.Hit r) when not (t.fell_back r) ->
-              emit Tuner.Ev_disk_hit;
-              finish
-                (Ok
-                   {
-                     o_result = r;
-                     o_tier = Proto.T_disk;
-                     o_degraded = false;
-                     o_deadline_expired = false;
-                     o_tuning_ms = 0.;
-                   })
-          | _ ->
-              (match disk with
-              | Some (Cache.Hit _) | Some Cache.Miss ->
-                  (* a persisted fallback is stale, same as a miss *)
-                  emit Tuner.Ev_disk_miss
-              | Some (Cache.Corrupt d) -> emit (Tuner.Ev_disk_corrupt d)
-              | None -> ());
-              let t0 = A.Jit.Clock.now_s () in
-              match Faultpoint.wrap fp_compute compute with
-              | exception e -> finish (Error e)
-              | { c_result; c_deadline_expired } ->
-                  let tuning_ms = (A.Jit.Clock.now_s () -. t0) *. 1000. in
-                  if not c_deadline_expired then emit Tuner.Ev_swept;
-                  let degraded = c_deadline_expired || t.fell_back c_result in
-                  (match t.cache_dir with
-                  | Some dir when not degraded -> (
-                      match
-                        Cache.store ~dir ~arch:key.arch ~kernel:key.name
-                          ~keydesc:key.desc ~digest c_result
-                      with
-                      | None -> emit Tuner.Ev_store
-                      | Some d -> emit (Tuner.Ev_store_error d)
-                      | exception e ->
-                          (* a store crash (injected or real) must not
-                             fail a request whose sweep succeeded:
-                             account it and serve *)
-                          emit
-                            (Tuner.Ev_store_error
-                               (A.Verify.Diag.make
-                                  ~code:A.Verify.Diag.E_cache_corrupt
-                                  ~stage:A.Verify.Diag.S_cache
-                                  ~kernel:key.name ~arch:key.arch ~config:"-"
-                                  ~detail:
-                                    ("store crashed: " ^ Printexc.to_string e)
-                                  ())))
-                  | _ -> ());
-                  finish
-                    (Ok
-                       {
-                         o_result = c_result;
-                         o_tier = Proto.T_tuned;
-                         o_degraded = degraded;
-                         o_deadline_expired = c_deadline_expired;
-                         o_tuning_ms = tuning_ms;
-                       })))
+          finish
+            (match
+               Tuner.through_disk ?dir:t.cache_dir ~on_event:t.on_event
+                 ~fell_back:t.fell_back
+                 ~swept:(fun (c, _) ->
+                   if c.c_deadline_expired then None else Some c.c_result)
+                 key ~compute:timed
+             with
+            | exception e -> Error e
+            | Tuner.Loaded r ->
+                Ok
+                  { o_result = r; o_tier = Proto.T_disk; o_degraded = false;
+                    o_deadline_expired = false; o_tuning_ms = 0. }
+            | Tuner.Computed ({ c_result; c_deadline_expired }, tuning_ms) ->
+                Ok
+                  {
+                    o_result = c_result;
+                    o_tier = Proto.T_tuned;
+                    o_degraded = c_deadline_expired || t.fell_back c_result;
+                    o_deadline_expired = c_deadline_expired;
+                    o_tuning_ms = tuning_ms;
+                  }))

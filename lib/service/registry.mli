@@ -8,11 +8,11 @@
 
     Tier 1 is a {i bounded} in-memory LRU (a server must not grow
     without bound across millions of distinct requests); tier 2 is the
-    persistent on-disk store of {!Augem.Tuning_cache}.  Both tiers key
-    on a {!key}: the content address the caller builds from (tuner
-    version, arch, name, fingerprint).  A kernel's key is the tuner's
-    own, so the daemon, the [tune] CLI and offline sweeps all share one
-    cache population.
+    persistent tier, reached through {!Augem.Tuner.through_disk}, the
+    step {!Augem.Tuner.tuned} takes too.  Both tiers key on a
+    {!Augem.Tuning_cache.key} that {!Augem.Tuner.cache_key} builds, so
+    the daemon, the [tune] CLI and offline sweeps all share one cache
+    population.
 
     Single-flight: N concurrent requests for the same key trigger
     exactly one compute; the other N-1 attach to the in-flight sweep
@@ -41,16 +41,6 @@
 
 type 'v t
 
-(** A content address. *)
-type key
-
-(** [key ~arch ~name ~fingerprint] addresses [name] (a kernel name such
-    as ["sgemm"], or a plan name such as ["blocked-dgemm"]: the
-    precision rides in the name) on [arch] under the current
-    {!Augem.Tuner.tuner_version}.  [arch] and [name] also label the
-    cache events and diagnostics. *)
-val key : arch:string -> name:string -> fingerprint:string -> key
-
 (** [create ~lru_capacity ~cache_dir ~breaker ~on_event ~fell_back ()].
     [cache_dir = None] disables the disk tier.  [breaker = None]
     disables circuit breaking.  [on_event] receives every tier
@@ -73,7 +63,8 @@ val breaker : 'v t -> Augem_resilience.Breaker.t option
 type 'v computed = {
   c_result : 'v;
   c_deadline_expired : bool;
-      (** the baseline was generated because the deadline expired *)
+      (** the baseline was generated because the deadline expired: a
+          stand-in, neither reported as swept nor stored *)
 }
 
 type 'v outcome = {
@@ -92,7 +83,10 @@ type 'v outcome = {
     {!Augem_resilience.Breaker.Open_circuit} without computing when the
     key's circuit is open. *)
 val find_or_compute :
-  'v t -> key -> compute:(unit -> 'v computed) -> 'v outcome
+  'v t ->
+  Augem.Tuning_cache.key ->
+  compute:(unit -> 'v computed) ->
+  'v outcome
 
 (** Entries currently in the in-memory tier. *)
 val lru_size : 'v t -> int

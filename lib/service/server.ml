@@ -94,8 +94,7 @@ let create ?(now = A.Jit.Clock.now_s) ?(config = default_config) () : t =
   let registry fell_back =
     Registry.create ~lru_capacity:config.cfg_lru
       ?cache_dir:config.cfg_cache_dir ?breaker
-      ~on_event:(fun ~arch:_ ~kernel:_ ev ->
-        Metrics.record_cache_event metrics ev)
+      ~on_event:(Metrics.record_cache_event metrics)
       ~fell_back ()
   in
   let sched =
@@ -141,7 +140,7 @@ let drain (t : t) : unit = Scheduler.shutdown t.sched
    [baseline ()], which needs no sweep and so runs inline.  The ops
    differ only in [sweep], [baseline] and [reply]. *)
 let handle_cached (t : t) (id : Json.t) (reg : 'v Registry.t)
-    (key : Registry.key) ~(deadline_ms : float option) ~(sweep : unit -> 'v)
+    (key : Cache.key) ~(deadline_ms : float option) ~(sweep : unit -> 'v)
     ~(baseline : unit -> 'v)
     ~(reply : breaker_open:bool -> 'v Registry.outcome -> Proto.reply) :
     Proto.response =
@@ -236,7 +235,7 @@ let handle_tune (t : t) (id : Json.t) (tq : Proto.tune_request) :
   in
   (* the tuner's own content address: f32 under the s-prefixed name *)
   let key =
-    Registry.key ~arch:arch.Arch.name ~name
+    Tuner.cache_key ~arch:arch.Arch.name ~name
       ~fingerprint:(Tuner.space_fingerprint space)
   in
   let reply ~breaker_open (o : Tuner.result Registry.outcome) : Proto.reply =
@@ -274,11 +273,11 @@ let handle_tune (t : t) (id : Json.t) (tq : Proto.tune_request) :
 (* A plan is addressed by its precision-prefixed name ("blocked-dgemm",
    "blocked-sgemm"), the shape its blocking is tuned for, and the
    spaces of its four sweeps (micro-kernel, pack-A, pack-B, SCAL). *)
-let plan_key ~(et : Etype.t) (arch : Arch.t) ~m ~n ~k : Registry.key =
+let plan_key ~(et : Etype.t) (arch : Arch.t) ~m ~n ~k : Cache.key =
   let spaces =
     List.concat_map Tuner.space_for Kernels.[ Gemm; Pack_a; Pack_b; Scal ]
   in
-  Registry.key ~arch:arch.Arch.name
+  Tuner.cache_key ~arch:arch.Arch.name
     ~name:("blocked-" ^ Etype.blas_prefix et ^ "gemm")
     ~fingerprint:
       (Printf.sprintf "m=%d,n=%d,k=%d,%s" m n k

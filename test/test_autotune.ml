@@ -238,7 +238,7 @@ let test_tuned_miss () =
       ignore (A.Tuning_cache.clear ~dir);
       try Sys.rmdir dir with Sys_error _ -> ())
   @@ fun () ->
-  let on_event ~arch:_ ~kernel:_ ev = events := ev :: !events in
+  let on_event ev = events := ev :: !events in
   let space = List.filteri (fun i _ -> i < 2) (Tuner.space_for Kernels.Scal) in
   let r =
     Tuner.tuned ~cache_dir:dir ~space ~on_event Arch.sandy_bridge Kernels.Scal
@@ -292,7 +292,10 @@ let test_corpus_pinned () =
 (* Every persistent-cache address digests a space fingerprint, so the
    text a candidate is fingerprinted by must not move: the default
    space of every kernel, and one candidate under each preference and
-   each width cap. *)
+   each width cap.  Dot's default space expands its reduction, which
+   the fingerprint has covered since it stopped sharing axpy's
+   address.  Spaces that differ only in the expansion ways, or only in
+   whether prefetches cover stores, must not share an address. *)
 let test_space_fingerprints_pinned () =
   List.iter2
     (fun name want ->
@@ -303,10 +306,27 @@ let test_space_fingerprints_pinned () =
     Kernels.names
     [
       "5c7bed7467e9718386aa1985b4f37a41"; "1b7e594423a5007967f75e874a022c35";
-      "79b682eb8f578a0b91e6d8c593607dd4"; "79b682eb8f578a0b91e6d8c593607dd4";
+      "79b682eb8f578a0b91e6d8c593607dd4"; "bf36f15981cdc3a67f944c0ed2915ce6";
       "79b682eb8f578a0b91e6d8c593607dd4"; "79b682eb8f578a0b91e6d8c593607dd4";
       "79b682eb8f578a0b91e6d8c593607dd4"; "79b682eb8f578a0b91e6d8c593607dd4";
       "5722e422039626070cba2bbbab40936c";
+    ];
+  let unroll8 =
+    { A.Transform.Pipeline.default with inner_unroll = Some ("i", 8) }
+  in
+  List.iter
+    (fun (what, config) ->
+      let space cand_config = [ { Tuner.safe_baseline with cand_config } ] in
+      Alcotest.(check bool) what false
+        (Tuner.space_fingerprint (space unroll8)
+        = Tuner.space_fingerprint (space config)))
+    [
+      ("expand alone moves the address",
+        { unroll8 with expand_reduction = Some 8 });
+      ("prefetching without stores moves the address",
+        { unroll8 with
+          prefetch =
+            Some { A.Transform.Prefetch.pf_distance = 8; pf_stores = false } });
     ];
   let with_opts prefer max_width =
     let cand_opts = { A.Codegen.Emit.prefer; max_width } in

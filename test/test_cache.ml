@@ -16,29 +16,27 @@ let fresh_dir () = Filename.temp_dir "augem-cache-test" ""
 
 let key ?(version = "v1") ?(arch = "snb") ?(kernel = "gemm") ?(fp = "aaaa") ()
     =
-  ( Cache.keydesc ~version ~arch ~kernel ~fingerprint:fp,
-    Cache.digest ~version ~arch ~kernel ~fingerprint:fp )
+  Cache.key ~version ~arch ~name:kernel ~fingerprint:fp
 
-let store_ok ~dir ~keydesc ~digest v =
-  match Cache.store ~dir ~arch:"snb" ~kernel:"gemm" ~keydesc ~digest v with
+let store_ok ~dir k v =
+  match Cache.store ~dir k v with
   | None -> ()
   | Some d -> Alcotest.failf "store failed: %s" (Diag.to_string d)
 
-let load ~dir ~keydesc ~digest : string Cache.load_result =
-  Cache.load ~dir ~arch:"snb" ~kernel:"gemm" ~keydesc ~digest
+let load ~dir k : string Cache.load_result = Cache.load ~dir k
 
 let test_roundtrip_and_digest_miss () =
   let dir = fresh_dir () in
-  let keydesc, digest = key () in
-  store_ok ~dir ~keydesc ~digest "payload-one";
-  (match load ~dir ~keydesc ~digest with
+  let k = key () in
+  store_ok ~dir k "payload-one";
+  (match load ~dir k with
   | Cache.Hit v -> Alcotest.(check string) "roundtrip" "payload-one" v
   | Cache.Miss -> Alcotest.fail "expected hit, got miss"
   | Cache.Corrupt d -> Alcotest.failf "expected hit: %s" (Diag.to_string d));
   (* each key component moves the content address: all misses *)
   List.iter
-    (fun (what, (kd, dg)) ->
-      match load ~dir ~keydesc:kd ~digest:dg with
+    (fun (what, k) ->
+      match load ~dir k with
       | Cache.Miss -> ()
       | Cache.Hit _ -> Alcotest.failf "%s change must miss" what
       | Cache.Corrupt d ->
@@ -66,35 +64,35 @@ let expect_corrupt what = function
 
 let test_corrupt_files_are_tolerated () =
   let dir = fresh_dir () in
-  let keydesc, digest = key () in
-  let file = Cache.path ~dir ~digest in
+  let k = key () in
+  let file = Cache.path ~dir k in
   let write contents =
     Out_channel.with_open_bin file (fun oc ->
         Out_channel.output_string oc contents)
   in
   (* plain garbage *)
   write "not a cache file at all";
-  expect_corrupt "garbage" (load ~dir ~keydesc ~digest);
+  expect_corrupt "garbage" (load ~dir k);
   (* a valid entry truncated mid-payload *)
-  store_ok ~dir ~keydesc ~digest (String.concat "," (List.init 200 string_of_int));
+  store_ok ~dir k (String.concat "," (List.init 200 string_of_int));
   let valid = In_channel.with_open_bin file In_channel.input_all in
   write (String.sub valid 0 (String.length valid - 7));
-  expect_corrupt "truncation" (load ~dir ~keydesc ~digest);
+  expect_corrupt "truncation" (load ~dir k);
   (* a valid entry whose payload bytes were flipped: checksum catches it *)
   let flipped = Bytes.of_string valid in
   Bytes.set flipped
     (Bytes.length flipped - 3)
     (Char.chr (Char.code (Bytes.get flipped (Bytes.length flipped - 3)) lxor 0xFF));
   write (Bytes.to_string flipped);
-  expect_corrupt "bit flip" (load ~dir ~keydesc ~digest);
+  expect_corrupt "bit flip" (load ~dir k);
   (* a file written under another key landing on this digest (collision
      or hand-copied file): the embedded key description rejects it *)
-  let other_kd, _ = key ~kernel:"gemv" () in
-  store_ok ~dir ~keydesc:other_kd ~digest "foreign";
-  expect_corrupt "key mismatch" (load ~dir ~keydesc ~digest);
+  let foreign = { k with Cache.k_desc = (key ~kernel:"gemv" ()).Cache.k_desc } in
+  store_ok ~dir foreign "foreign";
+  expect_corrupt "key mismatch" (load ~dir k);
   (* and after all of that, a fresh store heals the entry *)
-  store_ok ~dir ~keydesc ~digest "healed";
-  match load ~dir ~keydesc ~digest with
+  store_ok ~dir k "healed";
+  match load ~dir k with
   | Cache.Hit v -> Alcotest.(check string) "healed" "healed" v
   | _ -> Alcotest.fail "store after corruption must hit"
 
@@ -108,20 +106,13 @@ let test_tuned_persists_and_survives_corruption () =
   let space = List.rev (Tuner.space_for Kernels.Gemv) in
   let r1 = Tuner.tuned ~cache_dir:dir ~space arch Kernels.Gemv in
   Alcotest.(check bool) "healthy sweep" false r1.Tuner.fell_back;
-  let fingerprint = Tuner.space_fingerprint space in
-  let keydesc =
-    Cache.keydesc ~version:Tuner.tuner_version ~arch:arch.Arch.name
-      ~kernel:"gemv" ~fingerprint
+  let k =
+    Tuner.cache_key ~arch:arch.Arch.name ~name:"gemv"
+      ~fingerprint:(Tuner.space_fingerprint space)
   in
-  let digest =
-    Cache.digest ~version:Tuner.tuner_version ~arch:arch.Arch.name
-      ~kernel:"gemv" ~fingerprint
-  in
-  let file = Cache.path ~dir ~digest in
+  let file = Cache.path ~dir k in
   Alcotest.(check bool) "cache file written" true (Sys.file_exists file);
-  (match
-     Cache.load ~dir ~arch:arch.Arch.name ~kernel:"gemv" ~keydesc ~digest
-   with
+  (match Cache.load ~dir k with
   | Cache.Hit (r : Tuner.result) ->
       Alcotest.(check (float 0.0))
         "persisted result carries the score" r1.Tuner.best_score
@@ -136,24 +127,20 @@ let test_tuned_persists_and_survives_corruption () =
   (* r2 came from the in-memory memo (same process), so the corrupt
      file was not even read; evict nothing and probe the disk layer
      directly to confirm it reads corrupt *)
-  (match
-     Cache.load ~dir ~arch:arch.Arch.name ~kernel:"gemv" ~keydesc ~digest
-   with
+  (match Cache.load ~dir k with
   | Cache.Corrupt _ -> ()
   | _ -> Alcotest.fail "scribbled file must read corrupt")
 
 let test_concurrent_writers_leave_valid_file () =
   let dir = fresh_dir () in
-  let keydesc, digest = key ~kernel:"race" () in
+  let k = key ~kernel:"race" () in
   let payload = String.concat "-" (List.init 500 string_of_int) in
   let writer () =
     for _ = 1 to 30 do
-      (match
-         Cache.store ~dir ~arch:"snb" ~kernel:"race" ~keydesc ~digest payload
-       with
+      (match Cache.store ~dir k payload with
       | None -> ()
       | Some d -> Alcotest.failf "racing store failed: %s" (Diag.to_string d));
-      match load ~dir ~keydesc ~digest with
+      match load ~dir k with
       | Cache.Hit _ | Cache.Miss -> ()
       | Cache.Corrupt d ->
           Alcotest.failf "reader saw a torn file: %s" (Diag.to_string d)
@@ -163,7 +150,7 @@ let test_concurrent_writers_leave_valid_file () =
   writer ();
   Domain.join d1;
   Domain.join d2;
-  match load ~dir ~keydesc ~digest with
+  match load ~dir k with
   | Cache.Hit (v : string) -> Alcotest.(check string) "final file valid" payload v
   | _ -> Alcotest.fail "expected a valid final file"
 
@@ -184,17 +171,10 @@ let test_concurrent_tuned_same_key () =
   let r1 = Domain.join t1 and r2 = Domain.join t2 in
   Alcotest.(check (float 0.0))
     "both domains agree" r1.Tuner.best_score r2.Tuner.best_score;
-  let fingerprint = Tuner.space_fingerprint space in
-  let keydesc =
-    Cache.keydesc ~version:Tuner.tuner_version ~arch:arch.Arch.name
-      ~kernel:"scal" ~fingerprint
-  in
-  let digest =
-    Cache.digest ~version:Tuner.tuner_version ~arch:arch.Arch.name
-      ~kernel:"scal" ~fingerprint
-  in
   match
-    Cache.load ~dir ~arch:arch.Arch.name ~kernel:"scal" ~keydesc ~digest
+    Cache.load ~dir
+      (Tuner.cache_key ~arch:arch.Arch.name ~name:"scal"
+         ~fingerprint:(Tuner.space_fingerprint space))
   with
   | Cache.Hit (r : Tuner.result) ->
       Alcotest.(check (float 0.0))
@@ -226,17 +206,10 @@ let test_fell_back_never_cached () =
   let r2 = Tuner.tuned ~cache_dir:dir ~space:hostile_space arch Kernels.Gemm in
   Alcotest.(check bool) "fallback not memoized" false (r1 == r2);
   (* not persisted: no disk entry under the hostile fingerprint *)
-  let fingerprint = Tuner.space_fingerprint hostile_space in
-  let keydesc =
-    Cache.keydesc ~version:Tuner.tuner_version ~arch:arch.Arch.name
-      ~kernel:"gemm" ~fingerprint
-  in
-  let digest =
-    Cache.digest ~version:Tuner.tuner_version ~arch:arch.Arch.name
-      ~kernel:"gemm" ~fingerprint
-  in
   (match
-     Cache.load ~dir ~arch:arch.Arch.name ~kernel:"gemm" ~keydesc ~digest
+     Cache.load ~dir
+       (Tuner.cache_key ~arch:arch.Arch.name ~name:"gemm"
+          ~fingerprint:(Tuner.space_fingerprint hostile_space))
    with
   | Cache.Miss -> ()
   | Cache.Hit _ -> Alcotest.fail "fallback result was persisted"
@@ -258,16 +231,10 @@ let test_planted_fallback_entry_ignored () =
   Alcotest.(check bool) "planted result fell back" true
     fallback.Tuner.fell_back;
   (* plant it under the DEFAULT space's content address *)
-  let fingerprint = Tuner.space_fingerprint (Tuner.space_for Kernels.Gemm) in
-  let keydesc =
-    Cache.keydesc ~version:Tuner.tuner_version ~arch:arch.Arch.name
-      ~kernel:"gemm" ~fingerprint
-  in
-  let digest =
-    Cache.digest ~version:Tuner.tuner_version ~arch:arch.Arch.name
-      ~kernel:"gemm" ~fingerprint
-  in
-  store_ok ~dir ~keydesc ~digest fallback;
+  store_ok ~dir
+    (Tuner.cache_key ~arch:arch.Arch.name ~name:"gemm"
+       ~fingerprint:(Tuner.space_fingerprint (Tuner.space_for Kernels.Gemm)))
+    fallback;
   let r = Tuner.tuned ~cache_dir:dir arch Kernels.Gemm in
   Alcotest.(check bool) "planted fallback ignored" false r.Tuner.fell_back;
   Alcotest.(check bool) "re-tuned to a real winner" true
@@ -282,12 +249,13 @@ let test_entries_validate_clear () =
   Alcotest.(check int) "empty dir" 0 (List.length (Cache.entries ~dir));
   Alcotest.(check int) "missing dir" 0
     (List.length (Cache.entries ~dir:(Filename.concat dir "nope")));
-  let keydesc, digest = key () in
-  store_ok ~dir ~keydesc ~digest "payload-one";
-  let keydesc2, digest2 = key ~kernel:"gemv" () in
-  store_ok ~dir ~keydesc:keydesc2 ~digest:digest2 "payload-two";
+  let k = key () and k2 = key ~kernel:"gemv" () in
+  store_ok ~dir k "payload-one";
+  store_ok ~dir k2 "payload-two";
   (* a corrupt entry and a foreign file *)
-  let bad = Cache.path ~dir ~digest:"feedfacefeedfacefeedfacefeedface" in
+  let bad =
+    Cache.path ~dir { k with Cache.k_digest = "feedfacefeedfacefeedfacefeedface" }
+  in
   Out_channel.with_open_bin bad (fun oc ->
       Out_channel.output_string oc "not a cache file");
   Out_channel.with_open_bin (Filename.concat dir "README.txt") (fun oc ->
@@ -310,7 +278,7 @@ let test_entries_validate_clear () =
   (* validate returns the embedded keydesc, matching what was stored *)
   Alcotest.(check bool) "keydescs recovered" true
     (List.sort compare (List.map (fun e -> e.Cache.e_key) valid)
-    = List.sort compare [ Ok keydesc; Ok keydesc2 ]);
+    = List.sort compare [ Ok k.Cache.k_desc; Ok k2.Cache.k_desc ]);
   (* clear removes the cache entries (even corrupt ones), nothing else *)
   Alcotest.(check int) "cleared three" 3 (Cache.clear ~dir);
   Alcotest.(check int) "now empty" 0 (List.length (Cache.entries ~dir));

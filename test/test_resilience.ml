@@ -33,7 +33,7 @@ let tiny_space k =
 (* the kernel registry's content address and fell-back rule, as the
    server builds them *)
 let key k =
-  Registry.key ~arch:arch.Arch.name ~name:(Kernels.name_to_string k)
+  Tuner.cache_key ~arch:arch.Arch.name ~name:(Kernels.name_to_string k)
     ~fingerprint:(Tuner.space_fingerprint (tiny_space k))
 
 let fell_back (r : Tuner.result) = r.Tuner.fell_back
@@ -383,26 +383,11 @@ let test_registry_breaker_integration () =
 
 (* --- crash-consistent cache ------------------------------------------------ *)
 
-let cache_key () =
-  let fingerprint = Tuner.space_fingerprint (tiny_space Kernels.Axpy) in
-  let kd =
-    Cache.keydesc ~version:Tuner.tuner_version ~arch:"sandybridge" ~kernel:"axpy"
-      ~fingerprint
-  in
-  let dg =
-    Cache.digest ~version:Tuner.tuner_version ~arch:"sandybridge" ~kernel:"axpy"
-      ~fingerprint
-  in
-  (kd, dg)
-
 let store_value dir =
-  let kd, dg = cache_key () in
-  Cache.store ~dir ~arch:"sandybridge" ~kernel:"axpy" ~keydesc:kd ~digest:dg
-    (Lazy.force canned)
+  Cache.store ~dir (key Kernels.Axpy) (Lazy.force canned)
 
 let load_value dir : Tuner.result Cache.load_result =
-  let kd, dg = cache_key () in
-  Cache.load ~dir ~arch:"sandybridge" ~kernel:"axpy" ~keydesc:kd ~digest:dg
+  Cache.load ~dir (key Kernels.Axpy)
 
 let test_cache_recover_quarantines () =
   let dir = fresh_dir () in
@@ -432,6 +417,86 @@ let test_cache_recover_quarantines () =
       let r2 = Cache.recover ~dir () in
       Alcotest.(check int) "second scan quarantines nothing" 0
         (r2.Cache.rc_quarantined + r2.Cache.rc_tmp_quarantined))
+
+(* The tuner's memo and the service registry share one persistent
+   tier: what either stores under a key is a disk hit for the other on
+   the same directory.  Each direction uses a space no other test
+   tunes, so the tuner's process memo cannot answer first. *)
+let test_shared_disk_tier () =
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let space k =
+        List.rev (List.filteri (fun i _ -> i < 2) (Tuner.space_for k))
+      in
+      let key_of k =
+        Tuner.cache_key ~arch:arch.Arch.name ~name:(Kernels.name_to_string k)
+          ~fingerprint:(Tuner.space_fingerprint (space k))
+      in
+      let registry () = Registry.create ~fell_back ~cache_dir:dir () in
+      (* the tuner stores, a registry loads *)
+      let r =
+        Tuner.tuned ~cache_dir:dir ~space:(space Kernels.Copy) arch Kernels.Copy
+      in
+      let o =
+        Registry.find_or_compute (registry ()) (key_of Kernels.Copy)
+          ~compute:(fun () -> Alcotest.fail "registry swept a stored key")
+      in
+      Alcotest.(check string) "registry tier" "disk"
+        (Proto.tier_to_string o.Registry.o_tier);
+      Alcotest.(check (float 0.0)) "the tuner's answer" r.Tuner.best_score
+        o.Registry.o_result.Tuner.best_score;
+      (* a registry stores, the tuner loads *)
+      let space_b = space Kernels.Pack_b in
+      let o =
+        Registry.find_or_compute (registry ()) (key_of Kernels.Pack_b)
+          ~compute:(fun () ->
+            { Registry.c_result = Tuner.tune ~space:space_b arch Kernels.Pack_b;
+              c_deadline_expired = false })
+      in
+      let events = ref [] in
+      let r =
+        Tuner.tuned ~cache_dir:dir ~space:space_b
+          ~on_event:(fun ev -> events := ev :: !events)
+          arch Kernels.Pack_b
+      in
+      Alcotest.(check (list string)) "tuner events" [ "disk-hit" ]
+        (List.rev_map Tuner.cache_event_to_string !events);
+      Alcotest.(check (float 0.0)) "the registry's answer"
+        o.Registry.o_result.Tuner.best_score r.Tuner.best_score)
+
+(* A store that crashes after its rename is a store error to [tuned],
+   which still returns the sweep's answer. *)
+let test_tuned_survives_store_crash () =
+  with_faults (fun () ->
+      let dir = fresh_dir () in
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          let space =
+            List.rev
+              (List.filteri (fun i _ -> i < 2) (Tuner.space_for Kernels.Ger))
+          in
+          F.arm
+            [ { F.tr_point = "cache.store.renamed"; tr_hit = 1;
+                tr_action = F.Fail } ];
+          let events = ref [] in
+          let r =
+            Tuner.tuned ~cache_dir:dir ~space
+              ~on_event:(fun ev -> events := ev :: !events)
+              arch Kernels.Ger
+          in
+          Alcotest.(check (list string)) "events"
+            [ "disk-miss"; "swept"; "store-error" ]
+            (List.rev_map
+               (fun ev ->
+                 List.hd
+                   (String.split_on_char ':' (Tuner.cache_event_to_string ev)))
+               !events);
+          Alcotest.(check (float 0.0)) "the sweep's answer"
+            (Tuner.tune ~space arch Kernels.Ger).Tuner.best_score
+            r.Tuner.best_score))
 
 (* Kill the store at every step of the write protocol; after recovery
    the cache must hold either the complete entry or nothing — and a
@@ -695,6 +760,10 @@ let suite =
       test_registry_breaker_integration;
     Alcotest.test_case "cache: recover quarantines debris" `Quick
       test_cache_recover_quarantines;
+    Alcotest.test_case "cache: tuner and registry share one disk tier" `Quick
+      test_shared_disk_tier;
+    Alcotest.test_case "cache: tuned survives a crashed store" `Quick
+      test_tuned_survives_store_crash;
     Alcotest.test_case "cache: kill at every write step" `Quick
       test_cache_kill_at_every_write_step;
     Alcotest.test_case "server: lost worker degrades" `Quick

@@ -48,7 +48,13 @@ let test_errors () =
       | Ok _ -> Alcotest.failf "accepted bad script: %s" src
       | Error _ -> ())
     [ "unroll_jam j"; "unroll i zero"; "prefetch -3"; "frobnicate 2";
-      "width 512"; "strength_reduce maybe" ]
+      "width 512"; "strength_reduce maybe" ];
+  (* a bad preference names the valid values, as a bad width does *)
+  match Script.parse "unroll i 8\nprefer avx" with
+  | Error msg ->
+      Alcotest.(check string) "bad preference"
+        {|line 2: prefer expects auto, vdup or shuf, got "avx"|} msg
+  | Ok _ -> Alcotest.fail "accepted prefer avx"
 
 (* Errors carry the 1-based source line of the offending directive, in
    both the [Error] rendering and the structured exception payload. *)

@@ -29,7 +29,7 @@ let tiny_space k =
 (* the kernel registry's content address and fell-back rule, as the
    server builds them *)
 let key k =
-  Registry.key ~arch:arch.Arch.name ~name:(Kernels.name_to_string k)
+  Tuner.cache_key ~arch:arch.Arch.name ~name:(Kernels.name_to_string k)
     ~fingerprint:(Tuner.space_fingerprint (tiny_space k))
 
 let fell_back (r : Tuner.result) = r.Tuner.fell_back
@@ -152,7 +152,7 @@ let test_registry_disk_tier () =
   let computes = ref 0 in
   let compute () = incr computes; computed () in
   let events = ref [] in
-  let on_event ~arch:_ ~kernel:_ ev = events := ev :: !events in
+  let on_event ev = events := ev :: !events in
   let t1 = Registry.create ~fell_back ~cache_dir:dir ~on_event () in
   ignore (Registry.find_or_compute t1 (key Kernels.Scal) ~compute);
   (* a fresh registry with an empty L1 but the same disk dir *)
@@ -415,6 +415,30 @@ let test_nonpositive_factors () =
         (c.Tuner.cand_config.A.Transform.Pipeline.prefetch = None)
   | Error e -> Alcotest.failf "prefetch distance 0 refused: %s" e
 
+(* A space that differs from an earlier one only in its expansion ways
+   has its own address: in one session the plain unroll sent after the
+   expanded one is swept, and answered with a fresh server's program. *)
+let test_expand_addressed () =
+  let line id cand =
+    Printf.sprintf
+      {|{"id":%d,"op":"tune","kernel":"dot","arch":"sandybridge","space":[%s]}|}
+      id cand
+  in
+  let expanded = line 1 {|{"unroll":["i",8],"expand":8}|}
+  and plain = line 2 {|{"unroll":["i",8]}|} in
+  let server = Server.create () and fresh = Server.create () in
+  let r1 = reply_of (Server.handle_line server expanded) in
+  let r2 = reply_of (Server.handle_line server plain) in
+  let want = reply_of (Server.handle_line fresh plain) in
+  Alcotest.(check string) "swept" "tuned"
+    (jstr (Option.get (Json.member "provenance" r2)) "tier");
+  Alcotest.(check string) "a fresh server's program" (jstr want "assembly")
+    (jstr r2 "assembly");
+  Alcotest.(check bool) "not the expanded program" false
+    (jstr r1 "assembly" = jstr r2 "assembly");
+  Server.drain server;
+  Server.drain fresh
+
 (* A tune and two blocked requests whose deadlines expire in the queue:
    each is served the baseline, degraded, and nothing is cached, so the
    repeated plan request degrades again instead of hitting memory. *)
@@ -477,7 +501,7 @@ let plan_registry ?lru_capacity () =
   Registry.create ?lru_capacity ~fell_back:(fun p -> p.A.Blocked.pl_fell_back) ()
 
 let plan_key i =
-  Registry.key ~arch:arch.Arch.name ~name:"blocked-dgemm"
+  Tuner.cache_key ~arch:arch.Arch.name ~name:"blocked-dgemm"
     ~fingerprint:(Printf.sprintf "canned-%d" i)
 
 let test_plan_registry_fell_back () =
@@ -779,6 +803,8 @@ let suite =
     Alcotest.test_case "metrics snapshot" `Quick test_metrics_snapshot_consistency;
     Alcotest.test_case "server blocked: replies pinned, f64 and f32" `Slow
       test_server_blocked_reply_pinned;
+    Alcotest.test_case "expand alone is its own address" `Quick
+      test_expand_addressed;
     Alcotest.test_case "non-positive factors are bad requests" `Quick
       test_nonpositive_factors;
   ]
