@@ -81,7 +81,8 @@ let sweep ~(kernel : Kernels.name) ~(workload : int -> Perf.workload)
       {
         Report.s_label = label;
         s_points =
-          List.map (fun s -> (s, Lib.predict id arch kernel (workload s))) sizes;
+          (let at = Lib.predict id arch kernel in
+           List.map (fun s -> (s, at (workload s))) sizes);
       })
     (libraries_for arch)
 
@@ -248,19 +249,21 @@ let full_matrix (et : Etype.t) (sizes : int list) () : Json.t =
                 ])
             full_check_shapes
         in
+        let loop = A.Blocked.analyze plan in
         let point f s =
-          (s, (f plan (Perf.W_gemm { m = s; n = s; k = s })).Perf.e_mflops)
+          (s, (f (Perf.W_gemm { m = s; n = s; k = s })).Perf.e_mflops)
         in
         let blocked =
           {
             Report.s_label = "AUGEM blocked";
-            s_points = List.map (point A.Blocked.predict) sizes;
+            s_points = List.map (point (A.Blocked.predict ~loop plan)) sizes;
           }
         in
         let streamed =
           {
             Report.s_label = "unblocked (streamed)";
-            s_points = List.map (point A.Blocked.predict_streamed) sizes;
+            s_points =
+              List.map (point (A.Blocked.predict_streamed ~loop plan)) sizes;
           }
         in
         let series = [ blocked; streamed ] in
@@ -840,33 +843,35 @@ let ablations () =
   List.iter
     (fun arch ->
       Fmt.pr "--- %s ---@." arch.Arch.name;
-      let p est = est.Perf.e_mflops in
+      let mflops ?pipeline_model arch prog w =
+        (Perf.predict (Perf.analyze ?pipeline_model arch prog) w).Perf.e_mflops
+      in
       (* 1. register blocking (unroll&jam) *)
       let blocked = gen arch { pipeline with jam = [ ("j", 4); ("i", 8) ] } Kernels.Gemm in
       let scalar1 = gen arch { pipeline with jam = [ ("j", 1); ("i", 1) ] } Kernels.Gemm in
       Fmt.pr "%-44s %8.0f -> %8.0f@." "gemm: 1x1 -> 4x8 register blocking"
-        (p (Perf.predict arch scalar1 gemm_w))
-        (p (Perf.predict arch blocked gemm_w));
+        (mflops arch scalar1 gemm_w)
+        (mflops arch blocked gemm_w);
       (* 2. software prefetch (Level-1, streaming) *)
       let axpy_pf = gen arch { pipeline with inner_unroll = Some ("i", 8); prefetch = pf 8 } Kernels.Axpy in
       let axpy_nopf = gen arch { pipeline with inner_unroll = Some ("i", 8); prefetch = None } Kernels.Axpy in
       Fmt.pr "%-44s %8.0f -> %8.0f@." "axpy: without -> with software prefetch"
-        (p (Perf.predict arch axpy_nopf axpy_w))
-        (p (Perf.predict arch axpy_pf axpy_w));
+        (mflops arch axpy_nopf axpy_w)
+        (mflops arch axpy_pf axpy_w);
       (* 3. reduction accumulator expansion (DOT) *)
       let dot_chain = gen arch { pipeline with inner_unroll = Some ("i", 8) } Kernels.Dot in
       let dot_exp = gen arch { pipeline with inner_unroll = Some ("i", 8); expand_reduction = Some 8 } Kernels.Dot in
       Fmt.pr "%-44s %8.0f -> %8.0f@." "dot: serial chain -> expanded accumulators"
-        (p (Perf.predict arch dot_chain dot_w))
-        (p (Perf.predict arch dot_exp dot_w));
+        (mflops arch dot_chain dot_w)
+        (mflops arch dot_exp dot_w);
       (* 4. FMA instruction selection *)
       (if arch.Arch.fma <> Arch.No_fma then begin
          let no_fma = { arch with Arch.name = arch.Arch.name ^ "-nofma"; fma = Arch.No_fma } in
          let with_fma = gen arch { pipeline with jam = [ ("j", 4); ("i", 8) ] } Kernels.Gemm in
          let without = gen no_fma { pipeline with jam = [ ("j", 4); ("i", 8) ] } Kernels.Gemm in
          Fmt.pr "%-44s %8.0f -> %8.0f@." "gemm: Mul+Add -> FMA3 selection"
-           (p (Perf.predict no_fma without gemm_w))
-           (p (Perf.predict arch with_fma gemm_w))
+           (mflops no_fma without gemm_w)
+           (mflops arch with_fma gemm_w)
        end);
       (* 5. static instruction scheduling (on an in-order pipe) *)
       let cfg28 = { pipeline with jam = [ ("j", 2); ("i", 8) ] } in
@@ -878,8 +883,8 @@ let ablations () =
       let io = `In_order in
       Fmt.pr "%-44s %8.0f -> %8.0f   (in-order pipe model)@."
         "gemm: unscheduled -> list-scheduled"
-        (p (Perf.predict ~pipeline_model:io arch unsched gemm_w))
-        (p (Perf.predict ~pipeline_model:io arch sched gemm_w));
+        (mflops ~pipeline_model:io arch unsched gemm_w)
+        (mflops ~pipeline_model:io arch sched gemm_w);
       (* 6. Vdup vs Shuf vectorization on the packed-B GEMM (W128) *)
       let packed_cfg = { pipeline with jam = [ ("j", 2); ("i", 2) ] } in
       let optimized = A.Transform.Pipeline.apply A.Ir.Kernels.gemm_packed packed_cfg in
@@ -890,8 +895,8 @@ let ablations () =
       let vdup = make A.Codegen.Plan.Prefer_auto in
       let shuf = make A.Codegen.Plan.Prefer_shuf in
       Fmt.pr "%-44s %8.0f vs %8.0f@." "packed gemm (128-bit): Vdup vs Shuf method"
-        (p (Perf.predict arch vdup gemm_w))
-        (p (Perf.predict arch shuf gemm_w));
+        (mflops arch vdup gemm_w)
+        (mflops arch shuf gemm_w);
       Fmt.pr "@.")
     archs
 

@@ -882,11 +882,7 @@ let serve_cmd =
       chaos_seed =
     match chaos_seed with
     | Some seed ->
-        let o =
-          Service.Chaos_serve.run ~seed
-            ~log:(fun l -> Logs.debug (fun m -> m "%s" l))
-            ()
-        in
+        let o = Service.Chaos_serve.run ~seed () in
         print_string (Service.Chaos_serve.report o);
         exit (if o.Service.Chaos_serve.co_violations = [] then 0 else 1)
     | None ->

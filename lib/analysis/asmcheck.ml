@@ -508,7 +508,9 @@ let check ?(config = conservative ~avx:true) (p : Insn.program) : finding list
       cfg.Cfg.blocks;
     (* 4. definedness: must-defined (intersection) decides whether a
        read is sound; reaching definitions (union) distinguish "never
-       defined anywhere" from "missing on some path" *)
+       defined anywhere" from "missing on some path".  Only a read that
+       is not must-defined words its finding from them, and a clean
+       program has none, so they are computed on the first such read. *)
     let must_tr i d = d lor writes_mask (insn i) in
     let must =
       MustBits.solve cfg ~dir:`Forward ~boundary:entry_mask ~top:full_mask
@@ -530,25 +532,32 @@ let check ?(config = conservative ~avx:true) (p : Insn.program) : finding list
         d'
       end
     in
-    let reach =
-      ReachFlow.solve cfg ~dir:`Forward ~boundary:reach_entry ~top:reach_top
-        ~transfer:reach_tr
-    in
     let must_at = Array.make n full_mask in
-    let reach_at = Array.make n reach_top in
     Array.iter
       (fun b ->
-        if cfg.Cfg.reachable.(b.Cfg.b_id) then begin
+        if cfg.Cfg.reachable.(b.Cfg.b_id) then
           ignore
             (MustBits.fold_block ~dir:`Forward ~transfer:must_tr b
                must.(b.Cfg.b_id)
-               (fun i d -> must_at.(i) <- d));
-          ignore
-            (ReachFlow.fold_block ~dir:`Forward ~transfer:reach_tr b
-               reach.(b.Cfg.b_id)
-               (fun i d -> reach_at.(i) <- d))
-        end)
+               (fun i d -> must_at.(i) <- d)))
       cfg.Cfg.blocks;
+    let reach_at =
+      lazy
+        (let reach =
+           ReachFlow.solve cfg ~dir:`Forward ~boundary:reach_entry
+             ~top:reach_top ~transfer:reach_tr
+         in
+         let reach_at = Array.make n reach_top in
+         Array.iter
+           (fun b ->
+             if cfg.Cfg.reachable.(b.Cfg.b_id) then
+               ignore
+                 (ReachFlow.fold_block ~dir:`Forward ~transfer:reach_tr b
+                    reach.(b.Cfg.b_id)
+                    (fun i d -> reach_at.(i) <- d)))
+           cfg.Cfg.blocks;
+         reach_at)
+    in
     Array.iter
       (fun b ->
         if cfg.Cfg.reachable.(b.Cfg.b_id) then
@@ -560,7 +569,7 @@ let check ?(config = conservative ~avx:true) (p : Insn.program) : finding list
             in
             let check_read s =
               if must_at.(i) land bit s = 0 then begin
-                let never = IS.is_empty reach_at.(i).(s) in
+                let never = IS.is_empty (Lazy.force reach_at).(i).(s) in
                 if never && List.mem s mem_slots then
                   add L_mem_base_undef i
                     (Printf.sprintf

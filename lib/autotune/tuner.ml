@@ -52,10 +52,6 @@ type result = {
   failure_histogram : (string * int) list; (* failure counts by code *)
 }
 
-let log_src = Logs.Src.create "augem.tuner" ~doc:"AUGEM auto-tuner"
-
-module Log = (val Logs.src_log log_src)
-
 (* --- search spaces ------------------------------------------------------ *)
 
 (* Prefetching variants first, so the first-seen maximum picks one on a
@@ -195,36 +191,110 @@ let lowering_diag (arch : Arch.t) ~(kernel : string) (config : Pipeline.config)
   Diag.make ?stage_name ~code ~stage ~kernel ~arch:arch.Arch.name
     ~config:(Pipeline.config_to_string config) ~detail ()
 
-(* Generate one candidate, classifying every failure — including
-   exceptions nobody anticipated — instead of letting them abort the
-   sweep.  [Lower.program] folds [Lower.run]'s stage list with its
-   checks (type check, instruction budget after emit-frame, the lint
-   gate on schedule) but builds no trace: a sweep reads only the
-   program or the failing stage's name. *)
+(* Prefetch siblings: candidates whose configurations differ only in
+   [prefetch], under the same emit options.  They run the same C passes
+   before the prefetch pass ([Pipeline.before_prefetch]).  The prefetch
+   pass adds only prefetches, which address memory through general
+   registers and hold no vector value, so siblings also fit in the
+   vector registers or run out of them together. *)
+let sibling_key (c : candidate) =
+  ({ c.cand_config with Pipeline.prefetch = None }, c.cand_opts)
+
+(* Lower one group of prefetch siblings, classifying every failure —
+   including exceptions nobody anticipated — instead of letting them
+   abort the sweep.  The passes before prefetching run once for the
+   group, and each member folds its own stages from their artifact
+   with [Lower.program]'s checks (type check, instruction budget after
+   emit-frame, the lint gate on schedule when [lint]) but no trace.
+   Once a member runs out of vector registers, the members after it get
+   the same diagnostic under their own configuration, unlowered.
+   Outcomes come back in [group]'s order. *)
+let lower_siblings (arch : Arch.t) ~max_insns ~lint (kname : Kernels.name)
+    (kernel : Ast.kernel) (group : candidate list) :
+    (Insn.program, Diag.t) Stdlib.result list =
+  (* diagnostics follow the kernel's own precision, not a flag *)
+  let kernel_s =
+    Kernels.name_to_string
+      ?fp:(fp_of_et (Augem_driver.Lower.etype_of_params kernel.Ast.k_params))
+      kname
+  in
+  let diag c exn =
+    Error (lowering_diag arch ~kernel:kernel_s c.cand_config exn)
+  in
+  match group with
+  | [] -> []
+  | first :: _ -> (
+      match
+        Augem_driver.Lower.before_prefetch ~config:first.cand_config kernel
+      with
+      | exception exn -> List.map (fun c -> diag c exn) group
+      | shared ->
+          let lower c =
+            let opts =
+              {
+                (Augem_driver.Emit.lower_opts c.cand_opts) with
+                Augem_driver.Lower.max_insns = Some max_insns;
+                lint;
+                schedule = true;
+              }
+            in
+            Augem_driver.Lower.program_from ~opts ~arch ~config:c.cand_config
+              kernel shared
+          in
+          snd
+            (List.fold_left_map
+               (fun out_of_registers c ->
+                 match out_of_registers with
+                 | Some exn -> (out_of_registers, diag c exn)
+                 | None -> (
+                     match lower c with
+                     | prog -> (None, Ok prog)
+                     | exception
+                         (Augem_driver.Lower.Stage_failed
+                            (_, Augem_codegen.Regfile.Out_of_registers _) as
+                          exn) ->
+                         (Some exn, diag c exn)
+                     | exception exn -> (None, diag c exn)))
+               None group))
+
+(* Lower [cands] one prefetch-sibling group at a time: [map] runs the
+   groups (Team.map may shard them), and [each] sees every member's
+   outcome on the domain that lowered it.  Results come back in
+   [cands]' order, whatever the grouping. *)
+let lower_grouped ~map ~max_insns ~lint (arch : Arch.t)
+    (kname : Kernels.name) (kernel : Ast.kernel) ~each
+    (cands : candidate list) =
+  let rec groups = function
+    | [] -> []
+    | (_, c) :: _ as rest ->
+        let key = sibling_key c in
+        let mine, others =
+          List.partition (fun (_, c') -> sibling_key c' = key) rest
+        in
+        mine :: groups others
+  in
+  groups (List.mapi (fun i c -> (i, c)) cands)
+  |> map (fun group ->
+         List.map2
+           (fun (i, c) outcome -> (i, each c outcome))
+           group
+           (lower_siblings arch ~max_insns ~lint kname kernel
+              (List.map snd group)))
+  |> List.concat
+  |> List.sort (fun (i, _) (j, _) -> Int.compare i j)
+  |> List.map snd
+
+let generate_candidates_diag (arch : Arch.t) ?(max_insns = default_max_insns)
+    (kname : Kernels.name) (kernel : Ast.kernel) (cands : candidate list) =
+  lower_grouped ~map:List.map ~max_insns ~lint:true arch kname kernel
+    ~each:(fun _ outcome -> outcome)
+    cands
+
+(* One candidate: the one-member group. *)
 let generate_candidate_diag (arch : Arch.t) ?(max_insns = default_max_insns)
     (kname : Kernels.name) (kernel : Ast.kernel) (c : candidate) :
     (Insn.program, Diag.t) Stdlib.result =
-  let opts =
-    {
-      (Augem_driver.Emit.lower_opts c.cand_opts) with
-      Augem_driver.Lower.max_insns = Some max_insns;
-      lint = true;
-      schedule = true;
-    }
-  in
-  match
-    Augem_driver.Lower.program ~opts ~arch ~config:c.cand_config kernel
-  with
-  | prog -> Ok prog
-  | exception exn ->
-      (* diagnostics follow the kernel's own precision, not a flag *)
-      let fp =
-        fp_of_et (Augem_driver.Lower.etype_of_params kernel.Ast.k_params)
-      in
-      Error
-        (lowering_diag arch
-           ~kernel:(Kernels.name_to_string ?fp kname)
-           c.cand_config exn)
+  List.hd (lower_siblings arch ~max_insns ~lint:true kname kernel [ c ])
 
 let score_diag ?(et = Etype.F64) (arch : Arch.t) (kname : Kernels.name)
     (c : candidate) (prog : Insn.program) (w : Augem_sim.Perf.workload) :
@@ -236,7 +306,7 @@ let score_diag ?(et = Etype.F64) (arch : Arch.t) (kname : Kernels.name)
       ~config:(Pipeline.config_to_string c.cand_config)
       ~detail ()
   in
-  match Augem_sim.Perf.predict ~et arch prog w with
+  match Augem_sim.Perf.(predict (analyze ~et arch prog) w) with
   | e -> Ok e.Augem_sim.Perf.e_mflops
   | exception Augem_sim.Perf.No_hot_loop m -> Error (mk Diag.E_no_hot_loop m)
   | exception exn ->
@@ -266,47 +336,36 @@ let keep_ties best s member =
   | Some (s', ties) when s' = s -> Some (s', member :: ties)
   | _ -> Some (s, [ member ])
 
-(* The one search behind [tune] and [tune_blocked]: generate each
+(* The one search behind [tune] and [tune_blocked]: lower each
    candidate of [space], then [member] scores its program as a member
    of the answer's set, or discards it.  Both may run on any domain in
-   any order, so Team.map shards the space and returns the outcomes in
-   space order.  The order-sensitive part (the first-seen-maximum tie-break
-   the prefetch_opts ordering depends on, its exact-tie set, and the
+   any order, so Team.map shards the prefetch-sibling groups
+   ([lower_grouped]) and the outcomes come back in space order.  The
+   order-sensitive part (the first-seen-maximum tie-break the
+   prefetch_opts ordering depends on, its exact-tie set, and the
    sweep-ordered failure list) stays one sequential fold over that
    list, so ~jobs:n is bit-identical to ~jobs:1.  A fully discarded
    space falls back to [baseline] over the safe baseline's program: a
-   library build wants a slow kernel over no kernel.  Returns the
-   answer's score, its tie set (the answer first), the failures and
-   whether it fell back. *)
+   library build wants a slow kernel over no kernel; [fell_back] and a
+   reply's [degraded] say so.  Returns the answer's score, its tie set
+   (the answer first), the failures and whether it fell back. *)
 let sweep ?jobs ~max_insns ~label (arch : Arch.t) (name : Kernels.name)
     (kernel : Ast.kernel) ~member ~baseline (space : candidate list) =
   let jobs = match jobs with Some j -> max 1 j | None -> !default_jobs_ref in
-  let evaluate cand =
-    Result.bind (generate_candidate_diag arch ~max_insns name kernel cand)
-      (member cand)
-  in
   let best, failures =
-    List.fold_left2
-      (fun (best, failures) cand -> function
-        | Error d ->
-            Log.debug (fun m -> m "discard: %s" (Diag.to_string d));
-            (best, d :: failures)
-        | Ok (s, member) ->
-            Log.debug (fun m ->
-                m "%s/%s %s -> %.0f MFLOPS" arch.Arch.name label
-                  (Pipeline.config_to_string cand.cand_config)
-                  s);
-            (keep_ties best s member, failures))
-      (None, []) space
-      (Team.map ~jobs evaluate space)
+    List.fold_left
+      (fun (best, failures) -> function
+        | Error d -> (best, d :: failures)
+        | Ok (s, member) -> (keep_ties best s member, failures))
+      (None, [])
+      (lower_grouped ~map:(Team.map ~jobs) ~max_insns ~lint:true arch name
+         kernel space
+         ~each:(fun cand outcome -> Result.bind outcome (member cand)))
   in
   let failures = List.rev failures in
   match best with
   | Some (s, rev_ties) -> (s, List.rev rev_ties, failures, false)
   | None -> (
-      Log.warn (fun m ->
-          m "%s/%s: all %d candidates discarded; falling back to baseline"
-            arch.Arch.name label (List.length space));
       (* the baseline is generated under the default step budget, not
          the caller's: a tight [max_insns] is a candidate filter, and
          must not take the known-small fallback down with it *)
@@ -358,19 +417,22 @@ let tune ?(et = Etype.F64) ?(workload : Augem_sim.Perf.workload option)
   }
 
 (* The members of [r]'s exact-tie set with their programs: the answer's
-   own, and the others regenerated.  Generation is deterministic, so
-   each is the program the sweep scored.  [Native_blocked.load], which
-   times the members, is the one place that builds them. *)
+   own, and the others regenerated through the sweep's grouped
+   lowering.  Generation is deterministic, so each is the program the
+   sweep scored.  Its lint gate is left off: every caller gates each
+   member through [Native_check.load], which lints it, before running
+   it.  [Native_blocked.load], which times the members, is the one
+   place that builds them. *)
 let tie_programs ?(et = Etype.F64) (arch : Arch.t) (name : Kernels.name)
     (r : result) : (candidate * Insn.program) list =
   let kernel = Kernels.kernel_of_name ?fp:(fp_of_et et) name in
   (r.best, r.best_program)
-  :: List.filter_map
-       (fun c ->
-         generate_candidate_diag arch name kernel c
-         |> Result.to_option
-         |> Option.map (fun prog -> (c, prog)))
-       (List.tl r.ties)
+  :: List.filter_map Fun.id
+       (lower_grouped ~map:List.map ~max_insns:default_max_insns ~lint:false
+          arch name kernel
+          ~each:(fun c outcome ->
+            Result.to_option (Result.map (fun prog -> (c, prog)) outcome))
+          (List.tl r.ties))
 
 (* --- memoized tuning (in-memory L1 + persistent on-disk L2) ------------- *)
 
@@ -505,7 +567,11 @@ let cache_dir () = !cache_dir_ref
    for the default one.  Guarded by a mutex: [tuned] may be called
    from concurrent domains (two sweeps racing on one key both tune and
    both store — wasteful but correct, because tuning is
-   deterministic). *)
+   deterministic).  The table has no eviction, so its bound is its
+   callers': the daemon reaches it only through [Blocked.plan], with
+   the default spaces of the packing kernels and SCAL, so at most one
+   entry per modelled arch, precision and kernel; a client's own space
+   goes to the service registry's bounded LRU instead. *)
 let cache : (string * string * string, result) Hashtbl.t = Hashtbl.create 8
 let cache_mutex = Mutex.create ()
 
@@ -552,6 +618,45 @@ let register_tile (c : candidate) : int * int =
   in
   (factor "i", factor "j")
 
+(* A program's analysed hot loop, [None] when it has none. *)
+let analyzed ~et (arch : Arch.t) (prog : Insn.program) =
+  match Augem_sim.Perf.analyze ~et arch prog with
+  | loop -> Some loop
+  | exception Augem_sim.Perf.No_hot_loop _ -> None
+
+(* [predict]'s MFLOPS from an analysed loop; 0 when there is none to
+   score. *)
+let mflops_of predict = function
+  | None -> 0.0
+  | Some loop -> (
+      match predict loop with
+      | e -> e.Augem_sim.Perf.e_mflops
+      | exception Augem_sim.Perf.No_hot_loop _ -> 0.0)
+
+(* [select_blocking] on a micro-kernel already analysed: the blockings
+   all read the one loop. *)
+let best_blocking ~(et : Etype.t) (arch : Arch.t) (c : candidate)
+    (loop : Augem_sim.Perf.loop option) (w : Augem_sim.Perf.workload) =
+  let mr, nr = register_tile c in
+  let blockings = Mem_model.blocking_candidates ~et arch ~mr ~nr in
+  let score loop acc b =
+    match Augem_sim.Perf.predict_blocked loop ~blocking:b w with
+    | e -> (
+        let s = e.Augem_sim.Perf.e_mflops in
+        match acc with Some (_, s') when s' >= s -> acc | _ -> Some (b, s))
+    | exception Augem_sim.Perf.No_hot_loop _ -> acc
+  in
+  match
+    Option.bind loop (fun loop -> List.fold_left (score loop) None blockings)
+  with
+  | Some (b, s) -> Ok (b, s, List.length blockings)
+  | None ->
+      Error
+        (Diag.make ~code:Diag.E_no_hot_loop ~stage:Diag.S_score
+           ~kernel:"gemm_blocked" ~arch:arch.Arch.name
+           ~config:(Pipeline.config_to_string c.cand_config)
+           ~detail:"no blocking scored: hot loop not analyzable" ())
+
 (* Best blocking for one generated micro-kernel under the blocked-GEMM
    performance model: scores every triple in
    {!Mem_model.blocking_candidates} with {!Perf.predict_blocked} and
@@ -560,28 +665,7 @@ let register_tile (c : candidate) : int * int =
 let select_blocking ~(et : Etype.t) (arch : Arch.t) (c : candidate)
     (prog : Insn.program) (w : Augem_sim.Perf.workload) :
     (Mem_model.blocking * float * int, Diag.t) Stdlib.result =
-  let mr, nr = register_tile c in
-  let blockings = Mem_model.blocking_candidates ~et arch ~mr ~nr in
-  let best =
-    List.fold_left
-      (fun acc b ->
-        match Augem_sim.Perf.predict_blocked ~et arch prog ~blocking:b w with
-        | e -> (
-            let s = e.Augem_sim.Perf.e_mflops in
-            match acc with
-            | Some (_, s') when s' >= s -> acc
-            | _ -> Some (b, s))
-        | exception Augem_sim.Perf.No_hot_loop _ -> acc)
-      None blockings
-  in
-  match best with
-  | Some (b, s) -> Ok (b, s, List.length blockings)
-  | None ->
-      Error
-        (Diag.make ~code:Diag.E_no_hot_loop ~stage:Diag.S_score
-           ~kernel:"gemm_blocked" ~arch:arch.Arch.name
-           ~config:(Pipeline.config_to_string c.cand_config)
-           ~detail:"no blocking scored: hot loop not analyzable" ())
+  best_blocking ~et arch c (analyzed ~et arch prog) w
 
 type blocked_member = {
   bm_candidate : candidate;
@@ -640,32 +724,31 @@ let tune_blocked ?(et = Etype.F64)
   in
   (* a sum, so the domains may add in any order *)
   let blockings_visited = Atomic.make 0 in
+  (* each member carries its analysed loop, so the streamed score
+     reads the answer's without analysing it again *)
   let blocked_score, ties, failures, fell_back =
     sweep ?jobs ~max_insns ~label:"blocked gemm" arch Kernels.Gemm kernel space
       ~member:(fun cand prog ->
+        let loop = analyzed ~et arch prog in
         Result.map
           (fun (b, s, visited) ->
             ignore (Atomic.fetch_and_add blockings_visited visited);
-            (s, member_of cand prog b))
-          (select_blocking ~et arch cand prog w))
+            (s, (member_of cand prog b, loop)))
+          (best_blocking ~et arch cand loop w))
       ~baseline:(fun prog ->
         let mr, nr = register_tile safe_baseline in
         let blocking = Mem_model.derive_blocking ~et arch ~mr ~nr in
+        let loop = analyzed ~et arch prog in
         let s =
-          match Augem_sim.Perf.predict_blocked ~et arch prog ~blocking w with
-          | e -> e.Augem_sim.Perf.e_mflops
-          | exception Augem_sim.Perf.No_hot_loop _ -> 0.0
+          mflops_of (fun l -> Augem_sim.Perf.predict_blocked l ~blocking w) loop
         in
-        (s, member_of safe_baseline prog blocking))
+        (s, (member_of safe_baseline prog blocking, loop)))
   in
-  let best = List.hd ties in
+  let best, loop = List.hd ties in
   let streamed =
-    match
-      Augem_sim.Perf.predict_streamed ~et arch best.bm_program ~nr:best.bm_nr w
-    with
-    | e -> e.Augem_sim.Perf.e_mflops
-    | exception Augem_sim.Perf.No_hot_loop _ -> 0.0
+    mflops_of (fun l -> Augem_sim.Perf.predict_streamed l ~nr:best.bm_nr w) loop
   in
+  let ties = List.map fst ties in
   {
     bb_ties = ties;
     bb_blocked_score = blocked_score;

@@ -82,9 +82,24 @@ val lowering_diag :
   exn ->
   Augem_verify.Diag.t
 
-(** Generate one candidate, classifying {i any} failure — anticipated
-    codegen errors and unexpected exceptions alike — as a structured
-    diagnostic instead of letting it abort the sweep. *)
+(** Generate candidates as a sweep does, classifying {i any} failure —
+    anticipated codegen errors and unexpected exceptions alike — as a
+    structured diagnostic instead of letting it abort the sweep.
+    Prefetch siblings (candidates whose configurations differ only in
+    [prefetch], under equal emit options) share one run of the passes
+    before prefetching; once one runs out of vector registers, the
+    siblings after it get the same diagnostic under their own
+    configuration and are not lowered.  Outcomes are in the order of
+    the list. *)
+val generate_candidates_diag :
+  Augem_machine.Arch.t ->
+  ?max_insns:int ->
+  Augem_ir.Kernels.name ->
+  Augem_ir.Ast.kernel ->
+  candidate list ->
+  (Augem_machine.Insn.program, Augem_verify.Diag.t) Stdlib.result list
+
+(** One candidate: {!generate_candidates_diag} on a one-member list. *)
 val generate_candidate_diag :
   Augem_machine.Arch.t ->
   ?max_insns:int ->
@@ -142,8 +157,10 @@ val tune :
 
 (** [tie_programs ~et arch name r] pairs each member of [r.ties] with
     its program: [r.best_program] for [r.best], the others regenerated
-    for [name] at [et] (default f64), which gives the programs the
-    sweep scored.  A member that does not generate is left out.
+    for [name] at [et] (default f64) as {!generate_candidates_diag}
+    lowers them but without its lint gate, which gives the programs the
+    sweep scored.  A member that does not generate is left out; the
+    callers lint every member before running it.
     [Native_blocked.load] is the one place that builds a plan's
     packing and SCAL members this way, when it times them. *)
 val tie_programs :

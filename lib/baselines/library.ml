@@ -137,6 +137,10 @@ let generate_uncached (id : id) (arch : Arch.t) (kernel : Kernels.name) :
       let prog = Augem_driver.Emit.generate ~arch:arch' optimized in
       (arch', Augem_codegen.Schedule.run arch' prog)
 
+(* The generated kernels, memoized for the figure sweeps.  The table
+   has a bound: its key is the modelled arch, the library and the
+   kernel, all drawn from closed lists, and nothing a client sends
+   reaches it. *)
 let gen_cache : (string, Arch.t * Insn.program) Hashtbl.t = Hashtbl.create 32
 
 let generate (id : id) (arch : Arch.t) (kernel : Kernels.name) :
@@ -152,9 +156,16 @@ let generate (id : id) (arch : Arch.t) (kernel : Kernels.name) :
       Hashtbl.replace gen_cache key v;
       v
 
-(* Predicted MFLOPS of one library on one workload. *)
-let predict (id : id) (arch : Arch.t) (kernel : Kernels.name)
-    (w : Augem_sim.Perf.workload) : float =
+let analyze (id : id) (arch : Arch.t) (kernel : Kernels.name) :
+    Augem_sim.Perf.loop =
   let arch', prog = generate id arch kernel in
-  let est = Augem_sim.Perf.predict arch' prog w in
-  est.Augem_sim.Perf.e_mflops *. efficiency id
+  Augem_sim.Perf.analyze arch' prog
+
+(* Predicted MFLOPS of one library on one workload.  Applied to [id],
+   [arch] and [kernel] alone, it analyses the kernel once for every
+   workload it is then given. *)
+let predict (id : id) (arch : Arch.t) (kernel : Kernels.name) :
+    Augem_sim.Perf.workload -> float =
+  let loop = analyze id arch kernel in
+  fun w ->
+    (Augem_sim.Perf.predict loop w).Augem_sim.Perf.e_mflops *. efficiency id

@@ -38,7 +38,15 @@ val generate :
   Augem_ir.Kernels.name ->
   Augem_machine.Arch.t * Augem_machine.Insn.program
 
-(** Predicted MFLOPS of one library on one workload. *)
+(** The hot loop of {!generate}'s kernel, analysed on the library's
+    effective arch. *)
+val analyze :
+  id -> Augem_machine.Arch.t -> Augem_ir.Kernels.name -> Augem_sim.Perf.loop
+
+(** Predicted MFLOPS of one library on one workload.  Applied to the
+    library, arch and kernel alone it analyses the kernel once, and the
+    function it returns predicts any number of workloads from that
+    analysis. *)
 val predict :
   id ->
   Augem_machine.Arch.t ->

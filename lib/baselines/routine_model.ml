@@ -61,37 +61,43 @@ let solve_efficiency = function
 (* TRSM diagonal-block size of the decomposition. *)
 let solve_block = 64
 
-let predict (id : Library.id) (arch : Arch.t) (r : routine) ~(m : int)
-    ~(k : int) : float =
+(* Applied to the library, arch and routine alone, it analyses the
+   kernel the routine runs on once, for every size it is then given. *)
+let predict (id : Library.id) (arch : Arch.t) (r : routine) :
+    m:int -> k:int -> float =
   match r with
   | GER ->
       (* A += alpha x y^T: the real generated GER kernel, streaming the
          whole m x m matrix (GEMV-like working set and traffic) *)
-      let arch', prog = Library.generate id arch Kernels.Ger in
-      let est = Perf.predict arch' prog (Perf.W_gemv { m; n = m }) in
-      (* GEMV reads the matrix once; GER reads and writes it: halve the
-         effective bandwidth of the memory leg *)
-      let est_mem = est.Perf.e_memory_cycles *. 2.0 in
-      let total =
-        Float.max est.Perf.e_compute_cycles est_mem +. 2500.
-      in
-      est.Perf.e_flops *. arch'.Arch.turbo_ghz *. 1000.0 /. total
-      *. Library.efficiency id
+      let loop = Library.analyze id arch Kernels.Ger in
+      let arch' = loop.Perf.lp_arch in
+      fun ~m ~k:_ ->
+        let est = Perf.predict loop (Perf.W_gemv { m; n = m }) in
+        (* GEMV reads the matrix once; GER reads and writes it: halve
+           the effective bandwidth of the memory leg *)
+        let est_mem = est.Perf.e_memory_cycles *. 2.0 in
+        let total = Float.max est.Perf.e_compute_cycles est_mem +. 2500. in
+        est.Perf.e_flops *. arch'.Arch.turbo_ghz *. 1000.0 /. total
+        *. Library.efficiency id
   | TRSM ->
-      let arch', prog = Library.generate id arch Kernels.Gemm in
-      let gemm = Perf.predict arch' prog (Perf.W_gemm { m; n = m; k }) in
-      let gemm_rate = gemm.Perf.e_mflops in
-      (* solve fraction: nb out of every m rows are solved serially *)
-      let frac = Float.min 1.0 (float_of_int solve_block /. float_of_int m) in
-      let solve_rate = solve_efficiency id *. Arch.peak_mflops arch' in
-      let inv_rate =
-        ((1.0 -. frac) /. gemm_rate) +. (frac /. solve_rate)
+      let loop = Library.analyze id arch Kernels.Gemm in
+      let solve_rate =
+        solve_efficiency id *. Arch.peak_mflops loop.Perf.lp_arch
       in
-      1.0 /. inv_rate *. Library.efficiency id
+      fun ~m ~k ->
+        let gemm = Perf.predict loop (Perf.W_gemm { m; n = m; k }) in
+        let gemm_rate = gemm.Perf.e_mflops in
+        (* solve fraction: nb out of every m rows are solved serially *)
+        let frac =
+          Float.min 1.0 (float_of_int solve_block /. float_of_int m)
+        in
+        let inv_rate = ((1.0 -. frac) /. gemm_rate) +. (frac /. solve_rate) in
+        1.0 /. inv_rate *. Library.efficiency id
   | SYMM | SYRK | SYR2K | TRMM ->
-      let arch', prog = Library.generate id arch Kernels.Gemm in
-      let est = Perf.predict arch' prog (Perf.W_gemm { m; n = m; k }) in
-      est.Perf.e_mflops *. shape_factor r *. Library.efficiency id
+      let loop = Library.analyze id arch Kernels.Gemm in
+      fun ~m ~k ->
+        let est = Perf.predict loop (Perf.W_gemm { m; n = m; k }) in
+        est.Perf.e_mflops *. shape_factor r *. Library.efficiency id
 
 (* Average over the paper's Table 6 size sweep. *)
 let table6_sizes = List.init 20 (fun i -> 1024 + (i * 256)) (* 1024..5888 *)
@@ -100,5 +106,6 @@ let average (id : Library.id) (arch : Arch.t) (r : routine) : float =
   let k = 256 in
   let ger_sizes = List.init 13 (fun i -> 2048 + (i * 256)) in
   let sizes = match r with GER -> ger_sizes | _ -> table6_sizes in
-  let vals = List.map (fun m -> predict id arch r ~m ~k) sizes in
+  let at = predict id arch r in
+  let vals = List.map (fun m -> at ~m ~k) sizes in
   List.fold_left ( +. ) 0. vals /. float_of_int (List.length vals)

@@ -20,7 +20,9 @@ val name : routine -> string
 val solve_efficiency : Library.id -> float
 
 (** Predicted MFLOPS of one routine at one size (m = n; k as in the
-    paper's sweep). *)
+    paper's sweep).  Applied to the library, arch and routine alone it
+    analyses the routine's kernel once for every size it is then
+    given. *)
 val predict :
   Library.id -> Augem_machine.Arch.t -> routine -> m:int -> k:int -> float
 

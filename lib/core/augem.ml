@@ -225,4 +225,4 @@ let assembly (g : generated) : string =
 
 (* Cycle-model MFLOPS estimate on a workload. *)
 let predict (g : generated) (w : Sim.Perf.workload) : Sim.Perf.estimate =
-  Sim.Perf.predict ~et:g.g_et g.g_arch g.g_program w
+  Sim.Perf.(predict (analyze ~et:g.g_et g.g_arch g.g_program) w)

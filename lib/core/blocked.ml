@@ -215,16 +215,20 @@ let gemm ?(fuel = default_fuel) ?blocking ?(alpha = 1.0) ?(beta = 1.0)
     st_insns = !insns;
   }
 
-(* Predicted MFLOPS of the plan's blocked driver / unblocked baseline
-   on an arbitrary problem size (the cycle model, not simulation). *)
-let predict (p : plan) (w : Perf.workload) : Perf.estimate =
-  Perf.predict_blocked ~et:p.pl_et p.pl_arch (micro p).Tuner.bm_program
-    ~blocking:p.pl_blocking w
+(* The plan's micro-kernel, analysed. *)
+let analyze (p : plan) : Perf.loop =
+  Perf.analyze ~et:p.pl_et p.pl_arch (micro p).Tuner.bm_program
 
-let predict_streamed (p : plan) (w : Perf.workload) : Perf.estimate =
-  let m = micro p in
-  Perf.predict_streamed ~et:p.pl_et p.pl_arch m.Tuner.bm_program
-    ~nr:m.Tuner.bm_nr w
+(* Predicted MFLOPS of the plan's blocked driver / unblocked baseline
+   on an arbitrary problem size (the cycle model, not simulation), from
+   [loop] when the caller analysed the micro-kernel already. *)
+let predict ?loop (p : plan) (w : Perf.workload) : Perf.estimate =
+  let loop = match loop with Some l -> l | None -> analyze p in
+  Perf.predict_blocked loop ~blocking:p.pl_blocking w
+
+let predict_streamed ?loop (p : plan) (w : Perf.workload) : Perf.estimate =
+  let loop = match loop with Some l -> l | None -> analyze p in
+  Perf.predict_streamed loop ~nr:(micro p).Tuner.bm_nr w
 
 (* Seeded random A (m x k), B (k x n) and C0 (m x n), narrowed to [et]
    so reference and generated kernels start from identical representable

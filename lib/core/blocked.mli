@@ -127,12 +127,25 @@ val operands :
   et:Augem_machine.Etype.t -> seed:int -> m:int -> n:int -> k:int ->
   Augem_blas.Matrix.t * Augem_blas.Matrix.t * Augem_blas.Matrix.t
 
-(** Cycle-model prediction of the plan's blocked driver on a workload. *)
-val predict : plan -> Augem_sim.Perf.workload -> Augem_sim.Perf.estimate
+(** The plan's micro-kernel, analysed ({!Augem_sim.Perf.analyze}). *)
+val analyze : plan -> Augem_sim.Perf.loop
 
-(** Cycle-model prediction of the unblocked streaming baseline. *)
+(** Cycle-model prediction of the plan's blocked driver on a workload,
+    from [loop] ({!analyze}'s) when given; otherwise each call analyses
+    the micro-kernel. *)
+val predict :
+  ?loop:Augem_sim.Perf.loop ->
+  plan ->
+  Augem_sim.Perf.workload ->
+  Augem_sim.Perf.estimate
+
+(** Cycle-model prediction of the unblocked streaming baseline, from
+    [loop] as in {!predict}. *)
 val predict_streamed :
-  plan -> Augem_sim.Perf.workload -> Augem_sim.Perf.estimate
+  ?loop:Augem_sim.Perf.loop ->
+  plan ->
+  Augem_sim.Perf.workload ->
+  Augem_sim.Perf.estimate
 
 (** The result comparison shared by {!check} and
     [Native_blocked.check]: [a] against [b], bit-exact when [tol = 0.]

@@ -66,20 +66,23 @@ let tensor ?(init = [||]) (et : Etype.t) (n : int) : tensor =
     let t_addr i = Int64.of_int (t_at i) in
     { t_len = n; t_get; t_set; t_addr; t_at }
   in
+  let len = Array.length init in
+  (* zero only what [init] does not cover *)
+  let zero_tail ba = Bigarray.Array1.(fill (sub ba len (n' - len)) 0.0) in
   match et with
   | Etype.F64 ->
       let ba = page_aligned Bigarray.float64 n' in
-      Bigarray.Array1.fill ba 0.0;
-      for i = 0 to Array.length init - 1 do
+      for i = 0 to len - 1 do
         Bigarray.Array1.unsafe_set ba i (Array.unsafe_get init i)
       done;
+      zero_tail ba;
       make ba (Bigarray.Array1.get ba) (Bigarray.Array1.set ba)
   | Etype.F32 ->
       let ba = page_aligned Bigarray.float32 n' in
-      Bigarray.Array1.fill ba 0.0;
-      for i = 0 to Array.length init - 1 do
+      for i = 0 to len - 1 do
         Bigarray.Array1.unsafe_set ba i (Array.unsafe_get init i)
       done;
+      zero_tail ba;
       make ba (Bigarray.Array1.get ba) (Bigarray.Array1.set ba)
 
 (* A tensor holding [data]. *)

@@ -19,7 +19,10 @@ let trigger_to_string t =
 (* One mutex guards all registry state.  Fault points sit on hot paths
    only in chaos/test builds conceptually, but the disarmed fast path
    is a single mutex-protected counter bump — nanoseconds against the
-   I/O and sweeps the wrapped operations perform. *)
+   I/O and sweeps the wrapped operations perform.  The two tables have
+   a bound: both are keyed by fault-point name, and the names are the
+   constants the program's modules register, so nothing a client sends
+   adds an entry. *)
 let m = Mutex.create ()
 let catalog : (string, unit) Hashtbl.t = Hashtbl.create 32
 let counts : (string, int ref) Hashtbl.t = Hashtbl.create 32

@@ -13,10 +13,6 @@ module Etype = A.Machine.Etype
 module Faultpoint = Augem_resilience.Faultpoint
 module Breaker = Augem_resilience.Breaker
 
-let log_src = Logs.Src.create "augem.serve" ~doc:"AUGEM kernel service"
-
-module Log = (val Logs.src_log log_src)
-
 let fp_handle = "server.handle"
 let () = Faultpoint.register fp_handle
 
@@ -71,15 +67,7 @@ let create ?(now = A.Jit.Clock.now_s) ?(config = default_config) () : t =
     match config.cfg_cache_dir with
     | Some dir when config.cfg_recover ->
         let r = Cache.recover ~dir () in
-        let quarantined =
-          r.Cache.rc_quarantined + r.Cache.rc_tmp_quarantined
-        in
-        if quarantined > 0 then
-          Log.warn (fun m ->
-              m "cache recovery: %d valid, %d quarantined (%d torn, %d tmp)"
-                r.Cache.rc_valid quarantined r.Cache.rc_quarantined
-                r.Cache.rc_tmp_quarantined);
-        (r.Cache.rc_valid, quarantined)
+        (r.Cache.rc_valid, r.Cache.rc_quarantined + r.Cache.rc_tmp_quarantined)
     | _ -> (0, 0)
   in
   let breaker =
@@ -295,6 +283,7 @@ let handle_blocked (t : t) (id : Json.t) (bq : Proto.blocked_request) :
     let avx = arch.Arch.simd = Arch.AVX in
     let bl = p.A.Blocked.pl_blocking in
     let micro = A.Blocked.micro p in
+    let loop = A.Blocked.analyze p in
     let listing prog = Att.program_to_string ~et ~avx prog in
     Proto.R_blocked
       {
@@ -312,10 +301,9 @@ let handle_blocked (t : t) (id : Json.t) (bq : Proto.blocked_request) :
           listing p.A.Blocked.pl_pack_a.Tuner.best_program;
         rb_pack_b_assembly =
           listing p.A.Blocked.pl_pack_b.Tuner.best_program;
-        rb_blocked_mflops =
-          (A.Blocked.predict p workload).Perf.e_mflops;
+        rb_blocked_mflops = (A.Blocked.predict ~loop p workload).Perf.e_mflops;
         rb_streamed_mflops =
-          (A.Blocked.predict_streamed p workload).Perf.e_mflops;
+          (A.Blocked.predict_streamed ~loop p workload).Perf.e_mflops;
         rb_tier = o.Registry.o_tier;
         rb_degraded = o.Registry.o_degraded;
         rb_tuning_ms = o.Registry.o_tuning_ms;
@@ -472,7 +460,6 @@ let serve_socket (t : t) (path : string) : unit =
   Unix.bind listen_fd (Unix.ADDR_UNIX path);
   Unix.listen listen_fd 64;
   Mutex.protect t.cm (fun () -> t.listen_fd <- Some listen_fd);
-  Log.info (fun m -> m "listening on %s" path);
   (* a client's thread ends when its client does; only the [clients]
      table remembers it, so the daemon holds nothing per past client *)
   let rec accept_loop () =

@@ -118,68 +118,42 @@ let steady_cycles ?(pipeline_model = `Out_of_order) (arch : Arch.t)
   (* the back-edge branch occupies one branch slot per iteration *)
   Float.max per_iter 1.0
 
+(* One innermost loop's counts and steady-state cycles. *)
+let info ?pipeline_model ?et (arch : Arch.t) label body : loop_info =
+  let flops, loads, stores, lb, sb, pf = body_stats ?et body in
+  {
+    li_label = label;
+    li_body = body;
+    li_flops = flops;
+    li_loads = loads;
+    li_stores = stores;
+    li_load_bytes = lb;
+    li_store_bytes = sb;
+    li_prefetches = pf;
+    li_cycles = steady_cycles ?pipeline_model arch body;
+  }
+
 (* Analyze every innermost loop of a program. *)
 let analyze ?pipeline_model ?et (arch : Arch.t) (p : Insn.program) :
     loop_info list =
   List.map
-    (fun (label, body) ->
-      let flops, loads, stores, lb, sb, pf = body_stats ?et body in
-      {
-        li_label = label;
-        li_body = body;
-        li_flops = flops;
-        li_loads = loads;
-        li_stores = stores;
-        li_load_bytes = lb;
-        li_store_bytes = sb;
-        li_prefetches = pf;
-        li_cycles = steady_cycles ?pipeline_model arch body;
-      })
+    (fun (label, body) -> info ?pipeline_model ?et arch label body)
     (innermost_loops p)
 
-(* The hot loop: the one with the most FLOPs per iteration.  Analyses
-   are memoized on the program text — sweeps query the same generated
-   kernel at many problem sizes.  Tuning sweeps and server workers query
-   it from several domains, so the table is guarded by a mutex (plain
-   lock and unlock: neither table operation raises).  The analysis runs
-   outside it; two domains racing on one key both analyse and both
-   store the same deterministic value. *)
-let hot_cache : (string, loop_info option) Hashtbl.t = Hashtbl.create 64
-let hot_mutex = Mutex.create ()
-
-let hot_loop ?(pipeline_model = `Out_of_order) ?(et = Etype.F64)
-    (arch : Arch.t) (p : Insn.program) : loop_info option =
-  let key =
-    arch.Arch.name
-    ^ (match pipeline_model with `Out_of_order -> "/ooo/" | `In_order -> "/io/")
-    ^ Etype.name et ^ "/"
-    ^ Digest.to_hex (Digest.string (Marshal.to_string p.Insn.prog_insns []))
+(* The hot loop: the one with the most FLOPs per iteration, then the
+   most bytes loaded, first-seen on a tie.  Both are static counts, so
+   only the loop picked is scheduled. *)
+let hot_loop ?pipeline_model ?(et = Etype.F64) (arch : Arch.t)
+    (p : Insn.program) : loop_info option =
+  let pick best ((_, body) as loop) =
+    let flops, _, _, load_bytes, _, _ = body_stats ~et body in
+    match best with
+    | Some (f, lb, _) when f > flops || (f = flops && lb >= load_bytes) -> best
+    | _ -> Some (flops, load_bytes, loop)
   in
-  Mutex.lock hot_mutex;
-  let found = Hashtbl.find_opt hot_cache key in
-  Mutex.unlock hot_mutex;
-  match found with
-  | Some v -> v
-  | None ->
-      let loops = analyze ~pipeline_model ~et arch p in
-      let v =
-        List.fold_left
-          (fun acc li ->
-            match acc with
-            | None -> Some li
-            | Some best ->
-                if
-                  li.li_flops > best.li_flops
-                  || (li.li_flops = best.li_flops
-                     && li.li_load_bytes > best.li_load_bytes)
-                then Some li
-                else Some best)
-          None loops
-      in
-      Mutex.lock hot_mutex;
-      Hashtbl.replace hot_cache key v;
-      Mutex.unlock hot_mutex;
-      v
+  Option.map
+    (fun (_, _, (label, body)) -> info ?pipeline_model ~et arch label body)
+    (List.fold_left pick None (innermost_loops p))
 
 (* Peak-fraction efficiency of a kernel's hot loop: flops per cycle
    relative to the machine peak. *)

@@ -46,8 +46,10 @@ val analyze :
   Augem_machine.Insn.program ->
   loop_info list
 
-(** The hot loop (most flops per iteration, then most bytes loaded);
-    memoized on the program text, pipeline model and element type. *)
+(** The hot loop: most flops per iteration, then most bytes loaded,
+    first-seen on a tie — the first-seen maximum over {!analyze} by
+    those two counts.  They are static, so only that loop is
+    scheduled, and nothing is remembered between calls. *)
 val hot_loop :
   ?pipeline_model:[ `Out_of_order | `In_order ] ->
   ?et:Augem_machine.Etype.t ->

@@ -50,12 +50,20 @@ let tile_overhead ~flops_per_iter = 30.0 +. float_of_int flops_per_iter
 
 exception No_hot_loop of string
 
-let analyze_loop ?pipeline_model ?et (arch : Arch.t) (p : Insn.program) :
-    Cycle_sim.loop_info =
-  match Cycle_sim.hot_loop ?pipeline_model ?et arch p with
+(* A program's hot loop, analysed once on the arch and at the element
+   type every prediction from it is made for. *)
+type loop = {
+  lp_arch : Arch.t;
+  lp_et : Etype.t;
+  lp_info : Cycle_sim.loop_info;
+}
+
+let analyze ?pipeline_model ?(et = Etype.F64) (arch : Arch.t)
+    (p : Insn.program) : loop =
+  match Cycle_sim.hot_loop ?pipeline_model ~et arch p with
   | Some li when li.Cycle_sim.li_flops > 0 || li.Cycle_sim.li_load_bytes > 0
     ->
-      li
+      { lp_arch = arch; lp_et = et; lp_info = li }
   | Some _ | None -> raise (No_hot_loop p.Insn.prog_name)
 
 (* Traffic and working-set model per workload (bytes), at element
@@ -110,10 +118,9 @@ let ceil_div a b = Float.of_int (int_of_float (Float.ceil (a /. b)))
    2·m·n·ceil(k/KC).  Micro-kernel loads stream from the packed
    panels resident in L1/L2, and their port pressure is already inside
    the hot loop's cycle count, so they add no memory-leg traffic. *)
-let predict_blocked ?pipeline_model ?(et = Etype.F64) (arch : Arch.t)
-    (p : Insn.program) ~(blocking : Mem_model.blocking) (w : workload) :
-    estimate =
-  let li = analyze_loop ?pipeline_model ~et arch p in
+let predict_blocked (l : loop) ~(blocking : Mem_model.blocking)
+    (w : workload) : estimate =
+  let li = l.lp_info and arch = l.lp_arch and et = l.lp_et in
   let feb = float_of_int (Etype.bytes et) in
   let fm, fn, fk = gemm_dims w in
   let flops = workload_flops w in
@@ -167,9 +174,8 @@ let predict_blocked ?pipeline_model ?(et = Etype.F64) (arch : Arch.t)
    hide hundreds of cycles of miss latency, so the legs serialize —
    the textbook account of why unblocked GEMM collapses, and the
    behaviour blocking exists to fix. *)
-let predict_streamed ?pipeline_model ?(et = Etype.F64) (arch : Arch.t)
-    (p : Insn.program) ?(nr = 4) (w : workload) : estimate =
-  let li = analyze_loop ?pipeline_model ~et arch p in
+let predict_streamed (l : loop) ?(nr = 4) (w : workload) : estimate =
+  let li = l.lp_info and arch = l.lp_arch and et = l.lp_et in
   let fm, fn, fk = gemm_dims w in
   let flops = workload_flops w in
   let strips = ceil_div fn (float_of_int (max 1 nr)) in
@@ -195,9 +201,8 @@ let predict_streamed ?pipeline_model ?(et = Etype.F64) (arch : Arch.t)
     e_flops_per_iter = li.Cycle_sim.li_flops;
   }
 
-let predict ?pipeline_model ?(et = Etype.F64) (arch : Arch.t)
-    (p : Insn.program) (w : workload) : estimate =
-  let li = analyze_loop ?pipeline_model ~et arch p in
+let predict (l : loop) (w : workload) : estimate =
+  let li = l.lp_info and arch = l.lp_arch and et = l.lp_et in
   let flops = workload_flops w in
   (* work accounting: flops when the loop computes, elements when it
      only moves data (DCOPY-style) *)

@@ -32,20 +32,34 @@ type estimate = {
 
 exception No_hot_loop of string
 
-(** Predict performance of a generated program on a workload.
-    [pipeline_model] selects out-of-order (default) or in-order core
-    modelling (see {!Cycle_sim.steady_cycles}); [et] the element type
-    flops, footprints and traffic are accounted in (default f64). *)
-val predict :
+(** A program's hot loop ({!Cycle_sim.hot_loop}), analysed on
+    [lp_arch] with flops and bytes counted at [lp_et].  Every
+    prediction reads one: a caller that predicts a program at several
+    sizes or under several drivers analyses it once. *)
+type loop = {
+  lp_arch : Augem_machine.Arch.t;
+  lp_et : Augem_machine.Etype.t;
+  lp_info : Cycle_sim.loop_info;
+}
+
+(** Analyse a generated program's hot loop.  [pipeline_model] selects
+    out-of-order (default) or in-order core modelling (see
+    {!Cycle_sim.steady_cycles}); [et] the element type flops,
+    footprints and traffic are accounted in (default f64).  Raises
+    {!No_hot_loop} when the program has no innermost loop that computes
+    or loads. *)
+val analyze :
   ?pipeline_model:[ `Out_of_order | `In_order ] ->
   ?et:Augem_machine.Etype.t ->
   Augem_machine.Arch.t ->
   Augem_machine.Insn.program ->
-  workload ->
-  estimate
+  loop
+
+(** Predict the performance of an analysed program on a workload. *)
+val predict : loop -> workload -> estimate
 
 (** Predict the full blocked GEMM driver (packing + jc/pc/ic
-    macro-kernel loops around the given micro-kernel program) under an
+    macro-kernel loops around the given micro-kernel) under an
     explicit MC/KC/NC blocking.  Only meaningful for {!W_gemm}
     workloads (raises [Invalid_argument] otherwise).  DRAM traffic
     follows Goto's analysis: packed B moved once, the A block repacked
@@ -53,13 +67,7 @@ val predict :
     loads are in-cache and already inside the hot loop's cycle
     count. *)
 val predict_blocked :
-  ?pipeline_model:[ `Out_of_order | `In_order ] ->
-  ?et:Augem_machine.Etype.t ->
-  Augem_machine.Arch.t ->
-  Augem_machine.Insn.program ->
-  blocking:Mem_model.blocking ->
-  workload ->
-  estimate
+  loop -> blocking:Mem_model.blocking -> workload -> estimate
 
 (** Predict the unblocked path: the micro-kernel streaming over the
     full matrices with register tiling only, re-reading A for every
@@ -68,11 +76,4 @@ val predict_blocked :
     without blocking the operands are not cache-resident and the
     out-of-order window cannot hide DRAM miss latency.  Only
     meaningful for {!W_gemm} workloads. *)
-val predict_streamed :
-  ?pipeline_model:[ `Out_of_order | `In_order ] ->
-  ?et:Augem_machine.Etype.t ->
-  Augem_machine.Arch.t ->
-  Augem_machine.Insn.program ->
-  ?nr:int ->
-  workload ->
-  estimate
+val predict_streamed : loop -> ?nr:int -> workload -> estimate

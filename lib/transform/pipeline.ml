@@ -43,11 +43,15 @@ let config_to_string (c : config) : string =
     | None -> "-"
     | Some p -> string_of_int p.Prefetch.pf_distance)
 
-(* The pass sequence a configuration denotes, as named kernel-to-kernel
-   functions.  [apply] folds over this list; the per-pass differential
-   oracle (lib/verify/oracle.ml) walks the same list to pinpoint which
-   pass miscompiled. *)
-let passes (c : config) : (string * (Ast.kernel -> Ast.kernel)) list =
+type pass = string * (Ast.kernel -> Ast.kernel)
+
+(* The pass sequence a configuration denotes, split where prefetching
+   starts: [before_prefetch] (unroll&jam, unrolling, strength reduction,
+   scalar replacement) reads nothing of [prefetch], so configurations
+   that differ only in it run the same passes up to there and a tuning
+   sweep runs them once for all such siblings; [from_prefetch] is the
+   prefetch pass and the closing simplification. *)
+let before_prefetch (c : config) : pass list =
   let jam =
     List.map
       (fun (loop_var, factor) ->
@@ -79,6 +83,9 @@ let passes (c : config) : (string * (Ast.kernel -> Ast.kernel)) list =
     if c.scalar_replace then [ ("scalar-replacement", Scalar_repl.run) ]
     else []
   in
+  jam @ unroll @ sr @ scalar
+
+let from_prefetch (c : config) : pass list =
   let pf =
     match c.prefetch with
     | None -> []
@@ -88,7 +95,13 @@ let passes (c : config) : (string * (Ast.kernel -> Ast.kernel)) list =
             fun k -> Prefetch.insert k cfg );
         ]
   in
-  jam @ unroll @ sr @ scalar @ pf @ [ ("simplify", Simplify.simplify_kernel) ]
+  pf @ [ ("simplify", Simplify.simplify_kernel) ]
+
+(* The whole sequence as named kernel-to-kernel functions.  [apply]
+   folds over this list; the per-pass differential oracle
+   (lib/verify/oracle.ml) walks the same list to pinpoint which pass
+   miscompiled. *)
+let passes (c : config) : pass list = before_prefetch c @ from_prefetch c
 
 let apply (k : Ast.kernel) (c : config) : Ast.kernel =
   let k = List.fold_left (fun k (_name, pass) -> pass k) k (passes c) in

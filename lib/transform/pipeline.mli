@@ -22,12 +22,24 @@ val default : config
 
 val config_to_string : config -> string
 
-(** The pass sequence a configuration denotes, in application order,
-    each with a human-readable name (e.g. ["unroll&jam j:4"],
-    ["scalar-replacement"]).  [apply] folds this list; the per-pass
-    differential oracle walks it to localize miscompiles. *)
-val passes :
-  config -> (string * (Augem_ir.Ast.kernel -> Augem_ir.Ast.kernel)) list
+(** A source pass with its human-readable name (e.g. ["unroll&jam j:4"],
+    ["scalar-replacement"]). *)
+type pass = string * (Augem_ir.Ast.kernel -> Augem_ir.Ast.kernel)
+
+(** The passes before prefetching: unroll&jam, unrolling, strength
+    reduction and scalar replacement.  None reads [prefetch], so
+    configurations that differ only in it run the same ones. *)
+val before_prefetch : config -> pass list
+
+(** The prefetch pass (when configured) and the closing
+    simplification. *)
+val from_prefetch : config -> pass list
+
+(** The pass sequence a configuration denotes, in application order:
+    [before_prefetch] then [from_prefetch].  [apply] folds this list;
+    the per-pass differential oracle walks it to localize
+    miscompiles. *)
+val passes : config -> pass list
 
 (** Apply the configured passes; the result is simplified and
     type-checked. *)

@@ -236,6 +236,157 @@ let test_encoder_matches_gas () =
       if !checked = 0 then Alcotest.fail "no program checked";
       Printf.printf "%d programs: encoder bytes = as bytes\n" !checked
 
+(* --- the tuning sweep's shared work against the one-candidate paths ----- *)
+
+module Tuner = A.Tuner
+module Pipeline = A.Transform.Pipeline
+module Diag = A.Verify.Diag
+module Asmcheck = A.Analysis.Asmcheck
+module Cycle = A.Sim.Cycle_sim
+
+(* A program's listing or a discard's diagnostic: what a sweep sees. *)
+let outcome_text et (arch : Arch.t) = function
+  | Ok prog ->
+      A.Machine.Att.program_to_string ~et ~avx:(arch.Arch.simd = Arch.AVX) prog
+  | Error d -> Diag.to_string d
+
+(* Every default space on every extended arch at both precisions, each
+   candidate lowered alone: (arch, precision, kernel, its source, the
+   candidates with their outcomes). *)
+let corpus =
+  lazy
+    (List.concat_map
+       (fun arch ->
+         List.concat_map
+           (fun et ->
+             List.map
+               (fun name ->
+                 let kernel =
+                   Kernels.kernel_of_name ?fp:(Tuner.fp_of_et et) name
+                 in
+                 ( arch, et, name, kernel,
+                   List.map
+                     (fun c ->
+                       (c, Tuner.generate_candidate_diag arch name kernel c))
+                     (Tuner.space_for name) ))
+               Kernels.names)
+           [ Et.F64; Et.F32 ])
+       Arch.extended)
+
+let programs () =
+  List.concat_map
+    (fun (arch, et, _, kernel, cands) ->
+      List.filter_map
+        (function _, Ok p -> Some (arch, et, kernel, p) | _, Error _ -> None)
+        cands)
+    (Lazy.force corpus)
+
+(* (a) Lowering a space by prefetch-sibling groups gives every
+   candidate the program or the diagnostic it gets alone: on every
+   default space, and on a GEMM space whose groups mix prefetches that
+   cover stores with ones that do not, one of them out of vector
+   registers. *)
+let test_grouped_lowering () =
+  let check what et arch name kernel alone =
+    List.iter2
+      (fun (c, a) g ->
+        Alcotest.(check string)
+          (what ^ " " ^ Pipeline.config_to_string c.Tuner.cand_config)
+          (outcome_text et arch a) (outcome_text et arch g))
+      alone
+      (Tuner.generate_candidates_diag arch name kernel (List.map fst alone))
+  in
+  List.iter
+    (fun (arch, et, name, kernel, alone) ->
+      check
+        (Printf.sprintf "%s %s %s" arch.Arch.name (Et.name et)
+           (Kernels.name_to_string name))
+        et arch name kernel alone)
+    (Lazy.force corpus);
+  let group j i =
+    List.map
+      (fun prefetch ->
+        {
+          Tuner.cand_config =
+            { Pipeline.default with jam = [ ("j", j); ("i", i) ]; prefetch };
+          cand_opts = A.Codegen.Emit.default_options;
+        })
+      [
+        Some { A.Transform.Prefetch.pf_distance = 8; pf_stores = false };
+        None;
+        Some { A.Transform.Prefetch.pf_distance = 4; pf_stores = true };
+      ]
+  in
+  let arch = Arch.haswell and gemm = Kernels.kernel_of_name Kernels.Gemm in
+  (* interleaved, so each group's members are apart in the space *)
+  let space =
+    List.concat (List.map2 (fun a b -> [ a; b ]) (group 6 16) (group 6 8))
+  in
+  let alone =
+    List.map
+      (fun c -> (c, Tuner.generate_candidate_diag arch Kernels.Gemm gemm c))
+      space
+  in
+  Alcotest.(check (list bool)) "j:6,i:16 out of registers, j:6,i:8 lowers"
+    [ false; true; false; true; false; true ]
+    (List.map (fun (_, o) -> Result.is_ok o) alone);
+  check "stores off" Et.F64 arch Kernels.Gemm gemm alone
+
+(* (b) The hot loop is the first-seen maximum over every innermost
+   loop's analysis, by flops then bytes loaded, on every corpus
+   program. *)
+let test_hot_loop_is_first_max () =
+  List.iter
+    (fun (arch, et, (kernel : A.Ir.Ast.kernel), prog) ->
+      let first_max =
+        List.fold_left
+          (fun best (li : Cycle.loop_info) ->
+            match best with
+            | Some (b : Cycle.loop_info)
+              when b.li_flops > li.li_flops
+                   || (b.li_flops = li.li_flops
+                      && b.li_load_bytes >= li.li_load_bytes) ->
+                best
+            | _ -> Some li)
+          None (Cycle.analyze ~et arch prog)
+      in
+      if Cycle.hot_loop ~et arch prog <> first_max then
+        Alcotest.failf "%s %s %s: hot loop differs from analyze's"
+          arch.Arch.name (Et.name et) kernel.A.Ir.Ast.k_name)
+    (programs ())
+
+(* (c) The lint's findings, pinned: none on any corpus program, and on
+   every asm-level mutant of each ({!Faults.enumerate_asm}) the
+   findings the checker gave when it computed reaching definitions for
+   every program, digested in corpus order. *)
+let test_lint_findings_pinned () =
+  let buf = Buffer.create (1 lsl 22) in
+  let mutants = ref 0 in
+  List.iter
+    (fun (arch, _, (kernel : A.Ir.Ast.kernel), prog) ->
+      let avx = arch.Arch.simd = Arch.AVX in
+      let config = Asmcheck.config_for ~avx ~params:kernel.A.Ir.Ast.k_params in
+      (match Asmcheck.check ~config prog with
+      | [] -> ()
+      | f :: _ ->
+          Alcotest.failf "%s on %s: %s" kernel.A.Ir.Ast.k_name arch.Arch.name
+            (Asmcheck.finding_to_string f));
+      List.iter
+        (fun f ->
+          incr mutants;
+          List.iter
+            (fun x ->
+              Buffer.add_string buf (Asmcheck.finding_to_string x);
+              Buffer.add_char buf '\n')
+            (Asmcheck.check ~config (A.Verify.Faults.apply prog f));
+          Buffer.add_string buf "--\n")
+        (A.Verify.Faults.enumerate_asm ~avx ~entry:config.Asmcheck.cfg_entry
+           prog))
+    (programs ());
+  Alcotest.(check int) "mutants" 40501 !mutants;
+  Alcotest.(check string) "findings digest" "9636bc3ae41738d365d828d734b17709"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     Alcotest.test_case "blocked GEMM with simulated kernel" `Slow
@@ -248,4 +399,10 @@ let suite =
     Alcotest.test_case "encoder bytes = GNU as bytes" `Slow
       test_encoder_matches_gas;
     QCheck_alcotest.to_alcotest prop_blocked_sim_random_shapes;
+    Alcotest.test_case "grouped lowering = each candidate alone" `Slow
+      test_grouped_lowering;
+    Alcotest.test_case "hot loop = first max over analyze" `Slow
+      test_hot_loop_is_first_max;
+    Alcotest.test_case "lint findings pinned on corpus mutants" `Slow
+      test_lint_findings_pinned;
   ]

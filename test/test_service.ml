@@ -439,6 +439,45 @@ let test_expand_addressed () =
   Server.drain server;
   Server.drain fresh
 
+(* Everything the daemon holds has a bound.  An in-process server is
+   fed distinct one-candidate tune keys, each a distinct axpy program
+   (unroll x prefetch distance): a few hundred fill its LRU, then many
+   more must leave the live heap where they found it.  Live words are
+   read after a compaction, so they count what the server holds, not
+   where the allocator put it. *)
+let test_distinct_keys_bounded () =
+  let config = { Server.default_config with cfg_lru = 16 } in
+  let server = Server.create ~config () in
+  let sent = ref 0 in
+  let send n =
+    for _ = 1 to n do
+      incr sent;
+      let line =
+        Printf.sprintf
+          {|{"id":%d,"op":"tune","kernel":"axpy","arch":"sandybridge","space":[{"unroll":["i",%d],"prefetch":{"distance":%d,"stores":true}}]}|}
+          !sent
+          (List.nth [ 2; 4; 8; 16 ] (!sent mod 4))
+          (1 + (!sent / 4))
+      in
+      let r = reply_of (Server.handle_line server line) in
+      if not (jbool "ok" r) then Alcotest.failf "request %d failed" !sent
+    done
+  in
+  let live_words () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  send 200;
+  let after_few = live_words () in
+  send 800;
+  let after_many = live_words () in
+  Server.drain server;
+  (* a held program costs a few hundred words: 800 of them would add
+     well over 100k; the bounded server moves by a handful *)
+  if after_many - after_few >= 20_000 then
+    Alcotest.failf "live words grew from %d after 200 keys to %d after 1000"
+      after_few after_many
+
 (* A tune and two blocked requests whose deadlines expire in the queue:
    each is served the baseline, degraded, and nothing is cached, so the
    repeated plan request degrades again instead of hitting memory. *)
@@ -807,4 +846,6 @@ let suite =
       test_expand_addressed;
     Alcotest.test_case "non-positive factors are bad requests" `Quick
       test_nonpositive_factors;
+    Alcotest.test_case "distinct keys hold a bounded heap" `Quick
+      test_distinct_keys_bounded;
   ]

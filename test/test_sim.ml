@@ -405,7 +405,11 @@ let test_perf_monotone_in_size () =
   (* GEMM MFLOPS grows with problem size (overhead amortizes) *)
   let arch = Arch.sandy_bridge in
   let p = gemm_prog arch in
-  let at m = (Augem.Sim.Perf.predict arch p (Augem.Sim.Perf.W_gemm { m; n = m; k = 256 })).Augem.Sim.Perf.e_mflops in
+  let loop = Augem.Sim.Perf.analyze arch p in
+  let at m =
+    (Augem.Sim.Perf.predict loop (Augem.Sim.Perf.W_gemm { m; n = m; k = 256 }))
+      .Augem.Sim.Perf.e_mflops
+  in
   Alcotest.(check bool) "1024 < 4096" true (at 1024 < at 4096 +. 1.0)
 
 (* A load or store reports the bytes it touches, lanes x element size:
